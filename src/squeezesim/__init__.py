@@ -16,61 +16,57 @@ parametric oscillation threshold, and provides:
 - a command line front end (:mod:`squeezesim.cli`).
 """
 
-from squeezesim.params import (
-    HBAR,
-    C_LIGHT,
-    DomainError,
-    MaterialParams,
-    ResonatorModel,
-    PumpDrive,
-    DetectionChain,
-)
-from squeezesim.steady_state import SteadyState, solve_steady_state, threshold_power
-from squeezesim.spectra import (
-    SingularSystemError,
-    PairScattering,
-    pair_scattering,
-    output_covariance,
-    homodyne_variance,
-    optimal_quadratures,
-    optimal_quadratures_from_cov,
-    spectrum_grid,
-    power_sweep,
-    symplectic_eigenvalues,
-)
-from squeezesim.langevin import simulate_pair, cross_validate
-from squeezesim.traces import TransmissionTrace, load_trace, analyze_trace
-from squeezesim.config import ConfigError, RunConfig, load_config
+import importlib
 
-__all__ = [
-    "HBAR",
-    "C_LIGHT",
-    "DomainError",
-    "MaterialParams",
-    "ResonatorModel",
-    "PumpDrive",
-    "DetectionChain",
-    "SteadyState",
-    "solve_steady_state",
-    "threshold_power",
-    "SingularSystemError",
-    "PairScattering",
-    "pair_scattering",
-    "output_covariance",
-    "homodyne_variance",
-    "optimal_quadratures",
-    "optimal_quadratures_from_cov",
-    "spectrum_grid",
-    "power_sweep",
-    "symplectic_eigenvalues",
-    "simulate_pair",
-    "cross_validate",
-    "TransmissionTrace",
-    "load_trace",
-    "analyze_trace",
-    "ConfigError",
-    "RunConfig",
-    "load_config",
-]
+# Public name -> defining submodule.  Names resolve on first access
+# (PEP 562), so importing the package, or just ``squeezesim.cli``, does
+# not load scipy sub-packages that only some commands use.
+_EXPORTS = {
+    "HBAR": "params",
+    "C_LIGHT": "params",
+    "DomainError": "params",
+    "MaterialParams": "params",
+    "ResonatorModel": "params",
+    "PumpDrive": "params",
+    "DetectionChain": "params",
+    "SteadyState": "steady_state",
+    "solve_steady_state": "steady_state",
+    "threshold_power": "steady_state",
+    "SingularSystemError": "spectra",
+    "PairScattering": "spectra",
+    "pair_scattering": "spectra",
+    "output_covariance": "spectra",
+    "homodyne_variance": "spectra",
+    "optimal_quadratures": "spectra",
+    "optimal_quadratures_from_cov": "spectra",
+    "spectrum_grid": "spectra",
+    "power_sweep": "spectra",
+    "symplectic_eigenvalues": "spectra",
+    "simulate_pair": "langevin",
+    "cross_validate": "langevin",
+    "TransmissionTrace": "traces",
+    "load_trace": "traces",
+    "analyze_trace": "traces",
+    "ConfigError": "config",
+    "RunConfig": "config",
+    "load_config": "config",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from squeezesim.params import DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
@@ -490,7 +489,14 @@ def calibrate_g0_to_optimum(
     Neither level depends on ``w``.  At ``w = 0`` the pair flux there is
     ``eta_esc/3``, the largest any ``x`` reaches, which caps the detected
     levels at this operating point.
+
+    ``x_opt`` is good to about 3e-8, not to the ``xatol=1e-12`` passed to
+    the bounded ``minimize_scalar``: that method adds ``sqrt(eps)*|x|``
+    to the tolerance.  Both levels are stationary in ``x``, so they are
+    not affected at that scale.
     """
+    from scipy.optimize import minimize_scalar
+
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a non-zero pump")
     hk = 0.5 * model.kappa

@@ -27,9 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import percentile_filter
-from scipy.optimize import curve_fit
-from scipy.signal import find_peaks
 
 from .params import C_LIGHT, DomainError
 
@@ -201,6 +198,8 @@ def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
     coarsely than ``min_samples_per_fwhm`` points per FWHM or when the
     fit runs away from a physical dip.
     """
+    from scipy.optimize import curve_fit
+
     if regime is not None and regime not in REGIMES:
         raise DomainError(f"regime must be None or one of {REGIMES}")
     lam_nm, tr, _ = _canon(wavelength_nm, transmission)
@@ -276,6 +275,16 @@ class TransmissionTrace:
 _HEADER = ("wavelength_nm", "transmission")
 
 
+def _sample_line(k: int, blank_lines) -> int:
+    """File line of data sample ``k`` (-1 is the header), skipped blanks counted."""
+    line = k + 2
+    for blank in blank_lines:
+        if blank > line:
+            break
+        line += 1
+    return line
+
+
 def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
     """Read a two-column trace file; parse errors cite line numbers.
 
@@ -287,6 +296,7 @@ def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
         raise DomainError("only the csv trace format is supported")
     lam = []
     tr = []
+    blank_lines = []
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         try:
@@ -299,6 +309,7 @@ def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
             )
         for i, row in enumerate(rows, start=2):
             if not row:
+                blank_lines.append(i)
                 continue
             if len(row) != 2:
                 raise TraceParseError(f"line {i}: expected 2 fields, got {len(row)}")
@@ -312,11 +323,13 @@ def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
             lam.append(w)
             tr.append(t)
     if len(lam) < 2:
-        raise TraceParseError(f"line {len(lam) + 1}: need at least 2 data rows")
+        line = _sample_line(len(lam) - 1, blank_lines)
+        raise TraceParseError(f"line {line}: need at least 2 data rows")
     d = np.diff(lam)
     if not (np.all(d > 0.0) or np.all(d < 0.0)):
         bad = int(np.flatnonzero(d * (1.0 if d[0] > 0.0 else -1.0) <= 0.0)[0])
-        raise TraceParseError(f"line {bad + 3}: wavelength not strictly monotonic")
+        line = _sample_line(bad + 1, blank_lines)
+        raise TraceParseError(f"line {line}: wavelength not strictly monotonic")
     trace = TransmissionTrace(np.array(lam), np.array(tr), {"path": str(path)})
     if detrend:
         trace = normalize_trace(trace)
@@ -338,6 +351,8 @@ def rolling_baseline(transmission, window: int, *, debias=True):
     the true background; ``debias`` subtracts that offset using a
     robust noise estimate from first differences.
     """
+    from scipy.ndimage import percentile_filter
+
     if window < 3:
         raise DomainError("baseline window must span at least 3 samples")
     tr = np.asarray(transmission, dtype=float)
@@ -376,6 +391,8 @@ def _bridge_dips(tr, peaks, widths, reach):
 
 def normalize_trace(trace: TransmissionTrace, *, window=None, prominence=0.05):
     """Divide out the rolling-percentile baseline; idempotent."""
+    from scipy.signal import find_peaks
+
     if trace.metadata.get("normalized"):
         return trace
     tr = trace.transmission
@@ -404,6 +421,8 @@ def detect_resonances(trace: TransmissionTrace, min_prominence=0.05,
     A flat trace, or a prominence floor above the deepest dip, yields
     an empty list.
     """
+    from scipy.signal import find_peaks
+
     lam = trace.wavelength_nm
     tr = trace.transmission
     distance = None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -559,3 +560,33 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (out / "spectrum_summary.json").exists()
+
+
+_IMPORT_PROBE = """
+import json, sys
+import squeezesim.cli
+heavy = ("scipy.signal", "scipy.optimize", "scipy.ndimage", "scipy.linalg")
+loaded = [name for name in heavy if name in sys.modules]
+import squeezesim
+unresolved = [name for name in squeezesim.__all__ if not hasattr(squeezesim, name)]
+namespace = {}
+exec("from squeezesim import *", namespace)
+unbound = [name for name in squeezesim.__all__ if name not in namespace]
+undir = sorted(set(squeezesim.__all__) - set(dir(squeezesim)))
+print(json.dumps({"loaded": loaded, "unresolved": unresolved,
+                  "unbound": unbound, "undir": undir}))
+"""
+
+
+def test_cli_import_defers_scipy_and_package_exports_resolve():
+    # a fresh interpreter, so no earlier test has imported scipy already
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"loaded": [], "unresolved": [], "unbound": [], "undir": []}

@@ -204,6 +204,10 @@ def test_load_trace_parse_errors(tmp_path):
         load_trace(write(
             "mono.csv", head + "1560.0,0.5\n1560.1,0.5\n1560.05,0.5\n1560.2,0.5\n"
         ))
+    with pytest.raises(TraceParseError, match="line 6:"):
+        load_trace(write(
+            "blank.csv", head + "1550.0,0.9\n\n1550.1,0.9\n1550.2,0.9\n1550.15,0.9\n"
+        ))
     with pytest.raises(DomainError):
         load_trace(write("fmt.csv", head + "1560.0,0.5\n1560.1,0.5\n"), format="tsv")
 
