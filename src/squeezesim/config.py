@@ -421,6 +421,11 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
         if any(p < 0.0 for p in powers_w):
             raise ConfigError("drive.powers_mw: powers must be non-negative")
 
+        if int(effective["validate.n_segments"]) < 2:
+            raise ConfigError("validate.n_segments: need at least 2 segments")
+        if int(effective["validate.batch_size"]) < 1:
+            raise ConfigError("validate.batch_size: must be at least 1")
+
         rtol = float(effective["solver.residual_rtol"])
         if rtol <= 0.0:
             raise ConfigError("solver.residual_rtol: must be positive")

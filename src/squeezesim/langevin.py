@@ -7,14 +7,20 @@ covariance route beyond the physical model itself.
 
 The integrator is exact for this linear system:
 
-- each step propagates an augmented state holding the four pair
-  quadratures, their running time integrals, and the time integral of the
-  reflected external noise, using the matrix exponential of the augmented
-  dynamics and the exact process-noise covariance (the two matrices come
-  from one block matrix exponential);
+- the one-step propagator and process-noise covariance come from one
+  block matrix exponential of an augmented 12-dim system holding the four
+  pair quadratures, their running time integrals, and the time integral
+  of the reflected external noise;
 - the homodyne record is the exact boxcar average of the outgoing field
-  over each step, built from those integrals, so there is no sampling
-  bias beyond the known sinc^2 roll-off of the above-shot part;
+  over each step.  It needs only two combinations of those integrals, the
+  sum-mode q and p of the output, so each step draws the rank-6 joint
+  law of (next pair state, boxcar record) from the projected 6x6
+  covariance instead of the full 12-dim increment;
+- the detection loss mixes in one vacuum (q, p) pair per step, projected
+  onto each homodyne angle like the signal, so records at different
+  angles are correlated as they are for one physical detector;
+- there is no sampling bias beyond the known sinc^2 roll-off of the
+  above-shot part;
 - every segment starts from the stationary state distribution, so
   segments are statistically independent, no burn-in is discarded, and
   the scatter between segments gives an honest standard error.
@@ -50,6 +56,10 @@ from squeezesim.steady_state import SteadyState
 
 # power leakage of the periodic Hann window onto the three nearest bins
 HANN_POWER_KERNEL = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
+
+# float64 normals per chunk of steps (1 MB): large enough that numpy's
+# per-call cost vanishes, small enough to add nothing to peak memory
+_NOISE_CHUNK_VALUES = 1 << 17
 
 
 def drift_matrix(kappa: float, delta_l: float, g: complex) -> np.ndarray:
@@ -124,6 +134,28 @@ def _factor_psd_matrix(mat: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _record_projection(root_ke: float, s_dt: float) -> np.ndarray:
+    """Rows of the augmented state that one step of the record needs.
+
+    The first four rows keep the pair quadratures R; the last two are the
+    boxcar averages of the outgoing sum-mode quadratures over the step,
+    c_q = (sqrt(kappa_e) (Y_q,l + Y_q,-l) - (W_q,l + W_q,-l)) / dt and
+    c_p alike for the p quadratures.
+    """
+    proj = np.zeros((6, 12))
+    proj[:4, :4] = np.eye(4)
+    for row, quad in ((4, 0), (5, 1)):
+        proj[row, [4 + quad, 6 + quad]] = root_ke / s_dt
+        proj[row, [8 + quad, 10 + quad]] = -1.0 / s_dt
+    return proj
+
+
+def _flat_view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    # contiguous leading part of a flat buffer, so one allocation serves
+    # every batch width
+    return buf[: math.prod(shape)].reshape(shape)
+
+
 def _hann_window(n: int) -> np.ndarray:
     # periodic form: its power leaks onto exactly the two adjacent bins
     return 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
@@ -162,7 +194,11 @@ class LangevinRun:
     ``psd`` is (n_theta, n_freq), normalized so shot noise is 1;
     ``psd_sigma`` is its per-bin standard error from segment scatter.
     ``series`` keeps the first simulated segment (n_theta, n_samples) of
-    the detected homodyne record for inspection and dumps.
+    the detected homodyne record for inspection and dumps.  Its rows are
+    projections of one detected field, loss vacuum included, so records
+    at different angles are correlated as for one physical detector: at
+    vacuum input, angles theta1 and theta2 correlate as cos(theta1 -
+    theta2).
     """
 
     omega: np.ndarray
@@ -200,6 +236,15 @@ def simulate_pair(
     The homodyne angles follow the same convention as the analytic route:
     the frame is rotated so the squeezed joint quadrature of the line
     center sits at ``theta = pi/2``.
+
+    Each step draws the exact joint law of the next pair state and the
+    step's boxcar record: the 12-dim process noise of :func:`discretize`
+    is projected onto the four pair quadratures and the outgoing sum-mode
+    (q, p), and that rank-6 covariance is sampled with six normals.  Below
+    unit efficiency two more normals give the loss vacuum's (q, p), which
+    is projected onto each angle like the signal.  Normals are drawn
+    step-major in fixed chunks, so the stream depends only on ``seed``
+    and ``batch_size``.
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
@@ -209,6 +254,8 @@ def simulate_pair(
         raise DomainError("n_samples must be at least 8")
     if n_segments < 2:
         raise DomainError("n_segments must be at least 2")
+    if batch_size < 1:
+        raise DomainError("batch_size must be at least 1")
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
     margin = stability_margin(model, steady, l)
@@ -227,35 +274,62 @@ def simulate_pair(
         model.kappa_i / kappa, model.kappa_e / kappa, delta_l / kappa, g / kappa
     )
     phi, q = discretize(at, bt, s_dt)
-    phi4 = np.ascontiguousarray(phi[:, :4])
-    lq = _factor_psd_matrix(q)
+    proj = _record_projection(math.sqrt(model.kappa_e / kappa), s_dt)
+    l6 = _factor_psd_matrix(proj @ q @ proj.T)
     l0 = _factor_psd_matrix(stationary_covariance(1.0, delta_l / kappa, g / kappa))
+    a_rr = np.ascontiguousarray(phi[:4, :4])
+    sqrt_eta = math.sqrt(eta_total)
+    # detected record of a step from the pair state at its start
+    c_r = sqrt_eta * (proj[4:] @ phi[:, :4])
+    # one step's normals -> (pair-state increment, detected record noise)
+    n_draw = 8 if eta_total < 1.0 else 6
+    mix = np.zeros((6, n_draw))
+    mix[:4, :6] = l6[:4]
+    mix[4:, :6] = sqrt_eta * l6[4:]
+    if n_draw == 8:
+        mix[4:, 6:] = math.sqrt((1.0 - eta_total) * 0.5 / s_dt) * np.eye(2)
 
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    cos_t = np.cos(thetas + phi_ref)[:, None]
-    sin_t = np.sin(thetas + phi_ref)[:, None]
-    root_ke = math.sqrt(model.kappa_e / kappa)
-    sqrt_eta = math.sqrt(eta_total)
-    loss_scale = math.sqrt((1.0 - eta_total) * 0.5 / s_dt)
+    angles = thetas + phi_ref
+    to_angles = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     rng = np.random.default_rng(seed)
     nth, n, nf = thetas.size, n_samples, n_samples // 2 + 1
+    chunk = max(1, min(n, _NOISE_CHUNK_VALUES // (n_draw * batch_size)))
+    noise_buf = np.empty(chunk * n_draw * batch_size)
+    mixed_buf = np.empty(chunk * 6 * batch_size)
+    state_buf = np.empty((chunk + 1) * 4 * batch_size)
+    record_buf = np.empty(chunk * 2 * batch_size)
+    angle_buf = np.empty(chunk * nth * batch_size)
+    xs_buf = np.empty(nth * batch_size * n)
     acc = np.zeros((nth, nf))
     acc2 = np.zeros((nth, nf))
     first = None
     done = 0
     while done < n_segments:
         b = min(batch_size, n_segments - done)
-        r = l0 @ rng.standard_normal((4, b))
-        xs = np.empty((nth, b, n))
-        for m in range(n):
-            z = phi4 @ r + lq @ rng.standard_normal((12, b))
-            r = z[:4]
-            out = (root_ke * z[4:8] - z[8:12]) / s_dt
-            x = cos_t * (out[0] + out[2]) + sin_t * (out[1] + out[3])
-            if eta_total < 1.0:
-                x = sqrt_eta * x + loss_scale * rng.standard_normal((nth, b))
-            xs[:, :, m] = x
+        noise = _flat_view(noise_buf, chunk, n_draw, b)
+        mixed = _flat_view(mixed_buf, chunk, 6, b)
+        states = _flat_view(state_buf, chunk + 1, 4, b)
+        record = _flat_view(record_buf, chunk, 2, b)
+        at_angles = _flat_view(angle_buf, chunk, nth, b)
+        xs = _flat_view(xs_buf, nth, b, n)
+        # per-step views made once per batch: the step loop only does math
+        state_rows = list(states)
+        increments = list(mixed[:, :4])
+        states[0] = l0 @ rng.standard_normal((4, b))
+        for m0 in range(0, n, chunk):
+            k = min(chunk, n - m0)
+            rng.standard_normal(out=noise[:k])
+            np.matmul(mix, noise[:k], out=mixed[:k])
+            for r, r_next, w in zip(state_rows, state_rows[1 : k + 1], increments):
+                np.dot(a_rr, r, out=r_next)
+                r_next += w
+            np.matmul(c_r, states[:k], out=record[:k])
+            record[:k] += mixed[:k, 4:]
+            np.matmul(to_angles, record[:k], out=at_angles[:k])
+            xs[:, :, m0 : m0 + k] = at_angles[:k].transpose(1, 2, 0)
+            states[0] = states[k]
         pseg = _hann_periodograms(xs, s_dt) / 0.5
         acc += pseg.sum(axis=1)
         acc2 += np.square(pseg).sum(axis=1)
@@ -380,13 +454,24 @@ def cross_validate(
 
     Every requested frequency is snapped to the nearest nonzero interior
     bin of its sampling plan; a frequency that cannot be represented on
-    the grid raises DomainError.  ``expected_eta_total`` deliberately
-    perturbs only the analytic side, which should make the test fail;
-    it exists to demonstrate that the comparison has teeth.
+    the grid raises DomainError, and so does an empty ``omegas`` or
+    ``thetas``.  ``expected_eta_total`` deliberately perturbs only the
+    analytic side, which should make the test fail; it exists to
+    demonstrate that the comparison has teeth.
+
+    ``BinCheck.sigma`` is the standard error from the scatter of the same
+    segments whose mean is tested.  A periodogram bin is exponential, so
+    at these segment counts its ``z`` has a heavier left tail than a
+    normal variable, and the ``n_sigma`` gate rejects true bins somewhat
+    more often than its nominal rate.
     """
     t0 = time.perf_counter()
     exp_eta = eta_total if expected_eta_total is None else expected_eta_total
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if omegas.size == 0:
+        raise DomainError("cross_validate needs at least one analysis frequency")
+    if np.atleast_1d(np.asarray(thetas, dtype=float)).size == 0:
+        raise DomainError("cross_validate needs at least one homodyne angle")
     children = np.random.SeedSequence(seed).spawn(omegas.size)
     checks = []
     for target, child in zip(omegas, children):

@@ -116,6 +116,20 @@ def test_one_of_group_errors_cite_field_paths():
         resolve_text(partial_mat)
 
 
+def test_validate_options_name_their_keys():
+    for text, key in (
+        ("validate.batch_size = 0", "validate.batch_size"),
+        ("validate.batch_size = -2", "validate.batch_size"),
+        ("validate.n_segments = 1", "validate.n_segments"),
+        ("validate.n_segments = 0", "validate.n_segments"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            resolve_text(MINIMAL + text + "\n")
+    cfg = resolve_text(MINIMAL + "validate.batch_size = 1\nvalidate.n_segments = 2\n")
+    assert cfg.opt("validate.batch_size") == 1
+    assert cfg.opt("validate.n_segments") == 2
+
+
 def test_rate_combination_and_ordering():
     text = MINIMAL.replace(
         "resonator.q_intrinsic = 10.1e6", "resonator.kappa_i_rad_s = 1.1955e8"

@@ -6,6 +6,7 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from squeezesim.langevin import (
+    _NOISE_CHUNK_VALUES,
     BinCheck,
     CrossValidation,
     HANN_POWER_KERNEL,
@@ -166,6 +167,33 @@ def test_simulation_is_bitwise_deterministic():
     assert np.array_equal(r1.psd_sigma, r2.psd_sigma)
     r3 = simulate_pair(model, st, **{**kwargs, "seed": 124})
     assert not np.array_equal(r1.psd, r3.psd)
+    # several noise chunks per segment and a partial last batch
+    batch = 16
+    chunk = _NOISE_CHUNK_VALUES // (8 * batch)
+    long_kwargs = {**kwargs, "n_samples": chunk + 37, "n_segments": 2 * batch + 3,
+                   "batch_size": batch}
+    r4 = simulate_pair(model, st, **long_kwargs)
+    r5 = simulate_pair(model, st, **long_kwargs)
+    assert r4.n_samples > chunk and r4.n_segments % batch != 0
+    assert np.array_equal(r4.psd, r5.psd)
+    assert np.array_equal(r4.psd_sigma, r5.psd_sigma)
+    assert np.array_equal(r4.series, r5.series)
+
+
+def test_projected_loss_vacuum_correlates_angles():
+    # at vacuum input the record at angle theta is cos(theta) u_q +
+    # sin(theta) u_p of one detected field, loss included, so two angles
+    # correlate as cos(theta1 - theta2); a loss draw per angle would give
+    # eta * cos(theta1 - theta2) = 0.35 instead
+    model = make_model(0.4)
+    steady = solve_steady_state(model, PumpDrive.from_power(0.0, model.omega0))
+    run = simulate_pair(
+        model, steady, dt=0.05 * 2 * math.pi / model.kappa, n_samples=4096,
+        n_segments=2, thetas=(0.0, math.pi / 3), eta_total=0.7, seed=41,
+    )
+    rho = np.corrcoef(run.series)[0, 1]
+    stderr = (1.0 - 0.5 ** 2) / math.sqrt(run.series.shape[1])
+    assert abs(rho - 0.5) < 5.0 * stderr, rho
 
 
 def test_simulate_input_validation():
@@ -177,6 +205,12 @@ def test_simulate_input_validation():
         simulate_pair(model, st, dt=good_dt, n_samples=4, n_segments=10)
     with pytest.raises(DomainError):
         simulate_pair(model, st, dt=good_dt, n_samples=64, n_segments=1)
+    for batch_size in (0, -3):
+        with pytest.raises(DomainError, match="batch_size"):
+            simulate_pair(
+                model, st, dt=good_dt, n_samples=64, n_segments=10,
+                batch_size=batch_size,
+            )
     bad = SteadyState(
         a0=1.0 + 0j, rho=1.0, delta_eff=1.0, branch="synthetic",
         all_rho=(1.0,), residual=0.0,
@@ -226,6 +260,10 @@ def test_cross_validate_grid_mismatch():
     model, st = pure_point(0.4)
     with pytest.raises(DomainError):
         cross_validate(model, st, [100.0 * model.kappa], n_segments=4)
+    with pytest.raises(DomainError, match="frequency"):
+        cross_validate(model, st, [], n_segments=4)
+    with pytest.raises(DomainError, match="angle"):
+        cross_validate(model, st, [0.5 * model.kappa], thetas=(), n_segments=4)
 
 
 def test_hann_kernel_normalized():
