@@ -33,6 +33,8 @@ _EXPORTS = {
     "solve_steady_state": "steady_state",
     "threshold_power": "steady_state",
     "SingularSystemError": "spectra",
+    "PairMoments": "spectra",
+    "pair_moments": "spectra",
     "PairScattering": "spectra",
     "pair_scattering": "spectra",
     "output_covariance": "spectra",

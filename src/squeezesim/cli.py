@@ -34,6 +34,7 @@ from .spectra import (
     output_covariance,
     pair_scattering,
     phase_scan_trace,
+    power_sweep,
     spectrum_grid,
     squeezing_db,
     stability_margin,
@@ -131,23 +132,9 @@ def _solve_point(cfg: RunConfig, power_w: float):
     return steady, margin
 
 
-def _summary_point(cfg: RunConfig, steady, omega: float):
-    pair = pair_scattering(cfg.model, steady, omega, cfg.mode_index)
-    cov = output_covariance(pair, cfg.eta_total)
-    return optimal_quadratures_from_cov(cov)
-
-
 def cmd_spectrum(cfg: RunConfig, args, out: Path) -> int:
     power_w = cfg.require_power()
     steady, margin = _solve_point(cfg, power_w)
-    if margin <= 0.0:
-        log.error(
-            "operating point at %.6g mW is at or above pair threshold "
-            "(stability margin %.6g rad/s); aborting",
-            power_w * 1e3,
-            margin,
-        )
-        return EXIT_FAIL
     thetas = np.linspace(0.0, math.pi, cfg.n_theta)
     grid = spectrum_grid(
         cfg.model,
@@ -157,21 +144,22 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> int:
         l=cfg.mode_index,
         eta_total=cfg.eta_total,
     )
-    rows = []
-    for i, w in enumerate(grid.omegas):
-        f_hz = w / (2.0 * math.pi)
-        for j, th in enumerate(thetas):
-            rows.append((f_hz, float(th), float(variance_db(grid.variance[i, j]))))
+    # omega-major rows: every angle at the first frequency, then the next
+    f_hz = np.repeat(grid.omegas / (2.0 * math.pi), thetas.size)
+    rows = zip(f_hz, np.tile(thetas, grid.omegas.size), variance_db(grid.variance).ravel())
     _write_table(out, "spectrum", ("omega_hz", "theta_rad", "variance_db"), rows, args.format)
 
-    ext = _summary_point(cfg, steady, cfg.omega)
+    # the summary needs only the closed-form extrema, no angle grid
+    point = spectrum_grid(
+        cfg.model, steady, cfg.omega, (), l=cfg.mode_index, eta_total=cfg.eta_total
+    )
     p_th = threshold_power(cfg.model, cfg.mode_index) if cfg.model.g0 > 0 else math.inf
     summary = {
         "power_mw": power_w * 1e3,
         "omega_hz": cfg.omega / (2.0 * math.pi),
-        "squeezing_db": float(squeezing_db(ext.var_min)),
-        "anti_squeezing_db": float(variance_db(ext.var_max)),
-        "theta_opt_rad": float(ext.theta_min),
+        "squeezing_db": float(squeezing_db(point.var_min[0])),
+        "anti_squeezing_db": float(variance_db(point.var_max[0])),
+        "theta_opt_rad": float(point.theta_opt[0]),
         "rho": steady.rho,
         "branch": steady.branch,
         "delta_eff_rad_s": steady.delta_eff,
@@ -201,37 +189,37 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def _sweep_point(cfg: RunConfig, power_w: float):
-    steady, margin = _solve_point(cfg, power_w)
-    if margin <= 0.0:
-        return (power_w * 1e3, math.nan, math.nan, steady.rho, 1)
-    ext = _summary_point(cfg, steady, cfg.omega)
-    return (
-        power_w * 1e3,
-        float(variance_db(ext.var_min)),
-        float(variance_db(ext.var_max)),
-        steady.rho,
-        0,
+def _sweep(cfg: RunConfig, powers_w):
+    return power_sweep(
+        cfg.model,
+        powers_w,
+        omega=cfg.omega,
+        l=cfg.mode_index,
+        eta_total=cfg.eta_total,
+        branch_policy=cfg.branch_policy,
+        rtol=cfg.residual_rtol,
     )
 
 
 def cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
-    # each point costs well under a millisecond, so the sweep runs in
-    # process; a worker pool would only add its start-up time
-    rows = [_sweep_point(cfg, p) for p in cfg.powers_w]
+    sweep = _sweep(cfg, cfg.powers_w)
+    rows = zip(
+        sweep.powers * 1e3,
+        variance_db(sweep.var_min),
+        variance_db(sweep.var_max),
+        sweep.rho,
+        sweep.above_threshold,
+    )
     header = ("power_mw", "s_min_db", "s_max_db", "rho", "threshold_flag")
     _write_table(out, "sweep", header, rows, args.format)
-    n_above = sum(r[4] for r in rows)
-    log.info("%d sweep points, %d above threshold", len(rows), n_above)
+    n_above = int(np.sum(sweep.above_threshold))
+    log.info("%d sweep points, %d above threshold", sweep.powers.size, n_above)
     return EXIT_OK
 
 
 def cmd_phase_scan(cfg: RunConfig, args, out: Path) -> int:
     power_w = cfg.require_power()
-    steady, margin = _solve_point(cfg, power_w)
-    if margin <= 0.0:
-        log.error("operating point is at or above pair threshold; aborting")
-        return EXIT_FAIL
+    steady, _ = _solve_point(cfg, power_w)
     trace = phase_scan_trace(
         cfg.model,
         steady,
@@ -403,7 +391,6 @@ def _physicality_check(cfg: RunConfig, rng: np.random.Generator, n_random: int) 
     min_nu = math.inf
     min_prod = math.inf
     min_slack = math.inf
-    worst_vacuum = 0.0
     used = 0
     for _ in range(n_random):
         power = float(rng.uniform(0.0, p_cap))
@@ -418,9 +405,8 @@ def _physicality_check(cfg: RunConfig, rng: np.random.Generator, n_random: int) 
         ext = optimal_quadratures_from_cov(cov)
         min_prod = min(min_prod, ext.var_min * ext.var_max)
         min_slack = min(min_slack, ext.var_min - (1.0 - cfg.eta_total))
-    vac_steady, _ = _solve_point(cfg, 0.0)
-    vac = _summary_point(cfg, vac_steady, cfg.omega)
-    worst_vacuum = max(abs(vac.var_min - 1.0), abs(vac.var_max - 1.0))
+    vac = _sweep(cfg, 0.0)
+    worst_vacuum = max(abs(vac.var_min[0] - 1.0), abs(vac.var_max[0] - 1.0))
     passed = (
         used >= n_random // 2
         and min_nu >= 1.0 - 1e-9

@@ -35,7 +35,6 @@ and batch size.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -45,12 +44,9 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from squeezesim.params import DomainError, ResonatorModel
 from squeezesim.spectra import (
-    SingularSystemError,
     homodyne_variance,
     output_covariance,
-    pair_detuning,
-    pair_scattering,
-    stability_margin,
+    pair_moments,
 )
 from squeezesim.steady_state import SteadyState
 
@@ -258,15 +254,9 @@ def simulate_pair(
         raise DomainError("batch_size must be at least 1")
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
-    margin = stability_margin(model, steady, l)
-    if margin <= 0.0:
-        raise SingularSystemError(
-            f"side-mode pair l={l} is not below threshold", eigenvalue_real=-margin
-        )
+    point = pair_moments(model, steady.rho, steady.a0, 0.0, l).require_below_threshold()
     kappa = model.kappa
-    delta_l = pair_detuning(model, steady, l)
-    g = model.g0 * steady.a0 * steady.a0
-    phi_ref = 0.0 if steady.a0 == 0 else 0.25 * math.pi + cmath.phase(steady.a0)
+    delta_l, g, phi_ref = float(point.delta_l), complex(point.g), float(point.phi_ref)
 
     # scaled units: kappa -> 1
     s_dt = dt * kappa
@@ -351,7 +341,7 @@ def simulate_pair(
         eta_total=eta_total,
         phi_ref=phi_ref,
         delta_l=delta_l,
-        g=complex(g),
+        g=g,
         window="hann",
         kernel=HANN_POWER_KERNEL,
         seed=seed,
@@ -378,15 +368,11 @@ def expected_bin_value(
     """
     if not 1 <= k <= n_samples // 2 - 1:
         raise DomainError(f"bin index {k} outside the usable grid")
-    total = 0.0
-    for weight, j in zip(HANN_POWER_KERNEL, (-1, 0, 1)):
-        w_j = 2.0 * math.pi * (k + j) / (n_samples * dt)
-        s_j = homodyne_variance(
-            output_covariance(pair_scattering(model, steady, w_j, l), eta_total), theta
-        )
-        roll = np.sinc(w_j * dt / (2.0 * math.pi)) ** 2
-        total += weight * (1.0 + (s_j - 1.0) * roll)
-    return total
+    w = 2.0 * math.pi * (k + np.array([-1, 0, 1])) / (n_samples * dt)
+    pair = pair_moments(model, steady.rho, steady.a0, w, l).require_below_threshold()
+    s = homodyne_variance(output_covariance(pair, eta_total), theta)
+    roll = np.sinc(w * dt / (2.0 * math.pi)) ** 2
+    return float(np.dot(HANN_POWER_KERNEL, 1.0 + (s - 1.0) * roll))
 
 
 def segment_plan(kappa: float, omega: float) -> tuple[float, int]:

@@ -74,8 +74,8 @@ def max_onchip_squeezing_db(eta_escape: float) -> float:
 
 def photon_flux(power_w: float, omega0: float) -> float:
     """Photon arrival rate (1/s) of a beam with the given on-chip power."""
-    if power_w < 0.0:
-        raise DomainError(f"power must be non-negative, got {power_w}")
+    if not (math.isfinite(power_w) and power_w >= 0.0):
+        raise DomainError(f"power must be finite and non-negative, got {power_w}")
     if omega0 <= 0.0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
     return power_w / (HBAR * omega0)

@@ -29,6 +29,7 @@ import numpy as np
 
 from squeezesim.params import DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
+    RESIDUAL_RTOL,
     SteadyState,
     solve_steady_state,
     steady_state_on_branch,
@@ -55,7 +56,7 @@ def pair_detuning(model: ResonatorModel, steady: SteadyState, l: int = 1) -> flo
     Combines the cold detuning, the dispersion walk-off of the pair, and
     the cross-phase pull of the pump, which is twice the self-phase pull.
     """
-    return model.delta + 0.5 * model.d2 * l * l - 2.0 * model.g0 * steady.rho
+    return float(pair_moments(model, steady.rho, steady.a0, 0.0, l).delta_l)
 
 
 def stability_margin(model: ResonatorModel, steady: SteadyState, l: int = 1) -> float:
@@ -65,37 +66,118 @@ def stability_margin(model: ResonatorModel, steady: SteadyState, l: int = 1) -> 
     gain ``|g| = g0*rho``, so the margin is
     ``kappa/2 - Re sqrt(|g|^2 - delta_l^2)``.
     """
-    gain = model.g0 * steady.rho
-    delta_l = pair_detuning(model, steady, l)
-    return 0.5 * model.kappa - cmath.sqrt(gain * gain - delta_l * delta_l).real
+    return float(pair_moments(model, steady.rho, steady.a0, 0.0, l).margin)
 
 
 @dataclass(frozen=True)
-class PairScattering:
-    """Frequency-domain scattering of one side-mode pair at one frequency.
+class PairMoments:
+    """Operating point and output moments of pair ``l`` at many points.
+
+    ``delta_l``, ``g``, ``phi_ref`` and ``margin`` have the shape of
+    ``(rho, a0)``; ``n_signal`` (the output photon flux density of each
+    mode, hence ``n_idler``) and ``m_corr`` (their anomalous correlation
+    in the frame ``phi_ref``) broadcast over ``omega`` too.  Both are NaN
+    where ``margin <= 0``: no stationary spectrum exists there.
+    """
+
+    omega: np.ndarray
+    l: int
+    delta_l: np.ndarray
+    g: np.ndarray
+    phi_ref: np.ndarray
+    margin: np.ndarray
+    eta_escape: float
+    n_signal: np.ndarray
+    m_corr: np.ndarray
+
+    @property
+    def n_idler(self) -> np.ndarray:
+        return self.n_signal
+
+    def require_below_threshold(self) -> "PairMoments":
+        """Return self; raise SingularSystemError if any point is not below threshold."""
+        margin = np.min(self.margin)
+        if not margin > 0.0:
+            raise SingularSystemError(
+                f"side-mode pair l={self.l} is not below threshold: slowest "
+                f"eigenvalue decays at {margin:.6g} rad/s",
+                eigenvalue_real=-float(margin),
+            )
+        return self
+
+
+def pair_moments(model: ResonatorModel, rho, a0, omega, l: int = 1) -> PairMoments:
+    """Operating point and output moments of side-mode pair ``l``.
+
+    Broadcasts over the pump photon number ``rho``, the pump field ``a0``
+    and the sideband frequency ``omega`` (rad/s).  ``rho`` and ``a0`` are
+    separate because ``|a0|^2`` matches ``rho`` only to the steady-state
+    residual: the pair offset ``delta_l`` and the margin use ``rho``, the
+    gain ``g = g0*a0^2`` and the frame phase ``phi_ref`` use ``a0``.
+
+    With ``d1 = kappa/2 + i*(delta_l - omega)``,
+    ``d2 = kappa/2 - i*(delta_l + omega)`` and ``det = d1*d2 - |g|^2``
+    (the determinant of the pair's linear system), the second moments of
+    the scattering matrix of :func:`pair_scattering` are
+
+        n_signal = kappa_e*kappa*|g|^2 / |det|^2
+        m_corr = i*kappa_e*g*exp(-2i*phi_ref)*(conj(d1)*d2 + |g|^2) / |det|^2
+
+    Raises DomainError for a non-finite ``omega``.
+    """
+    omega = np.asarray(omega, dtype=float)[()]
+    if not np.all(np.isfinite(omega)):
+        raise DomainError(f"omega must be finite, got {omega}")
+    rho = np.asarray(rho, dtype=float)
+    a0 = np.asarray(a0, dtype=complex)
+    hk = 0.5 * model.kappa
+    delta_l = model.delta + 0.5 * model.d2 * l * l - 2.0 * model.g0 * rho
+    gain = model.g0 * rho
+    margin = hk - np.sqrt(np.maximum(gain * gain - delta_l * delta_l, 0.0))
+    # real arithmetic rounds as pair_scattering's scalar complex products do
+    # (numpy's may fuse), so g and det agree there bit for bit
+    gr, gi = model.g0 * a0.real, model.g0 * a0.imag
+    g = (gr * a0.real - gi * a0.imag) + 1j * (gr * a0.imag + gi * a0.real)
+    phi_ref = np.where(a0 == 0, 0.0, 0.25 * math.pi + np.angle(a0))[()]
+    a = delta_l - omega  # d1 = kappa/2 + i*a
+    b = delta_l + omega  # d2 = kappa/2 - i*b
+    g2 = g.real * g.real + g.imag * g.imag
+    det_re = hk * hk + a * b - g2
+    det_im = hk * a - hk * b
+    # 1/|det|^2, NaN where no stationary spectrum exists
+    scale = 1.0 / np.where(margin > 0.0, det_re * det_re + det_im * det_im, math.nan)
+    cross = (hk * hk - a * b + g2) - 1j * (hk * (a + b))  # conj(d1)*d2 + |g|^2
+    rotated = 1j * model.kappa_e * g * np.exp(-2j * phi_ref)
+    return PairMoments(
+        omega=omega,
+        l=l,
+        delta_l=delta_l,
+        g=g,
+        phi_ref=phi_ref,
+        margin=margin,
+        eta_escape=model.eta_escape,
+        n_signal=model.kappa_e * model.kappa * g2 * scale,
+        m_corr=rotated * cross * scale,
+    )
+
+
+@dataclass(frozen=True)
+class PairScattering(PairMoments):
+    """Moments of one pair at one frequency, with the matrix they come from.
 
     ``s`` maps the vacuum inputs ``(v_e,l, v_e,-l^dag, v_i,l, v_i,-l^dag)``
     to the outgoing ``(a_out,l, a_out,-l^dag)``, expressed in a rotated
     frame (``phi_ref``) chosen so the pair correlation ``m_corr`` is real
     and positive at line center; the squeezed joint quadrature then sits
-    at homodyne angle pi/2 independent of the pump phase.
-
-    ``n_signal``/``n_idler`` are the output photon flux spectral densities
-    of the two modes and ``m_corr`` their anomalous correlation; for this
-    model the two flux densities coincide.
+    at homodyne angle pi/2 independent of the pump phase.  ``n_idler`` is
+    read off the rows of ``s``.
     """
 
     s: np.ndarray
-    omega: float
-    l: int
-    delta_l: float
-    g: complex
-    phi_ref: float
-    margin: float
-    eta_escape: float
-    n_signal: float
-    n_idler: float
-    m_corr: complex
+
+    @property
+    def n_idler(self) -> float:
+        return float(abs(self.s[1, 0]) ** 2 + abs(self.s[1, 2]) ** 2)
 
 
 def pair_scattering(
@@ -108,18 +190,12 @@ def pair_scattering(
 
     ``omega`` is the analysis (sideband) frequency in rad/s relative to
     the driven grid; spectra are symmetric under ``omega -> -omega``.
-    Raises SingularSystemError at or above the pair threshold.
+    Raises SingularSystemError at or above the pair threshold.  The
+    moments come from :func:`pair_moments`.
     """
+    point = pair_moments(model, steady.rho, steady.a0, omega, l).require_below_threshold()
     hk = 0.5 * model.kappa
-    delta_l = pair_detuning(model, steady, l)
-    g = model.g0 * steady.a0 * steady.a0
-    margin = stability_margin(model, steady, l)
-    if margin <= 0.0:
-        raise SingularSystemError(
-            f"side-mode pair l={l} is not below threshold: slowest eigenvalue "
-            f"decays at {margin:.6g} rad/s",
-            eigenvalue_real=-margin,
-        )
+    delta_l, g, phi_ref = float(point.delta_l), complex(point.g), float(point.phi_ref)
     d1 = hk + 1j * (delta_l - omega)
     d2 = hk - 1j * (delta_l + omega)
     det = d1 * d2 - (g.real * g.real + g.imag * g.imag)
@@ -130,25 +206,8 @@ def pair_scattering(
             math.sqrt(model.kappa_e * model.kappa_i) * inv,
         ]
     )
-    phi_ref = 0.0 if steady.a0 == 0 else 0.25 * math.pi + cmath.phase(steady.a0)
     rot = np.array([cmath.exp(-1j * phi_ref), cmath.exp(1j * phi_ref)])
-    s = rot[:, None] * s_raw
-    n_signal = abs(s[0, 1]) ** 2 + abs(s[0, 3]) ** 2
-    n_idler = abs(s[1, 0]) ** 2 + abs(s[1, 2]) ** 2
-    m_corr = s[0, 0] * s[1, 0].conjugate() + s[0, 2] * s[1, 2].conjugate()
-    return PairScattering(
-        s=s,
-        omega=float(omega),
-        l=l,
-        delta_l=delta_l,
-        g=complex(g),
-        phi_ref=phi_ref,
-        margin=margin,
-        eta_escape=model.eta_escape,
-        n_signal=float(n_signal),
-        n_idler=float(n_idler),
-        m_corr=complex(m_corr),
-    )
+    return PairScattering(**vars(point), s=rot[:, None] * s_raw)
 
 
 def bogoliubov_defect(s: np.ndarray) -> float:
@@ -163,23 +222,25 @@ def bogoliubov_defect(s: np.ndarray) -> float:
     return float(np.max(np.abs(s @ sigma4 @ s.conj().T - sigma2)))
 
 
-def output_covariance(pair: PairScattering, eta_total: float = 1.0) -> np.ndarray:
+def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
     """4x4 quadrature covariance of the detected pair, vacuum = identity.
 
     Row order is ``(q_l, p_l, q_{-l}, p_{-l})``.  ``eta_total`` is the
     off-chip detection efficiency, applied as a beamsplitter admixing
-    vacuum: ``V -> eta V + (1 - eta) I``.
+    vacuum: ``V -> eta V + (1 - eta) I``.  ``pair`` is a PairScattering
+    or a PairMoments; array-valued moments give a stack of shape
+    ``(..., 4, 4)``.
     """
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
-    ns, ni, m = pair.n_signal, pair.n_idler, pair.m_corr
-    v = np.eye(4)
-    v[0, 0] = v[1, 1] = 1.0 + 2.0 * ns
-    v[2, 2] = v[3, 3] = 1.0 + 2.0 * ni
-    v[0, 2] = v[2, 0] = 2.0 * m.real
-    v[0, 3] = v[3, 0] = 2.0 * m.imag
-    v[1, 2] = v[2, 1] = 2.0 * m.imag
-    v[1, 3] = v[3, 1] = -2.0 * m.real
+    ns, ni, m = pair.n_signal, pair.n_idler, np.asarray(pair.m_corr)
+    v = np.zeros(m.shape + (4, 4))
+    v[..., 0, 0] = v[..., 1, 1] = 1.0 + 2.0 * ns
+    v[..., 2, 2] = v[..., 3, 3] = 1.0 + 2.0 * ni
+    v[..., 0, 2] = v[..., 2, 0] = 2.0 * m.real
+    v[..., 0, 3] = v[..., 3, 0] = 2.0 * m.imag
+    v[..., 1, 2] = v[..., 2, 1] = 2.0 * m.imag
+    v[..., 1, 3] = v[..., 3, 1] = -2.0 * m.real
     return eta_total * v + (1.0 - eta_total) * np.eye(4)
 
 
@@ -192,28 +253,25 @@ def homodyne_variance(cov: np.ndarray, theta, tooth_phase: float = 0.0):
     the idler-side local-oscillator tooth; pair correlations depend only
     on ``ts + ti``, so a tooth offset rigidly shifts the whole scan by
     half of it.  0 is the matched two-tone homodyne.
+
+    A stack of covariances ``(..., 4, 4)`` gives one row of angles per
+    matrix, shape ``(...) + theta.shape``.
     """
     th = np.asarray(theta, dtype=float)
     ts = th
     ti = th + tooth_phase
     c = np.stack([np.cos(ts), np.sin(ts), np.cos(ti), np.sin(ti)], axis=-1)
-    quad = np.einsum("...i,ij,...j->...", c, np.asarray(cov, dtype=float), c)
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim > 2:
+        cov = cov.reshape(cov.shape[:-2] + (1,) * th.ndim + (4, 4))
+    quad = np.einsum("...i,...ij,...j->...", c, cov, c)
     # normalize by the same LO's shot response, contracted the same way,
     # so exact-vacuum input gives exactly 1 at every angle
     shot = np.einsum("...i,ij,...j->...", c, np.eye(4), c)
-    out = quad / shot
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _sum_mode_reduced(cov: np.ndarray) -> tuple[float, float, float]:
-    # 2x2 covariance of the joint (sum) mode actually probed by the
-    # matched two-tone homodyne, in (q, p) order.
-    r_qq = 0.5 * (cov[0, 0] + cov[2, 2] + 2.0 * cov[0, 2])
-    r_pp = 0.5 * (cov[1, 1] + cov[3, 3] + 2.0 * cov[1, 3])
-    r_qp = 0.5 * (cov[0, 1] + cov[0, 3] + cov[2, 1] + cov[2, 3])
-    return float(r_qq), float(r_pp), float(r_qp)
+    quad /= shot
+    if quad.ndim == 0:
+        return float(quad)
+    return quad
 
 
 @dataclass(frozen=True)
@@ -231,18 +289,25 @@ class QuadratureExtrema:
     theta_max: float
 
 
-def _extrema(mean: float, d: float, off: float) -> QuadratureExtrema:
-    amp = math.hypot(d, off)
-    if amp == 0.0:
-        return QuadratureExtrema(mean, mean, 0.0, 0.5 * math.pi)
-    theta_min = 0.5 * (math.atan2(off, d) + math.pi) % math.pi
+def _extrema(mean, d, off) -> QuadratureExtrema:
+    # elementwise over arrays; scalars stay scalars
+    amp = np.hypot(d, off)
+    theta_min = np.where(amp == 0.0, 0.0, 0.5 * (np.arctan2(off, d) + math.pi) % math.pi)
     theta_max = (theta_min + 0.5 * math.pi) % math.pi
-    return QuadratureExtrema(mean - amp, mean + amp, theta_min, theta_max)
+    return QuadratureExtrema(mean - amp, mean + amp, theta_min[()], theta_max[()])
 
 
 def optimal_quadratures_from_cov(cov: np.ndarray) -> QuadratureExtrema:
-    """Closed-form variance extrema of the matched joint quadrature."""
-    r_qq, r_pp, r_qp = _sum_mode_reduced(cov)
+    """Closed-form variance extrema of the matched joint quadrature.
+
+    A stack of covariances ``(..., 4, 4)`` gives arrays of extrema.
+    """
+    cov = np.asarray(cov, dtype=float)
+    # 2x2 covariance of the joint (sum) mode actually probed by the
+    # matched two-tone homodyne, in (q, p) order
+    r_qq = 0.5 * (cov[..., 0, 0] + cov[..., 2, 2] + 2.0 * cov[..., 0, 2])
+    r_pp = 0.5 * (cov[..., 1, 1] + cov[..., 3, 3] + 2.0 * cov[..., 1, 3])
+    r_qp = 0.5 * (cov[..., 0, 1] + cov[..., 0, 3] + cov[..., 2, 1] + cov[..., 2, 3])
     return _extrema(0.5 * (r_qq + r_pp), 0.5 * (r_qq - r_pp), r_qp)
 
 
@@ -277,10 +342,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     n = cov.shape[0] // 2
     if cov.shape != (2 * n, 2 * n):
         raise DomainError("covariance must be square with even dimension")
-    form = np.zeros_like(cov)
-    for k in range(n):
-        form[2 * k, 2 * k + 1] = 1.0
-        form[2 * k + 1, 2 * k] = -1.0
+    form = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
     ev = np.linalg.eigvals(1j * form @ cov)
     return np.sort(np.abs(ev))[::2]  # pairs (+nu, -nu): keep each nu once
 
@@ -330,35 +392,19 @@ def spectrum_grid(
     if thetas is None:
         thetas = np.linspace(0.0, math.pi, 91)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    nw, nt = omegas.size, thetas.size
-    variance = np.empty((nw, nt))
-    var_min = np.empty(nw)
-    var_max = np.empty(nw)
-    theta_opt = np.empty(nw)
-    n_signal = np.empty(nw)
-    n_idler = np.empty(nw)
-    m_corr = np.empty(nw, dtype=complex)
-    for i, w in enumerate(omegas):
-        pair = pair_scattering(model, steady, w, l)
-        cov = output_covariance(pair, eta_total)
-        variance[i] = homodyne_variance(cov, thetas)
-        ext = optimal_quadratures_from_cov(cov)
-        var_min[i] = ext.var_min
-        var_max[i] = ext.var_max
-        theta_opt[i] = ext.theta_min
-        n_signal[i] = pair.n_signal
-        n_idler[i] = pair.n_idler
-        m_corr[i] = pair.m_corr
+    pair = pair_moments(model, steady.rho, steady.a0, omegas, l).require_below_threshold()
+    cov = output_covariance(pair, eta_total)
+    ext = optimal_quadratures_from_cov(cov)
     return SpectrumGrid(
         omegas=omegas,
         thetas=thetas,
-        variance=variance,
-        var_min=var_min,
-        var_max=var_max,
-        theta_opt=theta_opt,
-        n_signal=n_signal,
-        n_idler=n_idler,
-        m_corr=m_corr,
+        variance=homodyne_variance(cov, thetas),
+        var_min=ext.var_min,
+        var_max=ext.var_max,
+        theta_opt=ext.theta_min,
+        n_signal=pair.n_signal,
+        n_idler=pair.n_idler,
+        m_corr=pair.m_corr,
         l=l,
         eta_total=eta_total,
     )
@@ -392,37 +438,27 @@ def power_sweep(
     l: int = 1,
     eta_total: float = 1.0,
     branch_policy: str = "lowest",
+    rtol: float = RESIDUAL_RTOL,
 ) -> PowerSweepResult:
-    """Sweep pump power and record the optimal-quadrature extrema."""
+    """Sweep pump power and record the optimal-quadrature extrema.
+
+    ``rtol`` is the steady-state residual tolerance of each solve.
+    """
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    n = powers.size
-    rho = np.empty(n)
-    var_min = np.full(n, math.nan)
-    var_max = np.full(n, math.nan)
-    theta_opt = np.full(n, math.nan)
-    margin = np.empty(n)
-    above = np.zeros(n, dtype=bool)
-    for i, p in enumerate(powers):
-        pump = PumpDrive.from_power(float(p), model.omega0)
-        steady = solve_steady_state(model, pump, branch_policy)
-        rho[i] = steady.rho
-        margin[i] = stability_margin(model, steady, l)
-        if margin[i] <= 0.0:
-            above[i] = True
-            continue
-        pair = pair_scattering(model, steady, omega, l)
-        ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
-        var_min[i] = ext.var_min
-        var_max[i] = ext.var_max
-        theta_opt[i] = ext.theta_min
+    pumps = (PumpDrive.from_power(float(p), model.omega0) for p in powers)
+    steadies = [solve_steady_state(model, pump, branch_policy, rtol) for pump in pumps]
+    rho = np.array([s.rho for s in steadies], dtype=float)
+    a0 = np.array([s.a0 for s in steadies], dtype=complex)
+    pair = pair_moments(model, rho, a0, omega, l)
+    ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
     return PowerSweepResult(
         powers=powers,
         rho=rho,
-        var_min=var_min,
-        var_max=var_max,
-        theta_opt=theta_opt,
-        margin=margin,
-        above_threshold=above,
+        var_min=ext.var_min,
+        var_max=ext.var_max,
+        theta_opt=ext.theta_min,
+        margin=pair.margin,
+        above_threshold=pair.margin <= 0.0,
         omega=omega,
         l=l,
         eta_total=eta_total,
@@ -440,23 +476,6 @@ class CalibrationResult:
     var_min: float
     var_max: float
     theta_opt: float
-
-
-def _synthetic_steady(hk: float, delta: float, x: float) -> SteadyState:
-    # Spectra depend on the pump only through g0*rho and the phase of
-    # g0*a0^2, so a unit-Kerr stand-in with rho = x*hk explores every
-    # physically reachable operating point x = g0*rho/(kappa/2).
-    rho = x * hk
-    delta_eff = delta - rho
-    a0 = math.sqrt(rho) * cmath.exp(-1j * math.atan2(delta_eff, hk))
-    return SteadyState(
-        a0=a0,
-        rho=rho,
-        delta_eff=delta_eff,
-        branch="synthetic",
-        all_rho=(rho,),
-        residual=0.0,
-    )
 
 
 def calibrate_g0_to_optimum(
@@ -499,14 +518,19 @@ def calibrate_g0_to_optimum(
 
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a non-zero pump")
+    if not (math.isfinite(x_max) and x_max > 0.0):
+        raise DomainError(f"x_max must be positive and finite, got {x_max}")
     hk = 0.5 * model.kappa
     probe = dataclasses.replace(model, g0=1.0)
     x_th = threshold_intracavity(probe, l) / hk
     x_hi = min(x_max, x_th * (1.0 - 1e-9))
 
     def objective(x: float) -> float:
-        steady = _synthetic_steady(hk, model.delta, x)
-        pair = pair_scattering(probe, steady, omega, l)
+        # spectra depend on the pump only through g0*rho and the phase of
+        # g0*a0^2, so unit Kerr with rho = x*kappa/2 reaches every x
+        rho = x * hk
+        a0 = math.sqrt(rho) * cmath.exp(-1j * math.atan2(model.delta - rho, hk))
+        pair = pair_moments(probe, rho, a0, omega, l)
         return optimal_quadratures_from_cov(output_covariance(pair, eta_total)).var_min
 
     res = minimize_scalar(
@@ -528,7 +552,7 @@ def calibrate_g0_to_optimum(
         raise RuntimeError("calibrated operating point is not a pump fixed point")
     if matched != 0:
         steady = steady_state_on_branch(calibrated, pump, matched)
-    pair = pair_scattering(calibrated, steady, omega, l)
+    pair = pair_moments(calibrated, steady.rho, steady.a0, omega, l).require_below_threshold()
     ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
     return CalibrationResult(
         g0=g0,
@@ -600,13 +624,14 @@ def phase_scan_trace(
         raise DomainError("periods must be at least 1")
     if not 0.0 <= vbw <= rbw:
         raise DomainError("need 0 <= vbw <= rbw")
-    pair = pair_scattering(model, steady, omega, l)
+    pair = pair_moments(model, steady.rho, steady.a0, omega, l).require_below_threshold()
     cov = output_covariance(pair, eta_total)
     ext = optimal_quadratures_from_cov(cov)
     n = periods * samples_per_period
     k = np.arange(n)
     theta = ext.theta_min + math.pi * k / samples_per_period
-    var = homodyne_variance(cov, theta)
+    # pi-periodic: one period evaluated, so every period repeats it exactly
+    var = np.tile(homodyne_variance(cov, theta[:samples_per_period]), periods)
     rng = np.random.default_rng(seed)
     dt = scan_time / n
     if vbw == 0.0:  # ideal video filter: jitter-free trace

@@ -64,7 +64,9 @@ def cubic_roots_scaled(alpha: float, beta: float) -> np.ndarray:
     if beta == 0.0:
         return np.array([0.0])
     roots = np.roots([1.0, -2.0 * alpha, 1.0 + alpha * alpha, -beta])
-    real = roots[np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots.real))].real
+    # a double root comes out of np.roots as a pair split by ~sqrt(eps),
+    # often into the complex plane; such a pair counts as real (and merges)
+    real = roots[np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))].real
     real.sort()
     # a fold splits one double root into a near-identical pair; merge it
     kept = [real[0]]

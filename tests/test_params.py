@@ -132,6 +132,9 @@ def test_pump_drive_from_power():
     assert PumpDrive.from_power(0.0, omega0).a_in == 0.0
     with pytest.raises(DomainError):
         PumpDrive.from_power(-1e-3, omega0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="power"):
+            PumpDrive.from_power(bad, omega0)
 
 
 def test_detection_chain_total_and_from_total():

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
+from squeezesim.langevin import simulate_pair
 from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
 from squeezesim.spectra import (
     PhaseScanTrace,
@@ -15,6 +17,7 @@ from squeezesim.spectra import (
     optimal_quadratures_from_cov,
     output_covariance,
     pair_detuning,
+    pair_moments,
     pair_scattering,
     phase_scan_trace,
     power_sweep,
@@ -239,6 +242,12 @@ def test_vacuum_gives_shot_noise_at_every_angle():
     ext = optimal_quadratures_from_cov(cov)
     assert ext.var_min == ext.var_max == pytest.approx(1.0, rel=1e-12)
     assert ext.theta_min == 0.0 and ext.theta_max == pytest.approx(0.5 * math.pi)
+    # the array routes give exact vacuum at zero pump, at any efficiency
+    for eta in (0.37, 0.602, 1.0):
+        sweep = power_sweep(model, [0.0, 0.0], omega=0.3, eta_total=eta)
+        grid = spectrum_grid(model, st, [0.0, 0.3, 5.0], eta_total=eta)
+        for var in (sweep.var_min, sweep.var_max, grid.var_min, grid.var_max, grid.variance):
+            assert np.all(var == 1.0), (eta, var)
 
 
 def test_homodyne_variance_scalar_and_array():
@@ -402,6 +411,77 @@ def test_calibration_rejects_threshold_chasing():
     pump = PumpDrive.from_power(0.050, model.omega0)
     with pytest.raises(DomainError):
         calibrate_g0_to_optimum(model, pump)
+
+
+def test_calibration_names_bad_x_max():
+    model = make_model(0.0)
+    pump = PumpDrive.from_power(0.050, model.omega0)
+    for x_max in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="x_max"):
+            calibrate_g0_to_optimum(model, pump, x_max=x_max)
+
+
+def test_non_finite_inputs_name_their_field():
+    model = make_model(0.7)
+    st, _ = steady_at_x(model, 0.3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="power"):
+            power_sweep(model, [0.0, bad])
+        with pytest.raises(DomainError, match="omega"):
+            spectrum_grid(model, st, [0.5, bad])
+        with pytest.raises(DomainError, match="omega"):
+            pair_scattering(model, st, bad)
+
+
+@hst.composite
+def pair_points(draw):
+    """(model, steady, omega) with kappa/2 = g0 = 1, edges of the domain included.
+
+    ``rho = x`` and ``a0 = sqrt(x)*exp(i*phase)`` go in directly, so the
+    pump phase is free; the cold detuning is chosen for the drawn pair
+    offset ``delta_l = delta - 2*x``.
+    """
+    eta_esc = draw(hst.just(1.0) | hst.floats(0.05, 1.0))  # 1.0: kappa_i = 0
+    kind = draw(hst.sampled_from(["generic", "near threshold", "exceptional"]))
+    sign = draw(hst.sampled_from([-1.0, 1.0]))
+    if kind == "generic":
+        x = draw(hst.floats(1e-3, 3.0))
+        offset = draw(hst.floats(-4.0, 4.0))
+        assume(x * x - offset * offset <= (1.0 - 2e-6) ** 2)  # margin/kappa >= 1e-6
+    elif kind == "exceptional":  # |g| = |delta_l|
+        x = draw(hst.floats(1e-3, 3.0))
+        offset = sign * x
+    else:  # margin/kappa = mu: sqrt(x^2 - offset^2) = 1 - 2*mu
+        mu = 10.0 ** draw(hst.floats(-6.0, -2.0))
+        x = draw(hst.floats(1.0, 3.0))
+        offset = sign * math.sqrt(x * x - (1.0 - 2.0 * mu) ** 2)
+    model = make_model(offset + 2.0 * x, eta_esc=eta_esc)
+    a0 = math.sqrt(x) * cmath.exp(1j * draw(hst.floats(-math.pi, math.pi)))
+    steady = SteadyState(
+        a0=a0, rho=x, delta_eff=model.delta - x, branch="single",
+        all_rho=(x,), residual=0.0,
+    )
+    omega = draw(hst.just(0.0) | hst.floats(-3.0, 3.0)) * model.kappa
+    return model, steady, omega
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_points())
+def test_pair_moments_match_scattering_matrix(point):
+    model, steady, omega = point
+    core = pair_moments(model, steady.rho, steady.a0, omega)
+    assert core.margin >= 0.99e-6 * model.kappa
+    s = pair_scattering(model, steady, omega).s
+    n_ref = abs(s[0, 1]) ** 2 + abs(s[0, 3]) ** 2
+    m_ref = s[0, 0] * s[1, 0].conjugate() + s[0, 2] * s[1, 2].conjugate()
+    tol = 1e-12 * (1.0 + core.n_signal)
+    assert abs(core.n_signal - n_ref) <= tol
+    assert abs(core.m_corr - m_ref) <= tol
+    # the Langevin oracle takes its operating point from the core
+    run = simulate_pair(
+        model, steady, dt=0.05 * 2.0 * math.pi / model.kappa, n_samples=8, n_segments=2
+    )
+    assert (run.delta_l, run.g, run.phi_ref) == (core.delta_l, core.g, core.phi_ref)
 
 
 def test_phase_scan_trace_structure_and_determinism():

@@ -79,6 +79,17 @@ def test_cubic_inverts_its_own_drive(alpha, u):
     assert np.all(roots >= 0.0)
 
 
+def test_cubic_keeps_the_double_root_at_a_fold():
+    # at a fold np.roots splits the double root by ~sqrt(eps), often into
+    # the complex plane; the solver must still report it, once
+    for alpha in (1.8, 2.0, 2.5, 3.0):
+        disc = math.sqrt(alpha * alpha - 3.0)
+        for u in ((2.0 * alpha - disc) / 3.0, (2.0 * alpha + disc) / 3.0):
+            roots = cubic_roots_scaled(alpha, u * (1.0 + (alpha - u) ** 2))
+            assert len(roots) == 2
+            assert np.min(np.abs(roots - u)) <= 1e-7 * (1.0 + u), (alpha, u, roots)
+
+
 def test_branch_selection_and_labels():
     model = make_model(2.0)
     pump = pump_for_beta(model, 1.989)
