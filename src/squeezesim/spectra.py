@@ -336,15 +336,14 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
     Modes are interleaved as (q1, p1, q2, p2, ...).  Physical states have
     every value at or above 1 in this normalization; the smallest one is
-    the standard physicality margin.
+    the standard physicality margin.  A stack ``(..., 2n, 2n)`` gives ``(..., n)``.
     """
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    if cov.shape != (2 * n, 2 * n):
+    if cov.ndim < 2 or cov.shape[-2] != cov.shape[-1] or cov.shape[-1] % 2:
         raise DomainError("covariance must be square with even dimension")
-    form = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    form = np.kron(np.eye(cov.shape[-1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
     ev = np.linalg.eigvals(1j * form @ cov)
-    return np.sort(np.abs(ev))[::2]  # pairs (+nu, -nu): keep each nu once
+    return np.sort(np.abs(ev), axis=-1)[..., ::2]  # pairs (+nu, -nu): keep each nu once
 
 
 def variance_db(variance):

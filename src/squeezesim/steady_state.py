@@ -44,7 +44,7 @@ def _cubic_fprime(u, alpha):
 
 def _polish(u, alpha, beta):
     # Newton refinement; skipped near a fold where f' vanishes and the
-    # companion-matrix root is already the best available answer.
+    # closed-form root is already the best available answer.
     for _ in range(3):
         fp = _cubic_fprime(u, alpha)
         if abs(fp) < 1e-9 * (1.0 + u * u + alpha * alpha):
@@ -56,24 +56,36 @@ def _polish(u, alpha, beta):
 def cubic_roots_scaled(alpha: float, beta: float) -> np.ndarray:
     """Real roots of the scaled pump fixed point, ascending.
 
-    Solves ``u^3 - 2*alpha*u^2 + (1 + alpha^2)*u - beta = 0``.  For any
-    ``beta >= 0`` all real roots are non-negative.
+    Solves ``u^3 - 2*alpha*u^2 + (1 + alpha^2)*u - beta = 0`` in closed
+    form via ``u = t + 2*alpha/3``, ``t^3 + p*t + q = 0``.  The sign of
+    ``r = q^2/4 + p^3/27`` decides the roots: three (trigonometric form)
+    for ``r < 0``, one (Cardano) for ``r > 0``, and at a fold, where
+    ``|r|`` is within 1e-12 of ``q^2/4 + |p|^3/27``, the simple root ``2c``
+    and the double root ``-c`` once, ``c = cbrt(-q/2)``.  All roots are
+    non-negative; DomainError for a non-finite argument or ``beta < 0``.
     """
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if beta < 0.0:
         raise DomainError(f"beta must be non-negative, got {beta}")
     if beta == 0.0:
         return np.array([0.0])
-    roots = np.roots([1.0, -2.0 * alpha, 1.0 + alpha * alpha, -beta])
-    # a double root comes out of np.roots as a pair split by ~sqrt(eps),
-    # often into the complex plane; such a pair counts as real (and merges)
-    real = roots[np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))].real
-    real.sort()
-    # a fold splits one double root into a near-identical pair; merge it
-    kept = [real[0]]
-    for u in real[1:]:
-        if u - kept[-1] > 1e-7 * (1.0 + abs(u)):
-            kept.append(u)
-    return np.array([max(_polish(u, alpha, beta), 0.0) for u in kept])
+    shift, p = 2.0 * alpha / 3.0, 1.0 - alpha * alpha / 3.0
+    q = _cubic_f(shift, alpha, beta)
+    r = 0.25 * q * q + p * p * p / 27.0
+    band = 1e-12 * (0.25 * q * q + abs(p * p * p) / 27.0)
+    if r < -band:  # three roots
+        m = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
+        ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in (2, 1, 0)]
+    elif r <= band:  # fold
+        c = math.copysign((0.5 * abs(q)) ** (1.0 / 3.0), -q)
+        ts = sorted((2.0 * c, -c))
+    else:
+        a = -math.copysign((0.5 * abs(q) + math.sqrt(r)) ** (1.0 / 3.0), q)
+        ts = [a - p / (3.0 * a)]
+    return np.array([max(_polish(t + shift, alpha, beta), 0.0) for t in ts])
 
 
 def is_bistable(model: ResonatorModel) -> bool:

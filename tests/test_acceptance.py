@@ -557,7 +557,7 @@ def _run_all_commands(cfg_path: Path, trace_path: Path, root: Path) -> None:
     cfg = str(cfg_path)
     plans = [
         ["spectrum", "--config", cfg, "--out", str(root / "spectrum")],
-        ["sweep", "--config", cfg, "--out", str(root / "sweep"), "--jobs", "2"],
+        ["sweep", "--config", cfg, "--out", str(root / "sweep")],
         ["phase-scan", "--config", cfg, "--out", str(root / "scan"), "--seed", "7"],
         ["threshold", "--config", cfg, "--out", str(root / "thr")],
         [

@@ -294,7 +294,7 @@ def test_sweep_empty_powers_header_only(tmp_path):
     assert rows == []
 
 
-def sweep_rows(tmp_path, name, powers, jobs=1):
+def sweep_rows(tmp_path, name, powers):
     text = (
         MINIMAL.replace("resonator.g0_rad_s = 0.5", "calibration.power_mw = 50.0")
         + "drive.detuning_rad_s = 4.0e8\n"
@@ -302,22 +302,22 @@ def sweep_rows(tmp_path, name, powers, jobs=1):
     )
     path = write_cfg(tmp_path, text, name + ".cfg")
     out = tmp_path / name
-    assert main(
-        ["sweep", "--config", path, "--out", str(out), "--jobs", str(jobs)]
-    ) == EXIT_OK
+    assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
     _, rows = read_csv(out / "sweep.csv")
     return rows
 
 
 def test_sweep_order_and_jobs_invariance(tmp_path):
     powers = [0.0, 10.0, 20.0, 30.0]
-    rows = sweep_rows(tmp_path, "fwd", powers, jobs=1)
+    rows = sweep_rows(tmp_path, "fwd", powers)
     assert [float(r[0]) for r in rows] == powers  # input order preserved
-    shuffled = sweep_rows(tmp_path, "shuf", [30.0, 0.0, 20.0, 10.0], jobs=1)
+    shuffled = sweep_rows(tmp_path, "shuf", [30.0, 0.0, 20.0, 10.0])
     by_power = {r[0]: r for r in rows}
     assert all(by_power[r[0]] == r for r in shuffled)  # same row per power
-    parallel = sweep_rows(tmp_path, "par", powers, jobs=3)
-    assert parallel == rows  # worker pool changes nothing
+    # sweeps run in process, so there is no worker count to set
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", str(REFERENCE_CFG), "--out", str(tmp_path), "--jobs", "2"])
+    assert info.value.code == EXIT_CONFIG
 
 
 def test_sweep_flags_above_threshold(tmp_path):

@@ -24,6 +24,7 @@ from squeezesim.spectra import (
     spectrum_grid,
     squeezing_db,
     stability_margin,
+    symplectic_eigenvalues,
     variance_db,
 )
 from squeezesim.steady_state import (
@@ -299,6 +300,19 @@ def test_lossy_extrema_product_exceeds_unity():
         ext = optimal_quadratures_from_cov(output_covariance(pair, eta))
         assert ext.var_min * ext.var_max >= 1.0 - 1e-12
         assert ext.var_min < 1.0 < ext.var_max
+
+
+def test_symplectic_eigenvalues_of_a_stack():
+    model, st = pure_point(0.5)
+    pair = pair_moments(model, st.rho, st.a0, np.array([0.0, 0.7, 3.0]))
+    covs = output_covariance(pair, 0.6)
+    stacked = symplectic_eigenvalues(covs)
+    assert stacked.shape == (3, 2)
+    for cov, row in zip(covs, stacked):
+        assert np.array_equal(symplectic_eigenvalues(cov), row)
+    for bad in (np.eye(3), np.ones(4), np.ones((2, 4, 2))):
+        with pytest.raises(DomainError):
+            symplectic_eigenvalues(bad)
 
 
 def test_phase_scan_fit_recovers_extrema():

@@ -90,6 +90,66 @@ def test_cubic_keeps_the_double_root_at_a_fold():
             assert np.min(np.abs(roots - u)) <= 1e-7 * (1.0 + u), (alpha, u, roots)
 
 
+KNEE = math.sqrt(3.0)
+
+
+def fold_betas(alpha):
+    """Drives at the two folds, where f'(u) = 0 at the smaller and larger root."""
+    disc = math.sqrt(max(alpha * alpha - 3.0, 0.0))
+    knees = ((2.0 * alpha - disc) / 3.0, (2.0 * alpha + disc) / 3.0)
+    return [u * (1.0 + (alpha - u) ** 2) for u in knees]
+
+
+def np_roots_reference(alpha, beta):
+    """Companion-matrix roots with the realness cut, merge and Newton polish."""
+    roots = np.roots([1.0, -2.0 * alpha, 1.0 + alpha * alpha, -beta])
+    real = np.sort(roots[np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(roots.real))].real)
+    kept = [real[0]]
+    for u in real[1:]:
+        if u - kept[-1] > 1e-7 * (1.0 + abs(u)):
+            kept.append(u)
+    polished = []
+    for u in kept:
+        for _ in range(3):
+            fp = u * (3.0 * u - 4.0 * alpha) + 1.0 + alpha * alpha
+            if abs(fp) < 1e-9 * (1.0 + u * u + alpha * alpha):
+                break
+            u -= (u * (u * (u - 2.0 * alpha) + 1.0 + alpha * alpha) - beta) / fp
+        polished.append(max(u, 0.0))
+    return np.array(polished)
+
+
+GENERAL = st.tuples(st.just(KNEE) | st.floats(-3.0, 5.0), st.floats(0.0, 30.0))
+FOLDS = st.tuples(
+    st.just(KNEE) | st.floats(KNEE, 5.0),
+    st.integers(0, 1),
+    st.sampled_from((1.0, 1.0 - 1e-9, 1.0 + 1e-9)),
+).map(lambda c: (c[0], fold_betas(c[0])[c[1]] * c[2]))
+
+
+@settings(max_examples=400)
+@given(GENERAL | FOLDS)
+def test_closed_form_cubic_matches_np_roots(case):
+    alpha, beta = case
+    roots = cubic_roots_scaled(alpha, beta)
+    assert np.all(np.diff(roots) > 0.0) and np.all(roots >= 0.0)
+    scale = 1.0 + alpha * alpha + beta
+    assert np.all(np.abs(roots * (1.0 + (alpha - roots) ** 2) - beta) <= 1e-12 * scale)
+    if alpha >= KNEE and min(abs(beta / f - 1.0) for f in fold_betas(alpha)) <= 1e-10:
+        return  # np.roots miscounts this close to a fold: it is no reference there
+    reference = np_roots_reference(alpha, beta)
+    assert roots.size == reference.size, (roots, reference)
+    np.testing.assert_allclose(roots, reference, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cubic_rejects_non_finite_arguments(name, bad):
+    args = {"alpha": 2.0, "beta": 1.9, name: bad}
+    with pytest.raises(DomainError, match=name):
+        cubic_roots_scaled(**args)
+
+
 def test_branch_selection_and_labels():
     model = make_model(2.0)
     pump = pump_for_beta(model, 1.989)
