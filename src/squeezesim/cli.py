@@ -125,16 +125,14 @@ def _write_table(out_dir: Path, stem: str, header, rows, fmt: str) -> Path:
 
 def _solve_point(cfg: RunConfig, power_w: float):
     pump = PumpDrive.from_power(power_w, cfg.model.omega0)
-    steady = solve_steady_state(
+    return solve_steady_state(
         cfg.model, pump, cfg.branch_policy, cfg.residual_rtol
     )
-    margin = stability_margin(cfg.model, steady, cfg.mode_index)
-    return steady, margin
 
 
 def cmd_spectrum(cfg: RunConfig, args, out: Path) -> int:
     power_w = cfg.require_power()
-    steady, margin = _solve_point(cfg, power_w)
+    steady = _solve_point(cfg, power_w)
     thetas = np.linspace(0.0, math.pi, cfg.n_theta)
     grid = spectrum_grid(
         cfg.model,
@@ -163,7 +161,7 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> int:
         "rho": steady.rho,
         "branch": steady.branch,
         "delta_eff_rad_s": steady.delta_eff,
-        "threshold_margin_rad_s": margin,
+        "threshold_margin_rad_s": stability_margin(cfg.model, steady, cfg.mode_index),
         "threshold_power_mw": p_th * 1e3,
         "g0_rad_s": cfg.model.g0,
         "eta_escape": cfg.model.eta_escape,
@@ -219,7 +217,7 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
 
 def cmd_phase_scan(cfg: RunConfig, args, out: Path) -> int:
     power_w = cfg.require_power()
-    steady, _ = _solve_point(cfg, power_w)
+    steady = _solve_point(cfg, power_w)
     trace = phase_scan_trace(
         cfg.model,
         steady,
@@ -261,7 +259,8 @@ def cmd_threshold(cfg: RunConfig, args, out: Path) -> int:
         scale = HBAR * cfg.model.omega0 * 1e3
         report["bistable_window_mw"] = [lo * scale, hi * scale]
     if cfg.power_w is not None:
-        steady, margin = _solve_point(cfg, cfg.power_w)
+        steady = _solve_point(cfg, cfg.power_w)
+        margin = stability_margin(cfg.model, steady, cfg.mode_index)
         report["at_power"] = {
             "power_mw": cfg.power_w * 1e3,
             "rho": steady.rho,
@@ -389,7 +388,7 @@ def _physicality_check(cfg: RunConfig, rng: np.random.Generator, n_random: int) 
         stated = [p for p in cfg.powers_w] + ([cfg.power_w] if cfg.power_w else [])
         p_cap = 2.0 * max(stated) if stated and max(stated) > 0 else 0.05
     draws = rng.uniform([0.0, -3.0], [p_cap, math.log10(3.0)], size=(n_random, 2))
-    steadies = [_solve_point(cfg, float(p))[0] for p in draws[:, 0]]
+    steadies = [_solve_point(cfg, float(p)) for p in draws[:, 0]]
     rho = np.array([s.rho for s in steadies], dtype=float)
     a0 = np.array([s.a0 for s in steadies], dtype=complex)
     pair = pair_moments(model, rho, a0, model.kappa * 10.0 ** draws[:, 1], cfg.mode_index)
@@ -432,7 +431,8 @@ def cmd_validate(cfg: RunConfig, args, out: Path) -> int:
 
     powers = list(cfg.powers_w) or ([cfg.power_w] if cfg.power_w is not None else [0.0])
     for power in powers:
-        steady, margin = _solve_point(cfg, power)
+        steady = _solve_point(cfg, power)
+        margin = stability_margin(cfg.model, steady, cfg.mode_index)
         checks.append(
             {
                 "name": "below_threshold",
@@ -448,8 +448,8 @@ def cmd_validate(cfg: RunConfig, args, out: Path) -> int:
     checks.append(_physicality_check(cfg, rng, int(cfg.opt("validate.n_random"))))
 
     cv_power = cfg.power_w if cfg.power_w is not None else (powers[-1] if powers else 0.0)
-    steady, margin = _solve_point(cfg, cv_power)
-    if margin <= 0.0:
+    steady = _solve_point(cfg, cv_power)
+    if stability_margin(cfg.model, steady, cfg.mode_index) <= 0.0:
         checks.append(
             {
                 "name": "stochastic_crossval",

@@ -59,9 +59,9 @@ def cubic_roots_scaled(alpha: float, beta: float) -> np.ndarray:
     Solves ``u^3 - 2*alpha*u^2 + (1 + alpha^2)*u - beta = 0`` in closed
     form via ``u = t + 2*alpha/3``, ``t^3 + p*t + q = 0``.  The sign of
     ``r = q^2/4 + p^3/27`` decides the roots: three (trigonometric form)
-    for ``r < 0``, one (Cardano) for ``r > 0``, and at a fold, where
-    ``|r|`` is within 1e-12 of ``q^2/4 + |p|^3/27``, the simple root ``2c``
-    and the double root ``-c`` once, ``c = cbrt(-q/2)``.  All roots are
+    for ``r < 0``, one (Cardano) for ``r > 0``, and at a fold (``|r|``
+    within its first-order rounding error) the simple root ``2c`` and the
+    double root ``-c``, ``c = cbrt(-q/2)``.  Roots are distinct and
     non-negative; DomainError for a non-finite argument or ``beta < 0``.
     """
     for name, value in (("alpha", alpha), ("beta", beta)):
@@ -72,20 +72,21 @@ def cubic_roots_scaled(alpha: float, beta: float) -> np.ndarray:
     if beta == 0.0:
         return np.array([0.0])
     shift, p = 2.0 * alpha / 3.0, 1.0 - alpha * alpha / 3.0
-    q = _cubic_f(shift, alpha, beta)
+    q_alpha = 2.0 * alpha * (alpha * alpha + 9.0) / 27.0
+    q = q_alpha - beta
     r = 0.25 * q * q + p * p * p / 27.0
-    band = 1e-12 * (0.25 * q * q + abs(p * p * p) / 27.0)
+    band = 2.0 ** -52 * (abs(q) * (abs(q_alpha) + beta) + p * p * (1.0 + alpha * alpha))
     if r < -band:  # three roots
         m = 2.0 * math.sqrt(-p / 3.0)
         phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
-        ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in (2, 1, 0)]
-    elif r <= band:  # fold
+        ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    elif r <= band:  # fold; c = 0 is the cusp's triple root
         c = math.copysign((0.5 * abs(q)) ** (1.0 / 3.0), -q)
-        ts = sorted((2.0 * c, -c))
+        ts = [2.0 * c, -c]
     else:
         a = -math.copysign((0.5 * abs(q) + math.sqrt(r)) ** (1.0 / 3.0), q)
         ts = [a - p / (3.0 * a)]
-    return np.array([max(_polish(t + shift, alpha, beta), 0.0) for t in ts])
+    return np.array(sorted({max(_polish(t + shift, alpha, beta), 0.0) for t in ts}))
 
 
 def is_bistable(model: ResonatorModel) -> bool:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
@@ -71,6 +71,10 @@ def test_scaled_cubic_zero_drive():
     st.floats(min_value=-3.0, max_value=3.0),
     st.floats(min_value=1e-3, max_value=3.0),
 )
+# a few 1e-7 beside a knee, where the split pair must not be merged into one
+@example(2.0, 1.00000025)
+@example(3.0, 1.1835038)
+@example(3.0, 2.8164972)
 def test_cubic_inverts_its_own_drive(alpha, u):
     # beta(u) puts u on the fixed-point curve, so solving must recover it
     beta = u * (1.0 + (alpha - u) ** 2)
@@ -93,11 +97,34 @@ def test_cubic_keeps_the_double_root_at_a_fold():
 KNEE = math.sqrt(3.0)
 
 
+def knees(alpha):
+    """The two u where the drive beta(u) = u(1 + (alpha - u)^2) has beta'(u) = 0."""
+    disc = math.sqrt(max(alpha * alpha - 3.0, 0.0))
+    return ((2.0 * alpha - disc) / 3.0, (2.0 * alpha + disc) / 3.0)
+
+
 def fold_betas(alpha):
     """Drives at the two folds, where f'(u) = 0 at the smaller and larger root."""
-    disc = math.sqrt(max(alpha * alpha - 3.0, 0.0))
-    knees = ((2.0 * alpha - disc) / 3.0, (2.0 * alpha + disc) / 3.0)
-    return [u * (1.0 + (alpha - u) ** 2) for u in knees]
+    return [u * (1.0 + (alpha - u) ** 2) for u in knees(alpha)]
+
+
+def knee_expansion(alpha, beta):
+    """Real roots beside the closer fold, from beta(u) to second order at its knee.
+
+    At a knee u_k, beta' = 0 and beta'' = 6 u_k - 4 alpha, so the pair there is
+    u_k +- sqrt(2 (beta - beta(u_k)) / beta'') when real, and the third root
+    is 2 alpha - 2 u_k because the roots sum to 2 alpha.  Returns the roots
+    and the expansion's own error 4 |beta - beta(u_k)| / beta''^2, taken as
+    infinite where |beta''| < 1e-2: beside the cusp the knees meet in a
+    near-triple root, and rounding moves the computed knee itself.
+    """
+    knee, fold = min(zip(knees(alpha), fold_betas(alpha)), key=lambda kf: abs(beta - kf[1]))
+    curvature = 6.0 * knee - 4.0 * alpha
+    if abs(curvature) < 1e-2:
+        return None, math.inf
+    h2 = 2.0 * (beta - fold) / curvature
+    pair = [knee - math.sqrt(h2), knee + math.sqrt(h2)] if h2 >= 0.0 else []
+    return np.unique(pair + [2.0 * alpha - 2.0 * knee]), 4.0 * abs(beta - fold) / curvature**2
 
 
 def np_roots_reference(alpha, beta):
@@ -123,12 +150,13 @@ GENERAL = st.tuples(st.just(KNEE) | st.floats(-3.0, 5.0), st.floats(0.0, 30.0))
 FOLDS = st.tuples(
     st.just(KNEE) | st.floats(KNEE, 5.0),
     st.integers(0, 1),
-    st.sampled_from((1.0, 1.0 - 1e-9, 1.0 + 1e-9)),
+    st.sampled_from([1.0] + [1.0 + s * e for e in (1e-9, 1e-12, 1e-13) for s in (-1.0, 1.0)]),
 ).map(lambda c: (c[0], fold_betas(c[0])[c[1]] * c[2]))
 
 
 @settings(max_examples=400)
 @given(GENERAL | FOLDS)
+@example((1.7320508075688774, 1.539600717839002))  # q = 0: the cusp's triple root, once
 def test_closed_form_cubic_matches_np_roots(case):
     alpha, beta = case
     roots = cubic_roots_scaled(alpha, beta)
@@ -136,7 +164,14 @@ def test_closed_form_cubic_matches_np_roots(case):
     scale = 1.0 + alpha * alpha + beta
     assert np.all(np.abs(roots * (1.0 + (alpha - roots) ** 2) - beta) <= 1e-12 * scale)
     if alpha >= KNEE and min(abs(beta / f - 1.0) for f in fold_betas(alpha)) <= 1e-10:
-        return  # np.roots miscounts this close to a fold: it is no reference there
+        # np.roots miscounts this close to a fold, so the knee expansion is
+        # the reference wherever its own error is negligible
+        reference, err = knee_expansion(alpha, beta)
+        if err > 1e-9:
+            return
+        assert roots.size == reference.size, (roots, reference)
+        np.testing.assert_allclose(roots, reference, rtol=1e-8, atol=err)
+        return
     reference = np_roots_reference(alpha, beta)
     assert roots.size == reference.size, (roots, reference)
     np.testing.assert_allclose(roots, reference, rtol=1e-9, atol=0.0)
