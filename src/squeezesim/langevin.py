@@ -19,11 +19,25 @@ The integrator is exact for this linear system:
 - the detection loss mixes in one vacuum (q, p) pair per step, projected
   onto each homodyne angle like the signal, so records at different
   angles are correlated as they are for one physical detector;
-- there is no sampling bias beyond the known sinc^2 roll-off of the
-  above-shot part;
+- sampling changes the spectrum only through the boxcar's sinc^2
+  roll-off of the above-shot part and its aliases, both of which
+  :func:`expected_bin_value` includes;
 - every segment starts from the stationary state distribution, so
   segments are statistically independent, no burn-in is discarded, and
   the scatter between segments gives an honest standard error.
+
+Because the step law is exact, the step size is limited only by how well
+the analytic side describes the sampled record.  :func:`_exact_bin_value`
+gives the expected Hann bin of that record in closed form (aliases and
+finite-segment leakage included, no random numbers), and the test suite
+holds :func:`expected_bin_value`, the analytic-spectrum route, to it over
+the plans of :func:`segment_plan` (``tests/test_langevin.py``, the
+``test_expected_bin_*`` tests).  Those plans use at most 500 steps per
+segment down to kappa/125, stretching the step where a fine step would
+need more, and :func:`simulate_pair` accepts steps up to one cavity
+period 2*pi/kappa, the largest step those tests cover.  The stochastic cross-check itself
+compares the simulation with the analytic route, not with the exact bin,
+so it keeps testing the analytic spectra.
 
 Internally time is scaled so the loaded linewidth is 1, which keeps the
 augmented noise covariance well conditioned; reported frequencies are in
@@ -56,6 +70,14 @@ HANN_POWER_KERNEL = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 # float64 normals per chunk of steps (1 MB): large enough that numpy's
 # per-call cost vanishes, small enough to add nothing to peak memory
 _NOISE_CHUNK_VALUES = 1 << 17
+
+# longest segment segment_plan asks for; beyond it the step is stretched
+_MAX_SEGMENT_STEPS = 500
+
+# aliases summed on each side in expected_bin_value: their terms fall as
+# 1/j^4 (Lorentzian excess times the boxcar's sinc^2), so the rest is
+# below 1e-10 of a bin even at the largest step, one cavity period
+_ALIAS_TERMS = 64
 
 
 def drift_matrix(kappa: float, delta_l: float, g: complex) -> np.ndarray:
@@ -146,6 +168,63 @@ def _record_projection(root_ke: float, s_dt: float) -> np.ndarray:
     return proj
 
 
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
+
+
+def _check_bin(theta: float, k: int, dt: float, n: int, eta_total: float) -> None:
+    _check_dt(dt)
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
+    if not 0.0 <= eta_total <= 1.0:
+        raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
+    if not 1 <= k <= n // 2 - 1:
+        raise DomainError(f"bin index {k} outside the usable grid")
+
+
+@dataclass(frozen=True)
+class _StepLaw:
+    """Exact one-step law of the pair state and its boxcar record.
+
+    In scaled units (kappa = 1, step ``s_dt``): the pair state advances
+    as r -> a_rr r + w, and the step's record of the outgoing sum-mode
+    (q, p) is c_rec r + v, where (w, v) has the 6x6 covariance ``cov``.
+    ``p0`` is the stationary pair covariance, which the exact step keeps.
+    """
+
+    s_dt: float
+    delta_l: float
+    g: complex
+    phi_ref: float
+    a_rr: np.ndarray
+    c_rec: np.ndarray
+    cov: np.ndarray
+    p0: np.ndarray
+
+
+def _step_law(model: ResonatorModel, steady: SteadyState, dt: float, l: int) -> _StepLaw:
+    point = pair_moments(model, steady.rho, steady.a0, 0.0, l).require_below_threshold()
+    kappa = model.kappa
+    delta_l, g = float(point.delta_l), complex(point.g)
+    s_dt = dt * kappa
+    at, bt = augmented_matrices(
+        model.kappa_i / kappa, model.kappa_e / kappa, delta_l / kappa, g / kappa
+    )
+    phi, q = discretize(at, bt, s_dt)
+    proj = _record_projection(math.sqrt(model.kappa_e / kappa), s_dt)
+    return _StepLaw(
+        s_dt=s_dt,
+        delta_l=delta_l,
+        g=g,
+        phi_ref=float(point.phi_ref),
+        a_rr=np.ascontiguousarray(phi[:4, :4]),
+        c_rec=proj[4:] @ phi[:, :4],
+        cov=proj @ q @ proj.T,
+        p0=stationary_covariance(1.0, delta_l / kappa, g / kappa),
+    )
+
+
 def _flat_view(buf: np.ndarray, *shape: int) -> np.ndarray:
     # contiguous leading part of a flat buffer, so one allocation serves
     # every batch width
@@ -176,8 +255,7 @@ def welch_psd(segments, dt: float):
     x = np.atleast_2d(np.asarray(segments, dtype=float))
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 8:
         raise DomainError("welch_psd needs at least 2 segments of >= 8 samples")
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    _check_dt(dt)
     p = _hann_periodograms(x, dt)
     omega = 2.0 * math.pi * np.fft.rfftfreq(x.shape[1], d=dt)
     return omega, p.mean(axis=0), p.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
@@ -241,11 +319,18 @@ def simulate_pair(
     is projected onto each angle like the signal.  Normals are drawn
     step-major in fixed chunks, so the stream depends only on ``seed``
     and ``batch_size``.
+
+    ``dt`` may be at most one cavity period 2*pi/kappa.  The law is exact
+    at any step, but the tests that hold :func:`expected_bin_value` to the
+    exact discrete bin (``tests/test_langevin.py``) end there; the plans
+    of :func:`segment_plan` step at most 0.8 of a period.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    if dt > 0.05 * 2.0 * math.pi / model.kappa * (1.0 + 1e-12):
-        raise DomainError("dt must not exceed 5% of the cavity period 2*pi/kappa")
+    _check_dt(dt)
+    period = 2.0 * math.pi / model.kappa
+    if dt > period * (1.0 + 1e-12):
+        raise DomainError(
+            f"dt must not exceed one cavity period 2*pi/kappa = {period!r}, got {dt!r}"
+        )
     if n_samples < 8:
         raise DomainError("n_samples must be at least 8")
     if n_segments < 2:
@@ -254,23 +339,13 @@ def simulate_pair(
         raise DomainError("batch_size must be at least 1")
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
-    point = pair_moments(model, steady.rho, steady.a0, 0.0, l).require_below_threshold()
-    kappa = model.kappa
-    delta_l, g, phi_ref = float(point.delta_l), complex(point.g), float(point.phi_ref)
-
-    # scaled units: kappa -> 1
-    s_dt = dt * kappa
-    at, bt = augmented_matrices(
-        model.kappa_i / kappa, model.kappa_e / kappa, delta_l / kappa, g / kappa
-    )
-    phi, q = discretize(at, bt, s_dt)
-    proj = _record_projection(math.sqrt(model.kappa_e / kappa), s_dt)
-    l6 = _factor_psd_matrix(proj @ q @ proj.T)
-    l0 = _factor_psd_matrix(stationary_covariance(1.0, delta_l / kappa, g / kappa))
-    a_rr = np.ascontiguousarray(phi[:4, :4])
+    law = _step_law(model, steady, dt, l)
+    s_dt, a_rr = law.s_dt, law.a_rr
+    l6 = _factor_psd_matrix(law.cov)
+    l0 = _factor_psd_matrix(law.p0)
     sqrt_eta = math.sqrt(eta_total)
     # detected record of a step from the pair state at its start
-    c_r = sqrt_eta * (proj[4:] @ phi[:, :4])
+    c_r = sqrt_eta * law.c_rec
     # one step's normals -> (pair-state increment, detected record noise)
     n_draw = 8 if eta_total < 1.0 else 6
     mix = np.zeros((6, n_draw))
@@ -280,7 +355,7 @@ def simulate_pair(
         mix[4:, 6:] = math.sqrt((1.0 - eta_total) * 0.5 / s_dt) * np.eye(2)
 
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    angles = thetas + phi_ref
+    angles = thetas + law.phi_ref
     to_angles = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     rng = np.random.default_rng(seed)
@@ -339,9 +414,9 @@ def simulate_pair(
         n_samples=n,
         n_segments=n_segments,
         eta_total=eta_total,
-        phi_ref=phi_ref,
-        delta_l=delta_l,
-        g=g,
+        phi_ref=law.phi_ref,
+        delta_l=law.delta_l,
+        g=law.g,
         window="hann",
         kernel=HANN_POWER_KERNEL,
         seed=seed,
@@ -361,35 +436,140 @@ def expected_bin_value(
 ) -> float:
     """Expected Hann periodogram bin from the analytic spectrum.
 
-    Combines the three-tap Hann power kernel with the boxcar sampling
-    roll-off: the white vacuum floor stays exactly flat under averaged
-    sampling (its alias sum is exactly one), while the above-shot excess
-    is attenuated by sinc^2(omega dt / 2).
+    Combines the three-tap Hann power kernel with the spectrum of the
+    sampled boxcar record: the white vacuum floor stays exactly flat
+    under averaged sampling (its alias sum is exactly one), while the
+    above-shot excess at each alias omega + 2 pi j / dt is attenuated by
+    sinc^2((omega + 2 pi j / dt) dt / 2) and summed.  The finite-segment
+    leakage beyond the three taps is left out.  Over the plans of
+    :func:`segment_plan` the test suite holds this value to the exact
+    discrete bin (``tests/test_langevin.py``).
     """
-    if not 1 <= k <= n_samples // 2 - 1:
-        raise DomainError(f"bin index {k} outside the usable grid")
-    w = 2.0 * math.pi * (k + np.array([-1, 0, 1])) / (n_samples * dt)
+    _check_bin(theta, k, dt, n_samples, eta_total)
+    taps = 2.0 * math.pi * (k + np.array([-1, 0, 1])) / (n_samples * dt)
+    aliases = 2.0 * math.pi / dt * np.arange(-_ALIAS_TERMS, _ALIAS_TERMS + 1)
+    w = taps[:, None] + aliases
     pair = pair_moments(model, steady.rho, steady.a0, w, l).require_below_threshold()
-    s = homodyne_variance(output_covariance(pair, eta_total), theta)
+    # detection loss scales the above-shot part only, so eta = 0 is exactly 1
+    excess = homodyne_variance(output_covariance(pair), theta) - 1.0
     roll = np.sinc(w * dt / (2.0 * math.pi)) ** 2
-    return float(np.dot(HANN_POWER_KERNEL, 1.0 + (s - 1.0) * roll))
+    return float(1.0 + eta_total * np.dot(HANN_POWER_KERNEL, (excess * roll).sum(axis=1)))
+
+
+def _exact_bin_value(
+    model: ResonatorModel,
+    steady: SteadyState,
+    theta: float,
+    k: int,
+    dt: float,
+    n: int,
+    *,
+    eta_total: float = 1.0,
+    l: int = 1,
+) -> float:
+    """Expected Hann periodogram bin of the record that simulate_pair samples.
+
+    A deterministic oracle for :func:`expected_bin_value`, aliases and
+    finite-segment leakage included.  With the step law of
+    :func:`simulate_pair` (A = a_rr, stationary P), the record at angle
+    theta is x_m = c.r_m + t.v_m, t = (cos, sin) of the frame angle and
+    c = t.c_rec.  Its autocovariance is r(0) = c.P.c + t.M_vv.t and
+    r(tau >= 1) = c.A^(tau-1).(A.P.c + M_wv.t), and the bin is
+    sum_tau r(tau) (w*w)(tau) cos(2 pi k tau / n), scaled like the
+    periodogram.  This is the input-output relation (Gardiner and
+    Collett, PRA 31, 3761 (1985)) evaluated on the sampled record; it
+    costs O(n) matrix-vector steps and draws no random numbers.
+    """
+    _check_bin(theta, k, dt, n, eta_total)
+    law = _step_law(model, steady, dt, l)
+    angle = theta + law.phi_ref
+    t = np.array([math.cos(angle), math.sin(angle)])
+    c = t @ law.c_rec
+    # lossless record autocovariance; 2 * s_dt * r is 1 for vacuum at lag 0
+    r = np.empty(n)
+    r[0] = c @ law.p0 @ c + t @ law.cov[4:, 4:] @ t
+    y = law.a_rr @ (law.p0 @ c) + law.cov[:4, 4:] @ t
+    for tau in range(1, n):
+        r[tau] = c @ y
+        y = law.a_rr @ y
+    # the loss vacuum is white: it adds 1 - eta at lag 0 only
+    rho = eta_total * 2.0 * law.s_dt * r
+    rho[0] += 1.0 - eta_total
+    w = _hann_window(n)
+    ww = np.fft.irfft(np.abs(np.fft.rfft(w, 2 * n)) ** 2, 2 * n)[:n]
+    lag_weight = ww[1:] / ww[0] * np.cos(2.0 * math.pi * k * np.arange(1, n) / n)
+    return float(rho[0] + 2.0 * np.dot(rho[1:], lag_weight))
 
 
 def segment_plan(kappa: float, omega: float) -> tuple[float, int]:
     """Time step and segment length for probing the spectrum at ``omega``.
 
-    The step is 5% of the cavity period (4x finer for sidebands beyond
-    the linewidth, pushing their aliases further out); the segment makes
-    the bin width a quarter of the analysis frequency (an eighth beyond
-    half the linewidth, where the run is cheap anyway).
+    The bin width is a quarter of the analysis frequency (an eighth
+    beyond half the linewidth, where the run is cheap anyway), so
+    ``omega`` is bin 4 (or 8).  The step is 5% of the cavity period (4x
+    finer for sidebands beyond the linewidth, pushing their aliases
+    further out) unless that needs more than 500 steps per segment; then
+    the segment has 500 steps and the step is stretched to keep the bin
+    width, up to one cavity period 2*pi/kappa (0.8 of it at 0.01 kappa),
+    below which (omega < kappa/125) the segment grows instead.  The test
+    suite bounds :func:`expected_bin_value` against the exact discrete
+    bin over these plans.
     """
-    if omega <= 0.0:
-        raise DomainError("analysis frequency must be positive")
-    base = 2.0 * math.pi / kappa
-    dt = 0.05 * base if omega < kappa else 0.0125 * base
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise DomainError(
+            f"analysis frequency omega must be positive and finite, got {omega!r}"
+        )
+    period = 2.0 * math.pi / kappa
+    dt = 0.05 * period if omega < kappa else 0.0125 * period
     rel_bw = 0.25 if omega < 0.5 * kappa else 0.125
-    n = max(32, int(round(2.0 * math.pi / (rel_bw * omega) / dt)))
+    span = 2.0 * math.pi / rel_bw / omega  # rel_bw is a power of 2: exact
+    if not math.isfinite(span):
+        raise DomainError(f"analysis frequency omega={omega!r} is too small to plan")
+    n = max(32, int(round(span / dt)))
+    if n > _MAX_SEGMENT_STEPS:
+        dt = min(period, span / _MAX_SEGMENT_STEPS)
+        n = int(round(span / dt))
     return dt, n
+
+
+def _bin_plan(kappa: float, omega: float) -> tuple[float, int, int]:
+    """(dt, n, k): the segment plan and the bin ``omega`` snaps to."""
+    dt, n = segment_plan(kappa, omega)
+    k = int(round(omega * n * dt / (2.0 * math.pi)))
+    if k < 1 or k > n // 2 - 1:
+        raise DomainError(
+            f"analysis frequency {omega:g} rad/s does not fit the "
+            f"sampling grid (dt={dt:g}, n={n})"
+        )
+    return dt, n, k
+
+
+def exact_bin_deviation_db(
+    model: ResonatorModel,
+    steady: SteadyState,
+    omegas,
+    thetas=(0.0, 0.25 * math.pi, 0.5 * math.pi),
+    *,
+    eta_total: float = 1.0,
+    l: int = 1,
+) -> float:
+    """Largest |expected_bin_value / exact discrete bin| in dB over a plan.
+
+    Covers the bins that :func:`cross_validate` checks at the same
+    frequencies and angles.  It uses no random numbers, so it is a
+    deterministic health metric of the analytic side.
+    """
+    worst = 0.0
+    for target in np.atleast_1d(np.asarray(omegas, dtype=float)):
+        dt, n, k = _bin_plan(model.kappa, float(target))
+        for th in np.atleast_1d(np.asarray(thetas, dtype=float)):
+            args = (model, steady, float(th), k, dt, n)
+            expected = expected_bin_value(*args, eta_total=eta_total, l=l)
+            exact = _exact_bin_value(*args, eta_total=eta_total, l=l)
+            worst = max(worst, abs(10.0 * math.log10(expected / exact)))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -439,11 +619,12 @@ def cross_validate(
     """Run the stochastic engine at each frequency and z-test the bins.
 
     Every requested frequency is snapped to the nearest nonzero interior
-    bin of its sampling plan; a frequency that cannot be represented on
-    the grid raises DomainError, and so does an empty ``omegas`` or
-    ``thetas``.  ``expected_eta_total`` deliberately perturbs only the
-    analytic side, which should make the test fail; it exists to
-    demonstrate that the comparison has teeth.
+    bin of its sampling plan (:func:`segment_plan`).  A frequency that is
+    not positive and finite, or cannot be represented on the grid, raises
+    DomainError before anything is simulated, and so does an empty
+    ``omegas`` or ``thetas``.  ``expected_eta_total`` deliberately
+    perturbs only the analytic side, which should make the test fail; it
+    exists to demonstrate that the comparison has teeth.
 
     ``BinCheck.sigma`` is the standard error from the scatter of the same
     segments whose mean is tested.  A periodogram bin is exponential, so
@@ -458,16 +639,10 @@ def cross_validate(
         raise DomainError("cross_validate needs at least one analysis frequency")
     if np.atleast_1d(np.asarray(thetas, dtype=float)).size == 0:
         raise DomainError("cross_validate needs at least one homodyne angle")
+    plans = [_bin_plan(model.kappa, float(target)) for target in omegas]
     children = np.random.SeedSequence(seed).spawn(omegas.size)
     checks = []
-    for target, child in zip(omegas, children):
-        dt, n = segment_plan(model.kappa, float(target))
-        k = int(round(target * n * dt / (2.0 * math.pi)))
-        if k < 1 or k > n // 2 - 1:
-            raise DomainError(
-                f"analysis frequency {target:g} rad/s does not fit the "
-                f"sampling grid (dt={dt:g}, n={n})"
-            )
+    for (dt, n, k), child in zip(plans, children):
         run = simulate_pair(
             model,
             steady,

@@ -478,6 +478,9 @@ def test_validate_passes_on_sane_config(tmp_path):
     phys = next(c for c in report["checks"] if c["name"] == "physicality_random")
     assert phys["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
     assert phys["vacuum_deviation"] <= 1e-12
+    cv = next(c for c in report["checks"] if c["name"] == "stochastic_crossval")
+    assert 0.0 <= cv["max_exact_bin_dev_db"] < 1e-3
+    assert 0.0 < cv["max_abs_z_gamma"] < 6.0
 
 
 def test_validate_fails_above_threshold(tmp_path):

@@ -1,12 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from squeezesim.langevin import (
     _NOISE_CHUNK_VALUES,
+    _exact_bin_value,
     BinCheck,
     CrossValidation,
     HANN_POWER_KERNEL,
@@ -14,6 +17,7 @@ from squeezesim.langevin import (
     cross_validate,
     discretize,
     drift_matrix,
+    exact_bin_deviation_db,
     expected_bin_value,
     segment_plan,
     simulate_pair,
@@ -21,10 +25,18 @@ from squeezesim.langevin import (
     welch_psd,
 )
 from squeezesim.params import DomainError, PumpDrive, ResonatorModel
-from squeezesim.spectra import SingularSystemError
+from squeezesim.spectra import (
+    SingularSystemError,
+    homodyne_variance,
+    output_covariance,
+    pair_moments,
+)
 from squeezesim.steady_state import SteadyState, solve_steady_state
 
-from test_spectra import make_model, pure_point
+from test_spectra import make_model, pure_point, steady_at_x
+
+# criterion 3's segment count: one bin's standard error is exact/sqrt(N)
+CRITERION_3_SEGMENTS = 17000
 
 
 def test_drift_matrix_layout():
@@ -115,8 +127,9 @@ def test_welch_psd_white_noise_density():
     assert np.mean(np.abs(z) <= 3.5) > 0.95
     with pytest.raises(DomainError):
         welch_psd(x[:1], dt)
-    with pytest.raises(DomainError):
-        welch_psd(x, -1.0)
+    for bad_dt in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="dt"):
+            welch_psd(x, bad_dt)
 
 
 def test_vacuum_run_is_flat_shot_noise():
@@ -199,8 +212,13 @@ def test_projected_loss_vacuum_correlates_angles():
 def test_simulate_input_validation():
     model, st = pure_point(0.4)
     good_dt = 0.05 * 2 * math.pi / model.kappa
-    with pytest.raises(DomainError):
-        simulate_pair(model, st, dt=3 * good_dt, n_samples=64, n_segments=10)
+    period = 2 * math.pi / model.kappa
+    # the step may reach one cavity period, where the exact-bin tests end
+    run = simulate_pair(model, st, dt=period, n_samples=64, n_segments=2)
+    assert run.dt == period
+    for bad_dt in (period * (1 + 1e-9), 3 * period, 0.0, -good_dt, math.nan, math.inf):
+        with pytest.raises(DomainError, match="dt"):
+            simulate_pair(model, st, dt=bad_dt, n_samples=64, n_segments=10)
     with pytest.raises(DomainError):
         simulate_pair(model, st, dt=good_dt, n_samples=4, n_segments=10)
     with pytest.raises(DomainError):
@@ -219,18 +237,161 @@ def test_simulate_input_validation():
         simulate_pair(make_model(2.0), bad, dt=good_dt, n_samples=64, n_segments=10)
 
 
+def _five_percent_plan(kappa, omega):
+    """The plan before segments were capped at 500 steps: dt <= 5% of a period."""
+    base = 2.0 * math.pi / kappa
+    dt = 0.05 * base if omega < kappa else 0.0125 * base
+    rel_bw = 0.25 if omega < 0.5 * kappa else 0.125
+    return dt, max(32, int(round(2.0 * math.pi / (rel_bw * omega) / dt)))
+
+
 def test_segment_plan_rules():
     kappa = 2.0
-    for omega_units in (0.01, 0.2, 0.49, 0.5, 0.99, 1.0, 3.0):
+    period = 2 * math.pi / kappa
+    for omega_units in (1 / 125, 0.01, 0.042, 0.05, 0.1, 0.2, 0.49, 0.5, 0.99, 1.0, 3.0):
         omega = omega_units * kappa
         dt, n = segment_plan(kappa, omega)
-        assert dt <= 0.05 * 2 * math.pi / kappa * (1 + 1e-12)
-        assert n >= 32
+        assert dt <= period * (1 + 1e-12)
+        assert 32 <= n <= 500
         k = round(omega * n * dt / (2 * math.pi))
         rel = 0.25 if omega < 0.5 * kappa else 0.125
         assert k == round(1.0 / rel)
-    with pytest.raises(DomainError):
-        segment_plan(kappa, 0.0)
+        old_dt, old_n = _five_percent_plan(kappa, omega)
+        if old_n <= 500:
+            assert (dt, n) == (old_dt, old_n)
+        else:  # same bin width from 500 coarser steps
+            assert n == 500
+            assert n * dt == pytest.approx(2 * math.pi / (rel * omega), rel=1e-12)
+    # criterion 3's five frequencies: 500 + 500 + 462 + 222 + 213 steps
+    omegas = np.geomspace(0.01 * kappa, 3.0 * kappa, 5)
+    assert sum(segment_plan(kappa, float(w))[1] for w in omegas) == 1897
+    # below kappa/125 the step stays at one period and the segment grows
+    dt, n = segment_plan(kappa, 0.004 * kappa)
+    assert dt == period and n == 1000
+    for bad in (0.0, -1.0, math.nan, math.inf, 5e-324):
+        with pytest.raises(DomainError, match="omega"):
+            segment_plan(kappa, bad)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="kappa"):
+            segment_plan(bad, 0.5)
+
+
+def test_expected_bin_matches_exact_bin_on_criterion_3_plan():
+    # criterion 3's model, pump levels, frequencies and angles: the spectra
+    # route stays within 5% of one bin's standard error at 17000 segments
+    model = make_model(2.0)
+    omegas = np.geomspace(0.01 * model.kappa, 3.0 * model.kappa, 5)
+    thetas = (0.0, 0.25 * math.pi, 0.5 * math.pi)
+    for fraction in (0.0, 0.5, 0.9):
+        steady, _ = steady_at_x(model, fraction)
+        worst_db = 0.0
+        for omega in omegas:
+            dt, n = segment_plan(model.kappa, float(omega))
+            k = round(omega * n * dt / (2 * math.pi))
+            for theta in thetas:
+                args = (model, steady, theta, k, dt, n)
+                expected = expected_bin_value(*args, eta_total=0.602)
+                exact = _exact_bin_value(*args, eta_total=0.602)
+                dev = abs(expected - exact) * math.sqrt(CRITERION_3_SEGMENTS) / exact
+                assert dev <= 0.05, (fraction, omega / model.kappa, theta, dev)
+                worst_db = max(worst_db, abs(10 * math.log10(expected / exact)))
+        reported = exact_bin_deviation_db(model, steady, omegas, thetas, eta_total=0.602)
+        assert reported == worst_db
+
+
+def test_exact_bin_matches_simulation_where_aliases_matter():
+    # one cavity period per step and a bin near Nyquist: the record's
+    # aliases lift the squeezed bin, and simulate_pair, the exact discrete
+    # bin and the alias-summed spectra route agree, while the spectrum
+    # at the bin frequency alone misses by many standard errors
+    model = make_model(2.0)
+    steady, _ = steady_at_x(model, 0.9)
+    dt, n, k, eta = 2 * math.pi / model.kappa, 32, 15, 0.7
+    thetas = (0.0, 0.5 * math.pi)
+    run = simulate_pair(
+        model, steady, dt=dt, n_samples=n, n_segments=8000, thetas=thetas,
+        eta_total=eta, seed=3,
+    )
+    taps = 2 * math.pi * (k + np.array([-1, 0, 1])) / (n * dt)
+    pair = pair_moments(model, steady.rho, steady.a0, taps)
+    no_alias_excess = homodyne_variance(output_covariance(pair), np.array(thetas)) - 1.0
+    for i, theta in enumerate(thetas):
+        args = (model, steady, theta, k, dt, n)
+        exact = _exact_bin_value(*args, eta_total=eta)
+        expected = expected_bin_value(*args, eta_total=eta)
+        roll = np.sinc(taps * dt / (2 * math.pi)) ** 2
+        no_alias = 1 + eta * np.dot(HANN_POWER_KERNEL, no_alias_excess[:, i] * roll)
+        sigma = run.psd_sigma[i, k]
+        assert abs(run.psd[i, k] - exact) <= 4 * sigma, (theta, run.psd[i, k], exact)
+        assert abs(expected - exact) <= 0.05 * sigma
+        assert abs(no_alias - exact) >= 8 * sigma, (theta, no_alias, exact)
+
+
+@hst.composite
+def exact_bin_points(draw):
+    """(model, steady, theta, omega, eta) below threshold, edges included.
+
+    kappa/2 = g0 = 1; ``x = g0 rho / (kappa/2)`` up to 0.95 and any pair
+    offset keep the stability margin >= 0.025 kappa.  ``rho = x`` and
+    ``a0 = sqrt(x) exp(i phase)`` go in directly; the cold detuning gives
+    the drawn offset.  ``omega`` spans the plans with n <= 500, down to
+    kappa/125, where the step is one cavity period.
+    """
+    x = draw(hst.sampled_from([0.0, 0.95]) | hst.floats(0.0, 0.95))
+    offset = draw(hst.just(0.0) | hst.floats(-4.0, 4.0))
+    eta_esc = draw(hst.just(1.0) | hst.floats(0.05, 1.0))  # 1.0: kappa_i = 0
+    eta = draw(hst.sampled_from([0.0, 1.0]) | hst.floats(0.0, 1.0))
+    log_omega = draw(hst.floats(math.log10(1 / 125), math.log10(3.0)))
+    theta = draw(hst.floats(0.0, math.pi))
+    model = make_model(offset + 2.0 * x, eta_esc=eta_esc)
+    a0 = math.sqrt(x) * cmath.exp(1j * draw(hst.floats(-math.pi, math.pi)))
+    steady = SteadyState(
+        a0=a0, rho=x, delta_eff=model.delta - x, branch="single",
+        all_rho=(x,), residual=0.0,
+    )
+    return model, steady, theta, 10.0 ** log_omega * model.kappa, eta, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_bin_points())
+@example(  # one period per step, 32 dB squeezed: fails without the alias sum
+    (make_model(1.9, eta_esc=1.0),
+     SteadyState(a0=math.sqrt(0.95) + 0j, rho=0.95, delta_eff=1.9 - 0.95,
+                 branch="single", all_rho=(0.95,), residual=0.0),
+     0.5 * math.pi, 2.0 / 125, 1.0, 0.95)
+)
+def test_expected_bin_tracks_exact_bin_at_the_edges(point):
+    model, steady, theta, omega, eta, x = point
+    dt, n = segment_plan(model.kappa, omega)
+    assert n <= 500 and dt <= 2 * math.pi / model.kappa * (1 + 1e-12)
+    k = round(omega * n * dt / (2 * math.pi))
+    args = (model, steady, theta, k, dt, n)
+    expected = expected_bin_value(*args, eta_total=eta)
+    exact = _exact_bin_value(*args, eta_total=eta)
+    if eta == 0.0:
+        assert expected == 1.0 and exact == 1.0
+    # the three-tap Hann kernel leaves out leakage beyond the adjacent bins;
+    # within 0.1 kappa of threshold (x > 0.85, a sharp peak at omega = 0) it
+    # reaches 0.15 of a bin's standard error at 0.3-0.5 kappa, plan unchanged
+    share = 0.05 if x <= 0.85 else 0.2
+    assert abs(expected - exact) <= share * exact / math.sqrt(CRITERION_3_SEGMENTS)
+
+
+def test_bin_values_name_bad_inputs():
+    model, st = pure_point(0.4)
+    dt, n = segment_plan(model.kappa, 0.5 * model.kappa)
+    for f in (expected_bin_value, _exact_bin_value):
+        assert math.isfinite(f(model, st, 0.3, 4, dt, n))
+        for bad_dt in (-0.1, 0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="dt"):
+                f(model, st, 0.3, 4, bad_dt, n)
+        for bad_theta in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="theta"):
+                f(model, st, bad_theta, 4, dt, n)
+        with pytest.raises(DomainError, match="eta_total"):
+            f(model, st, 0.3, 4, dt, n, eta_total=math.nan)
+        with pytest.raises(DomainError, match="bin index"):
+            f(model, st, 0.3, n // 2, dt, n)
 
 
 def test_cross_validate_passes_and_detects_perturbation():
@@ -264,6 +425,9 @@ def test_cross_validate_grid_mismatch():
         cross_validate(model, st, [], n_segments=4)
     with pytest.raises(DomainError, match="angle"):
         cross_validate(model, st, [0.5 * model.kappa], thetas=(), n_segments=4)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="omega"):
+            cross_validate(model, st, [0.5 * model.kappa, bad], n_segments=4)
 
 
 def test_hann_kernel_normalized():
