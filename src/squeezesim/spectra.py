@@ -56,7 +56,7 @@ def pair_detuning(model: ResonatorModel, steady: SteadyState, l: int = 1) -> flo
     Combines the cold detuning, the dispersion walk-off of the pair, and
     the cross-phase pull of the pump, which is twice the self-phase pull.
     """
-    return float(pair_moments(model, steady.rho, steady.a0, 0.0, l).delta_l)
+    return float(_offset_and_margin(model, steady.rho, l)[0])
 
 
 def stability_margin(model: ResonatorModel, steady: SteadyState, l: int = 1) -> float:
@@ -66,7 +66,23 @@ def stability_margin(model: ResonatorModel, steady: SteadyState, l: int = 1) -> 
     gain ``|g| = g0*rho``, so the margin is
     ``kappa/2 - Re sqrt(|g|^2 - delta_l^2)``.
     """
-    return float(pair_moments(model, steady.rho, steady.a0, 0.0, l).margin)
+    return float(_offset_and_margin(model, steady.rho, l)[1])
+
+
+def _offset_and_margin(model: ResonatorModel, rho, l: int):
+    """Pair offset ``delta_l`` and stability margin at pump photon number ``rho``."""
+    delta_l = model.delta + 0.5 * model.d2 * l * l - 2.0 * model.g0 * rho
+    gain = model.g0 * rho
+    margin = 0.5 * model.kappa - np.sqrt(np.maximum(gain * gain - delta_l * delta_l, 0.0))
+    return delta_l, margin
+
+
+def _finite_omega(omega):
+    """``omega`` as a float array (0-d for a scalar); DomainError if not finite."""
+    omega = np.asarray(omega, dtype=float)[()]
+    if not np.all(np.isfinite(omega)):
+        raise DomainError(f"omega must be finite, got {omega}")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -125,15 +141,11 @@ def pair_moments(model: ResonatorModel, rho, a0, omega, l: int = 1) -> PairMomen
 
     Raises DomainError for a non-finite ``omega``.
     """
-    omega = np.asarray(omega, dtype=float)[()]
-    if not np.all(np.isfinite(omega)):
-        raise DomainError(f"omega must be finite, got {omega}")
+    omega = _finite_omega(omega)
     rho = np.asarray(rho, dtype=float)
     a0 = np.asarray(a0, dtype=complex)
     hk = 0.5 * model.kappa
-    delta_l = model.delta + 0.5 * model.d2 * l * l - 2.0 * model.g0 * rho
-    gain = model.g0 * rho
-    margin = hk - np.sqrt(np.maximum(gain * gain - delta_l * delta_l, 0.0))
+    delta_l, margin = _offset_and_margin(model, rho, l)
     # real arithmetic rounds as pair_scattering's scalar complex products do
     # (numpy's may fuse), so g and det agree there bit for bit
     gr, gi = model.g0 * a0.real, model.g0 * a0.imag
@@ -488,17 +500,22 @@ def calibrate_g0_to_optimum(
 ) -> CalibrationResult:
     """Choose g0 so the squeezing optimum lands at the given pump power.
 
-    Scans the dimensionless drive strength ``x = g0*rho/(kappa/2)``, which
-    fully parameterizes the pair spectra at fixed rates and detuning,
-    finds the interior ``x`` minimizing the optimal-quadrature variance,
-    and returns the ``g0`` that places that ``x`` at ``pump``.  The input
-    model's ``g0`` is ignored.  Raises DomainError when the optimum is not
-    interior (e.g. when squeezing keeps improving toward threshold).
+    The pair spectra depend on the pump only through the dimensionless
+    drive strength ``x = g0*rho/(kappa/2)``, and on the model only
+    through the rates and the zero-pump pair offset
+    ``b = delta + d2*l^2/2`` (the frame phase cancels out of
+    ``g*exp(-2i*phi_ref)``).  This finds the interior ``x`` minimizing the
+    optimal-quadrature variance and returns the ``g0`` that places that
+    ``x`` at ``pump``.  The input model's ``g0`` is ignored.  Raises
+    DomainError when the optimum is not interior (e.g. when squeezing
+    keeps improving toward threshold, or lies beyond ``x_max``), and for
+    a non-finite ``omega``.
 
-    At ``delta = d2 = 0`` the pair offset is ``-2*g0*rho`` against a gain
-    of ``g0*rho``, so the pair never reaches threshold and the optimum has
-    a closed form.  With ``w = omega/(kappa/2)``, ``eta_esc`` the escape
-    efficiency and ``eta = eta_total``:
+    Where ``b == 0`` (e.g. ``delta = d2 = 0``) the pair offset is
+    ``-2*g0*rho`` against a gain of ``g0*rho``, so the pair never reaches
+    threshold and the optimum has a closed form.  With
+    ``w = omega/(kappa/2)``, ``eta_esc`` the escape efficiency and
+    ``eta = eta_total``:
 
         x_opt = sqrt((1 + w^2)/3)
         var_min = 1 - (2/3)*eta_esc*eta
@@ -506,38 +523,47 @@ def calibrate_g0_to_optimum(
 
     Neither level depends on ``w``.  At ``w = 0`` the pair flux there is
     ``eta_esc/3``, the largest any ``x`` reaches, which caps the detected
-    levels at this operating point.
+    levels at this operating point.  ``x_opt`` is computed from this
+    closed form wherever ``b == 0``.
 
-    ``x_opt`` is good to about 3e-8, not to the ``xatol=1e-12`` passed to
-    the bounded ``minimize_scalar``: that method adds ``sqrt(eps)*|x|``
-    to the tolerance.  Both levels are stationary in ``x``, so they are
-    not affected at that scale.
+    For ``b != 0`` no closed form is known, and a bounded Brent search
+    (``scipy.optimize.minimize_scalar``) finds ``x_opt`` to about
+    ``3e-8/sqrt(eta_esc*eta)``, not to the ``xatol=1e-12`` it passes:
+    that method adds ``sqrt(eps)*|x|`` to the tolerance, and the
+    objective's curvature in ``x`` scales with ``eta_esc*eta``, so its
+    rounding blurs the minimum at low efficiency.  Both levels are
+    stationary in ``x``, so they are not affected at that scale.
     """
-    from scipy.optimize import minimize_scalar
-
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a non-zero pump")
     if not (math.isfinite(x_max) and x_max > 0.0):
         raise DomainError(f"x_max must be positive and finite, got {x_max}")
+    omega = float(_finite_omega(omega))
     hk = 0.5 * model.kappa
     probe = dataclasses.replace(model, g0=1.0)
     x_th = threshold_intracavity(probe, l) / hk
     x_hi = min(x_max, x_th * (1.0 - 1e-9))
 
-    def objective(x: float) -> float:
-        # spectra depend on the pump only through g0*rho and the phase of
-        # g0*a0^2, so unit Kerr with rho = x*kappa/2 reaches every x
-        rho = x * hk
-        a0 = math.sqrt(rho) * cmath.exp(-1j * math.atan2(model.delta - rho, hk))
-        pair = pair_moments(probe, rho, a0, omega, l)
-        return optimal_quadratures_from_cov(output_covariance(pair, eta_total)).var_min
+    if model.delta + 0.5 * model.d2 * l * l == 0.0:  # b == 0
+        w = omega / hk
+        x_opt, converged = math.sqrt((1.0 + w * w) / 3.0), True
+    else:
+        from scipy.optimize import minimize_scalar
 
-    res = minimize_scalar(
-        objective, bounds=(1e-9, x_hi), method="bounded", options={"xatol": 1e-12}
-    )
-    x_opt = float(res.x)
+        def objective(x: float) -> float:
+            # spectra depend on the pump only through g0*rho and the phase
+            # of g0*a0^2, so unit Kerr with rho = x*kappa/2 reaches every x
+            rho = x * hk
+            a0 = math.sqrt(rho) * cmath.exp(-1j * math.atan2(model.delta - rho, hk))
+            pair = pair_moments(probe, rho, a0, omega, l)
+            return optimal_quadratures_from_cov(output_covariance(pair, eta_total)).var_min
+
+        res = minimize_scalar(
+            objective, bounds=(1e-9, x_hi), method="bounded", options={"xatol": 1e-12}
+        )
+        x_opt, converged = float(res.x), bool(res.success)
     span = x_hi - 1e-9
-    if not res.success or x_opt < 1e-3 * span or x_opt > x_hi - 1e-3 * span:
+    if not converged or x_opt < 1e-3 * span or x_opt > x_hi - 1e-3 * span:
         raise DomainError(
             "no interior squeezing optimum in x; calibration is ill-posed "
             "at this detuning"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,15 +286,40 @@ def _sample_line(k: int, blank_lines) -> int:
     return line
 
 
-def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
-    """Read a two-column trace file; parse errors cite line numbers.
+def _header_ok(header) -> bool:
+    return tuple(h.strip() for h in header) == _HEADER
 
-    ``detrend`` normalizes to the off-resonance baseline on the way in;
-    pass False to keep the raw values (e.g. when the instrument already
-    normalized, or to inspect fringes).
+
+def _load_columns_fast(path):
+    """Both trace columns through ``np.loadtxt``, or None to defer to the scanner.
+
+    None on any ``loadtxt`` failure (its empty-input warning included),
+    a shape other than at least 2 rows of 2 columns, a transmission
+    outside [0, 1.05] (NaN included), a wavelength axis that is not
+    strictly monotonic, or a header the scanner would reject.  Whatever
+    this accepts, :func:`_scan_columns` accepts with the same values.
     """
-    if format != "csv":
-        raise DomainError("only the csv trace format is supported")
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or not _header_ok(header):
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # "input contained no data"
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+    if data.shape[0] < 2 or data.shape[1] != 2:
+        return None
+    lam, tr = data.T.copy()  # contiguous columns, as the scanner returns them
+    d = np.diff(lam)
+    if not (np.all((tr >= 0.0) & (tr <= 1.05)) and (np.all(d > 0.0) or np.all(d < 0.0))):
+        return None
+    return lam, tr
+
+
+def _scan_columns(path):
+    """Both trace columns, row by row; errors cite the offending line."""
     lam = []
     tr = []
     blank_lines = []
@@ -303,7 +329,7 @@ def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
             header = next(rows)
         except StopIteration:
             raise TraceParseError("line 1: empty file") from None
-        if tuple(h.strip() for h in header) != _HEADER:
+        if not _header_ok(header):
             raise TraceParseError(
                 f"line 1: expected header {','.join(_HEADER)!r}, got {','.join(header)!r}"
             )
@@ -327,10 +353,28 @@ def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
         raise TraceParseError(f"line {line}: need at least 2 data rows")
     d = np.diff(lam)
     if not (np.all(d > 0.0) or np.all(d < 0.0)):
-        bad = int(np.flatnonzero(d * (1.0 if d[0] > 0.0 else -1.0) <= 0.0)[0])
+        # "not > 0" rather than "<= 0", so a NaN wavelength is caught too
+        bad = int(np.flatnonzero(~(d * (1.0 if d[0] > 0.0 else -1.0) > 0.0))[0])
         line = _sample_line(bad + 1, blank_lines)
         raise TraceParseError(f"line {line}: wavelength not strictly monotonic")
-    trace = TransmissionTrace(np.array(lam), np.array(tr), {"path": str(path)})
+    return np.array(lam), np.array(tr)
+
+
+def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
+    """Read a two-column trace file; parse errors cite line numbers.
+
+    ``np.loadtxt`` reads well-formed files; anything it rejects or that
+    fails a check goes to the row scanner, which accepts what ``csv``
+    accepts (quoted numbers, say) and names the offending line.
+
+    ``detrend`` normalizes to the off-resonance baseline on the way in;
+    pass False to keep the raw values (e.g. when the instrument already
+    normalized, or to inspect fringes).
+    """
+    if format != "csv":
+        raise DomainError("only the csv trace format is supported")
+    columns = _load_columns_fast(path) or _scan_columns(path)
+    trace = TransmissionTrace(*columns, {"path": str(path)})
     if detrend:
         trace = normalize_trace(trace)
     return trace

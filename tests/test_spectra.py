@@ -1,5 +1,12 @@
 import cmath
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -433,6 +440,85 @@ def test_calibration_names_bad_x_max():
     for x_max in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="x_max"):
             calibrate_g0_to_optimum(model, pump, x_max=x_max)
+
+
+def test_calibration_names_non_finite_omega():
+    pump = PumpDrive.from_power(0.050, make_model(0.0).omega0)
+    # b = delta + d2*l^2/2 = 0 takes the closed form, b = -1/2 the search
+    for model in (make_model(0.0), make_model(-0.5)):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="omega"):
+                calibrate_g0_to_optimum(model, pump, omega=bad)
+
+
+def calibration_objective(model, x, omega, l, eta_total):
+    """Optimal-quadrature variance at drive strength x = g0*rho/(kappa/2)."""
+    hk = 0.5 * model.kappa
+    probe = dataclasses.replace(model, g0=1.0)
+    rho = x * hk
+    a0 = math.sqrt(rho) * cmath.exp(-1j * math.atan2(model.delta - rho, hk))
+    pair = pair_moments(probe, rho, a0, omega, l)
+    return optimal_quadratures_from_cov(output_covariance(pair, eta_total)).var_min
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    w=hst.floats(0.0, 1.5),
+    eta_esc=hst.floats(0.05, 1.0),
+    eta=hst.floats(0.05, 1.0),
+    l=hst.sampled_from([1, 2, 3]),
+    d2=hst.just(0.0) | hst.floats(0.1, 2.0) | hst.floats(-2.0, -0.1),
+)
+def test_calibration_closed_form_where_pair_offset_vanishes(w, eta_esc, eta, l, d2):
+    from scipy.optimize import minimize_scalar
+
+    # kappa/2 = 1; delta = -d2*l^2/2 cancels the dispersion walk-off
+    # exactly, so b == 0
+    model = make_model(-(0.5 * d2 * l * l), eta_esc=eta_esc, d2=d2)
+    omega = w
+    pump = PumpDrive.from_power(0.050, model.omega0)
+    with mock.patch("scipy.optimize.minimize_scalar", wraps=minimize_scalar) as search:
+        cal = calibrate_g0_to_optimum(model, pump, omega=omega, l=l, eta_total=eta)
+        assert search.call_count == 0
+        x_ref = math.sqrt((1.0 + w * w) / 3.0)
+        assert cal.x_opt == pytest.approx(x_ref, rel=1e-15, abs=0.0)
+        for side in (1.0 - 1e-4, 1.0 + 1e-4):
+            assert cal.var_min <= calibration_objective(model, cal.x_opt * side, omega, l, eta)
+        assert cal.var_min == pytest.approx(1.0 - (2.0 / 3.0) * eta_esc * eta, abs=1e-12)
+        assert cal.var_max == pytest.approx(1.0 + 2.0 * eta_esc * eta, abs=1e-12)
+
+        # a pair offset of 1e-9*kappa/2 takes the search, which meets the
+        # closed form where the two branches join, to the search's stated
+        # accuracy: the objective's curvature in x scales with eta_esc*eta
+        near = dataclasses.replace(model, delta=model.delta + 1e-9)
+        searched = calibrate_g0_to_optimum(near, pump, omega=omega, l=l, eta_total=eta)
+        assert search.call_count == 1
+    assert abs(searched.x_opt - x_ref) <= max(1e-7, 3e-8 / math.sqrt(eta_esc * eta))
+
+
+_CALIBRATION_PROBE = """
+import json, sys
+from squeezesim.params import PumpDrive, ResonatorModel
+from squeezesim.spectra import calibrate_g0_to_optimum
+model = ResonatorModel(omega0=1.2074690e15, kappa_i=0.2, kappa_e=1.8, delta=0.0, d2=0.0, g0=1.0)
+cal = calibrate_g0_to_optimum(model, PumpDrive.from_power(0.050, model.omega0), omega=0.3)
+print(json.dumps({"x_opt": cal.x_opt, "optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_closed_form_calibration_does_not_import_scipy_optimize():
+    # a fresh interpreter, so no earlier test has imported scipy.optimize
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CALIBRATION_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["x_opt"] == pytest.approx(math.sqrt((1.0 + 0.3 * 0.3) / 3.0), rel=1e-15)
+    assert report["optimize"] is False
 
 
 def test_non_finite_inputs_name_their_field():

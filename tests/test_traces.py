@@ -212,6 +212,58 @@ def test_load_trace_parse_errors(tmp_path):
         load_trace(write("fmt.csv", head + "1560.0,0.5\n1560.1,0.5\n"), format="tsv")
 
 
+def test_load_trace_fast_path_matches_row_scanner(tmp_path):
+    from squeezesim.traces import _load_columns_fast, _scan_columns
+
+    def outcome(read, path):
+        try:
+            trace = read(path)
+        except TraceParseError as exc:
+            return ("error", str(exc))
+        lam, tr = trace.wavelength_nm, trace.transmission
+        return ("ok", lam.dtype, lam.tobytes(), tr.dtype, tr.tobytes(), trace.metadata)
+
+    def scanned(path):
+        return TransmissionTrace(*_scan_columns(path), {"path": str(path)})
+
+    head = "wavelength_nm,transmission\n"
+    # (text, whether numpy reads it without the scanner)
+    cases = {
+        "plain": (head + "1550.0,0.9\n1550.1,0.8\n1550.2,0.7\n", True),
+        "blank": (head + "\n1550.0,0.9\n\n\n1550.1,0.8\n\n", True),
+        "spaces": (head + "1550.0,0.9\n   \n1550.1,0.8\n", False),
+        "tab": (head + "1550.0,0.9\n1550.1,0.8\n\t\n", False),
+        "padded": (" wavelength_nm , transmission\n 1550.0 ,0.9\n1550.1, 0.8 \n", True),
+        "crlf": (head.replace("\n", "\r\n") + "1550.0,0.9\r\n\r\n1550.1,0.8\r\n", True),
+        "no final newline": (head + "1550.0,0.9\n1550.1,0.8", True),
+        "comment row": (head + "# sweep 1\n1550.0,0.9\n1550.1,0.8\n", False),
+        "comment tail": (head + "1550.0,0.9\n1550.1,0.8 # end\n", False),
+        "quoted": (head + '"1550.0","0.9"\n"1550.1",0.8\n', False),
+        "underscore": (head + "1_550.0,0.9\n1_550.1,0.8\n", False),
+        "trailing comma": (head + "1550.0,0.9,\n1550.1,0.8,\n", False),
+        "three fields": (head + "1550.0,0.9\n1550.1,0.8,7\n", False),
+        "one field": (head + "1550.0\n1550.1\n", False),
+        "nan transmission": (head + "1550.0,0.9\n1550.1,nan\n", False),
+        "inf transmission": (head + "1550.0,0.9\n1550.1,inf\n", False),
+        "nan wavelength": (head + "1550.0,0.9\nnan,0.8\n1550.2,0.7\n", False),
+        "inf wavelength": (head + "1550.0,0.9\n1550.1,0.8\ninf,0.7\n", True),
+        "range": (head + "1550.0,0.9\n1550.1,1.2\n", False),
+        "not monotonic": (head + "1550.0,0.9\n\n1550.2,0.8\n1550.1,0.7\n", False),
+        "repeated wavelength": (head + "1550.0,0.9\n1550.1,0.8\n1550.1,0.7\n", False),
+        "descending": (head + "1550.2,0.7\n1550.1,0.8\n1550.0,0.9\n", True),
+        "empty file": ("", False),
+        "header only": (head, False),
+        "blank rows only": (head + "\n\n", False),
+        "one row": (head + "\n1550.0,0.9\n", False),
+        "bad header": ("wl,t\n1550.0,0.9\n1550.1,0.8\n", False),
+    }
+    for name, (text, fast) in cases.items():
+        path = tmp_path / f"{name.replace(' ', '_')}.csv"
+        path.write_bytes(text.encode())
+        assert (_load_columns_fast(path) is not None) == fast, name
+        assert outcome(lambda p: load_trace(p, detrend=False), path) == outcome(scanned, path), name
+
+
 def test_normalize_is_idempotent_and_flagged():
     lam = dense_grid(half_widths=30.0, n=2001)
     tr = synthesize_trace(
