@@ -26,10 +26,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, parse_config_text
+from .config import _SCHEMA, ConfigError, RunConfig, load_config, parse_config_text
 from .params import DomainError, PumpDrive
 from .spectra import (
-    SingularSystemError,
     optimal_quadratures_from_cov,
     output_covariance,
     pair_moments,
@@ -273,11 +272,7 @@ def cmd_threshold(cfg: RunConfig, args, out: Path) -> int:
 
 
 _FIT_DEFAULTS = {
-    "fit.regime": "overcoupled",
-    "fit.detrend": True,
-    "fit.min_prominence": 0.05,
-    "fit.min_spacing_nm": 0.0,
-    "fit.min_samples_per_fwhm": 15,
+    key: default for key, (_, default) in _SCHEMA.items() if key.startswith("fit.")
 }
 
 
@@ -310,9 +305,8 @@ def cmd_fit(cfg: RunConfig | None, args, out: Path) -> int:
     fits = []
     per_trace = []
     for path in args.traces:
-        trace = load_trace(path, detrend=False)
         report = analyze_trace(
-            trace,
+            load_trace(path),
             detrend=bool(opts["fit.detrend"]),
             min_prominence=float(opts["fit.min_prominence"]),
             min_spacing_nm=float(opts["fit.min_spacing_nm"]),
@@ -619,10 +613,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         log.error("missing file: %s", exc)
         return EXIT_FAIL
-    except (DomainError, TraceParseError, SingularSystemError) as exc:
-        log.error("%s", exc)
-        return EXIT_FAIL
-    except RuntimeError as exc:
+    except (DomainError, TraceParseError, RuntimeError) as exc:
+        # SingularSystemError lands here as a RuntimeError
         log.error("%s", exc)
         return EXIT_FAIL
 

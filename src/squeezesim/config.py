@@ -222,7 +222,7 @@ class RunConfig:
 
     @property
     def eta_end_to_end(self) -> float:
-        return self.chain.eta_total * self.model.eta_escape
+        return self.chain.eta_end_to_end
 
     def opt(self, key: str):
         """Effective value of a config key, defaults included."""

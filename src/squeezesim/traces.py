@@ -185,7 +185,7 @@ def _dip_model_m(lam_m, center_m, kappa, depth, scale):
 
 
 def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
-                  min_samples_per_fwhm=15, p0=None):
+                  min_samples_per_fwhm=15):
     """Least-squares fit of one dip on a nominally flat background.
 
     Fits (center, kappa, depth) plus a nuisance amplitude that soaks up
@@ -207,17 +207,16 @@ def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
     if lam_nm.size < 8:
         raise DomainError("need at least 8 samples to fit a resonance")
     lam = lam_nm * NM
-    if p0 is None:
-        i0 = int(np.argmin(tr))
-        scale0 = float(np.percentile(tr, 90))
-        depth0 = max(1e-6, 1.0 - tr[i0] / scale0)
-        below = np.flatnonzero(tr < scale0 * (1.0 - 0.5 * depth0))
-        if below.size >= 2:
-            width_m = lam[below[-1]] - lam[below[0]]
-        else:
-            width_m = 4.0 * float(np.median(np.diff(lam)))
-        kappa0 = 2.0 * math.pi * C_LIGHT * width_m / lam[i0] ** 2
-        p0 = (float(lam[i0]), kappa0, depth0, scale0)
+    i0 = int(np.argmin(tr))
+    scale0 = float(np.percentile(tr, 90))
+    depth0 = max(1e-6, 1.0 - tr[i0] / scale0)
+    below = np.flatnonzero(tr < scale0 * (1.0 - 0.5 * depth0))
+    if below.size >= 2:
+        width_m = lam[below[-1]] - lam[below[0]]
+    else:
+        width_m = 4.0 * float(np.median(np.diff(lam)))
+    kappa0 = 2.0 * math.pi * C_LIGHT * width_m / lam[i0] ** 2
+    p0 = (float(lam[i0]), kappa0, depth0, scale0)
     popt, pcov = curve_fit(
         _dip_model_m, lam, tr, p0=p0, xtol=1e-14, ftol=1e-14, maxfev=20000,
     )
@@ -247,9 +246,11 @@ def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
 class TransmissionTrace:
     """A validated sweep: ascending wavelength_nm, transmission in [0, 1.05].
 
-    A descending input sweep is reversed and flagged in metadata under
-    "reversed_input".  Free-form metadata (sweep rate, input power, ...)
-    rides along untouched.
+    Every trace, loaded or built in memory, is checked here; the row
+    scanner repeats the checks only to name the offending line.  NaN
+    fails the range check.  A descending input sweep is reversed and
+    flagged in metadata under "reversed_input".  Free-form metadata
+    (sweep rate, input power, ...) rides along untouched.
     """
 
     wavelength_nm: np.ndarray
@@ -260,7 +261,7 @@ class TransmissionTrace:
         lam, tr, flipped = _canon(self.wavelength_nm, self.transmission)
         if lam.size < 2:
             raise DomainError("a trace needs at least 2 samples")
-        if np.min(tr) < 0.0 or np.max(tr) > 1.05:
+        if not np.all((tr >= 0.0) & (tr <= 1.05)):
             raise DomainError("transmission must lie in [0, 1.05]")
         meta = dict(self.metadata)
         if flipped:
@@ -290,14 +291,13 @@ def _header_ok(header) -> bool:
     return tuple(h.strip() for h in header) == _HEADER
 
 
-def _load_columns_fast(path):
-    """Both trace columns through ``np.loadtxt``, or None to defer to the scanner.
+def _load_trace_fast(path):
+    """The trace through ``np.loadtxt``, or None to defer to the scanner.
 
-    None on any ``loadtxt`` failure (its empty-input warning included),
-    a shape other than at least 2 rows of 2 columns, a transmission
-    outside [0, 1.05] (NaN included), a wavelength axis that is not
-    strictly monotonic, or a header the scanner would reject.  Whatever
-    this accepts, :func:`_scan_columns` accepts with the same values.
+    None on a header the scanner would reject, on any ``loadtxt``
+    failure (its empty-input warning included), on other than 2 columns,
+    or on data :class:`TransmissionTrace` rejects.  Whatever this
+    accepts, :func:`_scan_columns` accepts with the same values.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -307,15 +307,12 @@ def _load_columns_fast(path):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # "input contained no data"
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, UserWarning):
+            # unpacking fails unless there are 2 columns; the copy makes
+            # them contiguous, as the scanner returns them
+            lam, tr = data.T.copy()
+            return TransmissionTrace(lam, tr, {"path": str(path)})
+        except (ValueError, UserWarning):  # DomainError is a ValueError
             return None
-    if data.shape[0] < 2 or data.shape[1] != 2:
-        return None
-    lam, tr = data.T.copy()  # contiguous columns, as the scanner returns them
-    d = np.diff(lam)
-    if not (np.all((tr >= 0.0) & (tr <= 1.05)) and (np.all(d > 0.0) or np.all(d < 0.0))):
-        return None
-    return lam, tr
 
 
 def _scan_columns(path):
@@ -360,23 +357,17 @@ def _scan_columns(path):
     return np.array(lam), np.array(tr)
 
 
-def load_trace(path, format="csv", *, detrend=True) -> TransmissionTrace:
-    """Read a two-column trace file; parse errors cite line numbers.
+def load_trace(path) -> TransmissionTrace:
+    """Read a two-column trace CSV as raw values; parse errors cite line numbers.
 
-    ``np.loadtxt`` reads well-formed files; anything it rejects or that
-    fails a check goes to the row scanner, which accepts what ``csv``
-    accepts (quoted numbers, say) and names the offending line.
-
-    ``detrend`` normalizes to the off-resonance baseline on the way in;
-    pass False to keep the raw values (e.g. when the instrument already
-    normalized, or to inspect fringes).
+    ``np.loadtxt`` reads well-formed files; anything it rejects, or that
+    :class:`TransmissionTrace` rejects, goes to the row scanner, which
+    accepts what ``csv`` accepts (quoted numbers, say) and names the
+    offending line.  Detrending is :func:`normalize_trace`'s job.
     """
-    if format != "csv":
-        raise DomainError("only the csv trace format is supported")
-    columns = _load_columns_fast(path) or _scan_columns(path)
-    trace = TransmissionTrace(*columns, {"path": str(path)})
-    if detrend:
-        trace = normalize_trace(trace)
+    trace = _load_trace_fast(path)
+    if trace is None:
+        trace = TransmissionTrace(*_scan_columns(path), {"path": str(path)})
     return trace
 
 
@@ -388,12 +379,12 @@ def save_trace(trace: TransmissionTrace, path) -> None:
             fh.write(f"{float(w)!r},{float(t)!r}\n")
 
 
-def rolling_baseline(transmission, window: int, *, debias=True):
+def rolling_baseline(transmission, window: int):
     """Rolling 95th-percentile background; window is in samples.
 
     With additive noise the raw percentile sits about 1.645 sigma above
-    the true background; ``debias`` subtracts that offset using a
-    robust noise estimate from first differences.
+    the true background; that offset is subtracted using a robust noise
+    estimate from first differences.
     """
     from scipy.ndimage import percentile_filter
 
@@ -401,10 +392,8 @@ def rolling_baseline(transmission, window: int, *, debias=True):
         raise DomainError("baseline window must span at least 3 samples")
     tr = np.asarray(transmission, dtype=float)
     base = percentile_filter(tr, percentile=95, size=int(window), mode="nearest")
-    if debias:
-        sigma = float(np.median(np.abs(np.diff(tr)))) / _DIFF_MEDIAN
-        base = base - _Z95 * sigma
-    return base
+    sigma = float(np.median(np.abs(np.diff(tr)))) / _DIFF_MEDIAN
+    return base - _Z95 * sigma
 
 
 def _bridge_dips(tr, peaks, widths, reach):
@@ -433,28 +422,32 @@ def _bridge_dips(tr, peaks, widths, reach):
     return filled
 
 
-def normalize_trace(trace: TransmissionTrace, *, window=None, prominence=0.05):
-    """Divide out the rolling-percentile baseline; idempotent."""
+def normalize_trace(trace: TransmissionTrace, *, prominence=0.05):
+    """Divide out the rolling-percentile baseline; idempotent.
+
+    The window spans ten median dip widths (odd, at least 15 samples and
+    at most the whole trace), or the whole trace when no dip reaches
+    ``prominence``.
+    """
     from scipy.signal import find_peaks
 
     if trace.metadata.get("normalized"):
         return trace
     tr = trace.transmission
-    n = tr.size
     peaks, props = find_peaks(1.0 - tr, prominence=prominence, width=1)
-    widths = props["widths"] if peaks.size else np.array([])
-    if window is None:
-        w_med = float(np.median(widths)) if peaks.size else n / 10.0
-        window = min(n, max(15, int(round(10.0 * w_med)) | 1))
+    widths = props["widths"]
+    window = tr.size
+    if peaks.size:
+        window = min(tr.size, max(15, int(round(10.0 * float(np.median(widths)))) | 1))
     # features narrower than the window are resonances the filter must
     # ignore; anything wider (fringes) is background it has to track
     narrow = widths <= window
-    bridged = _bridge_dips(tr, peaks[narrow], widths[narrow], int(window))
+    bridged = _bridge_dips(tr, peaks[narrow], widths[narrow], window)
     base = rolling_baseline(bridged, window)
     norm = np.minimum(tr / base, 1.05)
     return TransmissionTrace(
         trace.wavelength_nm, norm,
-        {**trace.metadata, "normalized": True, "baseline_window": int(window)},
+        {**trace.metadata, "normalized": True, "baseline_window": window},
     )
 
 

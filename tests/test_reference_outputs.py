@@ -1,8 +1,9 @@
-"""The analytic commands reproduce their saved reference outputs.
+"""The analytic commands and ``fit`` reproduce their saved reference outputs.
 
 ``tests/data/reference/`` holds what ``spectrum``, ``sweep``, ``threshold``
-and ``phase-scan`` wrote for ``configs/reference.cfg``.  Each command is
-rerun here and every output cell is compared with the saved one:
+and ``phase-scan`` wrote for ``configs/reference.cfg``, and what ``fit``
+wrote for the trace that :func:`write_fit_trace` synthesizes.  Each command
+is rerun here and every output cell is compared with the saved one:
 
 - non-numeric cells (text, ``nan``, config lines) must match exactly;
 - numeric cells must agree to 1e-12 relative;
@@ -16,6 +17,10 @@ the repository root with
         PYTHONPATH=src python -m squeezesim $c --config configs/reference.cfg \\
             --out tests/data/reference
     done
+    (cd "$(mktemp -d)" && PYTHONPATH="$OLDPWD/src:$OLDPWD/tests" python -c \\
+        "import test_reference_outputs as t; t.write_fit_trace('.')" &&
+        PYTHONPATH="$OLDPWD/src" python -m squeezesim fit trace.csv \\
+            --out "$OLDPWD/tests/data/reference")
 
 and says in its change notes why the numbers moved.
 """
@@ -25,9 +30,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from squeezesim.cli import EXIT_OK, main
+from squeezesim.params import C_LIGHT
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_DIR = ROOT / "tests" / "data" / "reference"
@@ -39,6 +46,8 @@ COMMANDS = {
     "threshold": ("threshold.json", "effective_config.cfg"),
     "phase-scan": ("phase_scan.csv", "effective_config.cfg"),
 }
+
+FIT_OUTPUTS = ("fits.json", "fit_stats.json")
 
 REL_TOL = 1e-12
 DB_TOL = 4.35e-12
@@ -116,6 +125,35 @@ def test_reference_outputs_reproduce(command, tmp_path):
     assert main(argv) == EXIT_OK
     for name in COMMANDS[command]:
         problems, _, _ = compare_file(REFERENCE_DIR / name, tmp_path / name)
+        assert not problems, f"{name}: " + "; ".join(problems[:5])
+
+
+def write_fit_trace(directory) -> None:
+    """``trace.csv``: 20,000 samples over four overcoupled dips, fringes and noise.
+
+    The dips are the all-pass Lorentzian written out here, not through
+    ``squeezesim.traces``, so the input cannot move with the code under test.
+    """
+    lam = np.linspace(1559.6, 1560.4, 20000)
+    kappa = 1.4547818715700133e9  # loaded Q of 0.83e6 at 1560 nm
+    tr = 0.97 + 0.03 * np.cos(2.0 * math.pi * (lam - lam[0]) / 0.9)
+    for center in (1559.7, 1559.9, 1560.1, 1560.3):
+        delta = 2.0 * math.pi * C_LIGHT * (lam - center) * 1e-9 / (center * 1e-9) ** 2
+        tr = tr * (1.0 - (1.0 - 0.69830017) / (1.0 + (2.0 * delta / kappa) ** 2))
+    tr = tr + np.random.default_rng(3).normal(0.0, 0.002, lam.size)
+    rows = (f"{w!r},{t!r}" for w, t in zip(lam.tolist(), tr.tolist()))
+    (Path(directory) / "trace.csv").write_text(
+        "wavelength_nm,transmission\n" + "\n".join(rows) + "\n"
+    )
+
+
+def test_fit_reference_outputs_reproduce(tmp_path, monkeypatch):
+    # a relative trace path from a fixed directory keeps "source" stable
+    write_fit_trace(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "trace.csv", "--out", "out"]) == EXIT_OK
+    for name in FIT_OUTPUTS:
+        problems, _, _ = compare_file(REFERENCE_DIR / name, tmp_path / "out" / name)
         assert not problems, f"{name}: " + "; ".join(problems[:5])
 
 

@@ -159,6 +159,11 @@ def test_trace_type_validation():
         TransmissionTrace(lam, tr + 0.5)
     with pytest.raises(DomainError):
         TransmissionTrace(lam, tr - 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        spoiled = tr.copy()
+        spoiled[64] = bad
+        with pytest.raises(DomainError, match="transmission"):
+            TransmissionTrace(lam, spoiled)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -167,7 +172,7 @@ def test_save_load_round_trip(tmp_path):
     trace = TransmissionTrace(lam, tr)
     path = tmp_path / "trace.csv"
     save_trace(trace, path)
-    back = load_trace(path, detrend=False)
+    back = load_trace(path)
     assert np.array_equal(back.wavelength_nm, trace.wavelength_nm)
     assert np.array_equal(back.transmission, trace.transmission)
     assert back.metadata["path"] == str(path)
@@ -176,7 +181,7 @@ def test_save_load_round_trip(tmp_path):
     save_trace(TransmissionTrace(lam, tr), desc)
     lines = desc.read_text().splitlines()
     desc.write_text("\n".join([lines[0]] + lines[1:][::-1]) + "\n")
-    flipped = load_trace(desc, detrend=False)
+    flipped = load_trace(desc)
     assert flipped.metadata["reversed_input"] is True
     assert np.array_equal(flipped.transmission, trace.transmission)
 
@@ -208,12 +213,10 @@ def test_load_trace_parse_errors(tmp_path):
         load_trace(write(
             "blank.csv", head + "1550.0,0.9\n\n1550.1,0.9\n1550.2,0.9\n1550.15,0.9\n"
         ))
-    with pytest.raises(DomainError):
-        load_trace(write("fmt.csv", head + "1560.0,0.5\n1560.1,0.5\n"), format="tsv")
 
 
 def test_load_trace_fast_path_matches_row_scanner(tmp_path):
-    from squeezesim.traces import _load_columns_fast, _scan_columns
+    from squeezesim.traces import _load_trace_fast, _scan_columns
 
     def outcome(read, path):
         try:
@@ -260,8 +263,11 @@ def test_load_trace_fast_path_matches_row_scanner(tmp_path):
     for name, (text, fast) in cases.items():
         path = tmp_path / f"{name.replace(' ', '_')}.csv"
         path.write_bytes(text.encode())
-        assert (_load_columns_fast(path) is not None) == fast, name
-        assert outcome(lambda p: load_trace(p, detrend=False), path) == outcome(scanned, path), name
+        assert (_load_trace_fast(path) is not None) == fast, name
+        assert outcome(load_trace, path) == outcome(scanned, path), name
+    # NaN is refused by the trace type, so the scanner names its line
+    with pytest.raises(TraceParseError, match="line 3: transmission nan"):
+        load_trace(tmp_path / "nan_transmission.csv")
 
 
 def test_normalize_is_idempotent_and_flagged():
@@ -278,6 +284,26 @@ def test_normalize_is_idempotent_and_flagged():
     # off-resonance level pulled to unity
     edges = np.r_[norm.transmission[:100], norm.transmission[-100:]]
     assert abs(float(np.mean(edges)) - 1.0) < 0.005
+
+
+def test_loaded_and_built_traces_detrend_alike(tmp_path):
+    # deep and shallow dips: a prominence floor between the two depths
+    # sets the baseline window from the deep dips only, on either route
+    lam = np.linspace(1559.2, 1560.8, 20001)
+    centers = np.linspace(1559.3, 1560.7, 9)
+    dips = [(c, KAPPA0, 0.3 if j % 2 else 0.85) for j, c in enumerate(centers)]
+    tr = synthesize_trace(
+        lam, dips, baseline=lambda x: 0.97 + 0.02 * np.cos(2.0 * math.pi * (x - lam[0]) / 1.3),
+        noise_rms=0.003, seed=3,
+    )
+    path = tmp_path / "trace.csv"
+    save_trace(TransmissionTrace(lam, tr), path)
+    loaded = analyze_trace(load_trace(path), min_prominence=0.2)
+    built = analyze_trace(TransmissionTrace(lam, tr), min_prominence=0.2)
+    assert np.array_equal(loaded.trace.transmission, built.trace.transmission)
+    assert loaded.trace.metadata["baseline_window"] == built.trace.metadata["baseline_window"]
+    assert len(built.resonances) == 4
+    assert loaded.resonances == built.resonances
 
 
 def frequency_comb_centers(n, fsr_hz=59.3e9, start_nm=LAMBDA0):
