@@ -34,6 +34,7 @@ from squeezesim.steady_state import (
     solve_steady_state,
     steady_state_on_branch,
     threshold_intracavity,
+    zero_pump_offset,
 )
 
 
@@ -71,7 +72,7 @@ def stability_margin(model: ResonatorModel, steady: SteadyState, l: int = 1) -> 
 
 def _offset_and_margin(model: ResonatorModel, rho, l: int):
     """Pair offset ``delta_l`` and stability margin at pump photon number ``rho``."""
-    delta_l = model.delta + 0.5 * model.d2 * l * l - 2.0 * model.g0 * rho
+    delta_l = zero_pump_offset(model, l) - 2.0 * model.g0 * rho
     gain = model.g0 * rho
     margin = 0.5 * model.kappa - np.sqrt(np.maximum(gain * gain - delta_l * delta_l, 0.0))
     return delta_l, margin
@@ -503,19 +504,28 @@ def calibrate_g0_to_optimum(
     The pair spectra depend on the pump only through the dimensionless
     drive strength ``x = g0*rho/(kappa/2)``, and on the model only
     through the rates and the zero-pump pair offset
-    ``b = delta + d2*l^2/2`` (the frame phase cancels out of
-    ``g*exp(-2i*phi_ref)``).  This finds the interior ``x`` minimizing the
-    optimal-quadrature variance and returns the ``g0`` that places that
-    ``x`` at ``pump``.  The input model's ``g0`` is ignored.  Raises
-    DomainError when the optimum is not interior (e.g. when squeezing
-    keeps improving toward threshold, or lies beyond ``x_max``), and for
-    a non-finite ``omega``.
+    ``b = (delta + d2*l^2/2)/(kappa/2)`` (the frame phase cancels out of
+    ``g*exp(-2i*phi_ref)``).  With ``w = omega/(kappa/2)``,
+    ``c0 = 1 + b^2 - w^2``, ``eta_esc`` the escape efficiency and
+    ``eta = eta_total``, the optimal-quadrature variance is
 
-    Where ``b == 0`` (e.g. ``delta = d2 = 0``) the pair offset is
-    ``-2*g0*rho`` against a gain of ``g0*rho``, so the pair never reaches
-    threshold and the optimum has a closed form.  With
-    ``w = omega/(kappa/2)``, ``eta_esc`` the escape efficiency and
-    ``eta = eta_total``:
+        var_min = 1 - 4*eta_esc*eta / (2 + sqrt(G + 4))
+        G(x) = ((3x^2 - 4b*x + c0)^2 + 4w^2) / x^2
+
+    It rises with ``G``, so the optimum minimizes ``G``; ``G' = 0`` is
+
+        9x^4 - 12b*x^3 + 4b*c0*x - (c0^2 + 4w^2) = 0.
+
+    ``x_opt`` is the candidate of least ``G`` among the real parts of its
+    roots in ``(0, x_hi)`` and ``x_hi`` (``x_max`` or just below the pair
+    threshold) itself.  This returns the ``g0`` that places ``x_opt`` at
+    ``pump``; the input model's ``g0`` is ignored.  Raises DomainError
+    when the optimum is not interior (e.g. when squeezing keeps improving
+    toward threshold, or lies beyond ``x_max``), and for a non-finite
+    ``omega``.
+
+    Where ``b == 0`` (e.g. ``delta = d2 = 0``) the pair never reaches
+    threshold and the quartic reads ``9x^4 = (1 + w^2)^2``:
 
         x_opt = sqrt((1 + w^2)/3)
         var_min = 1 - (2/3)*eta_esc*eta
@@ -523,16 +533,7 @@ def calibrate_g0_to_optimum(
 
     Neither level depends on ``w``.  At ``w = 0`` the pair flux there is
     ``eta_esc/3``, the largest any ``x`` reaches, which caps the detected
-    levels at this operating point.  ``x_opt`` is computed from this
-    closed form wherever ``b == 0``.
-
-    For ``b != 0`` no closed form is known, and a bounded Brent search
-    (``scipy.optimize.minimize_scalar``) finds ``x_opt`` to about
-    ``3e-8/sqrt(eta_esc*eta)``, not to the ``xatol=1e-12`` it passes:
-    that method adds ``sqrt(eps)*|x|`` to the tolerance, and the
-    objective's curvature in ``x`` scales with ``eta_esc*eta``, so its
-    rounding blurs the minimum at low efficiency.  Both levels are
-    stationary in ``x``, so they are not affected at that scale.
+    levels at this operating point.
     """
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a non-zero pump")
@@ -540,30 +541,19 @@ def calibrate_g0_to_optimum(
         raise DomainError(f"x_max must be positive and finite, got {x_max}")
     omega = float(_finite_omega(omega))
     hk = 0.5 * model.kappa
-    probe = dataclasses.replace(model, g0=1.0)
-    x_th = threshold_intracavity(probe, l) / hk
+    x_th = threshold_intracavity(dataclasses.replace(model, g0=1.0), l) / hk
     x_hi = min(x_max, x_th * (1.0 - 1e-9))
-
-    if model.delta + 0.5 * model.d2 * l * l == 0.0:  # b == 0
-        w = omega / hk
-        x_opt, converged = math.sqrt((1.0 + w * w) / 3.0), True
+    b, w = zero_pump_offset(model, l) / hk, omega / hk
+    if b == 0.0:
+        x_opt = math.sqrt((1.0 + w * w) / 3.0)
     else:
-        from scipy.optimize import minimize_scalar
-
-        def objective(x: float) -> float:
-            # spectra depend on the pump only through g0*rho and the phase
-            # of g0*a0^2, so unit Kerr with rho = x*kappa/2 reaches every x
-            rho = x * hk
-            a0 = math.sqrt(rho) * cmath.exp(-1j * math.atan2(model.delta - rho, hk))
-            pair = pair_moments(probe, rho, a0, omega, l)
-            return optimal_quadratures_from_cov(output_covariance(pair, eta_total)).var_min
-
-        res = minimize_scalar(
-            objective, bounds=(1e-9, x_hi), method="bounded", options={"xatol": 1e-12}
-        )
-        x_opt, converged = float(res.x), bool(res.success)
+        c0 = 1.0 + b * b - w * w
+        roots = np.roots([9.0, -12.0 * b, 0.0, 4.0 * b * c0, -(c0 * c0 + 4.0 * w * w)]).real
+        xs = np.append(roots[(roots > 0.0) & (roots < x_hi)], x_hi)
+        objective = ((3.0 * xs * xs - 4.0 * b * xs + c0) ** 2 + 4.0 * w * w) / (xs * xs)
+        x_opt = float(xs[np.argmin(objective)])
     span = x_hi - 1e-9
-    if not converged or x_opt < 1e-3 * span or x_opt > x_hi - 1e-3 * span:
+    if x_opt < 1e-3 * span or x_opt > x_hi - 1e-3 * span:
         raise DomainError(
             "no interior squeezing optimum in x; calibration is ill-posed "
             "at this detuning"

@@ -204,6 +204,11 @@ def _assemble(model, pump, rhos, index, rtol=RESIDUAL_RTOL) -> SteadyState:
     )
 
 
+def zero_pump_offset(model: ResonatorModel, l: int = 1) -> float:
+    """Offset ``b = delta + d2*l^2/2`` (rad/s) of side-mode pair ``l`` at zero pump."""
+    return model.delta + 0.5 * model.d2 * l * l
+
+
 def threshold_intracavity(model: ResonatorModel, l: int = 1) -> float:
     """Pump photon number where side-mode pair ``l`` starts oscillating.
 
@@ -221,7 +226,7 @@ def threshold_intracavity(model: ResonatorModel, l: int = 1) -> float:
     if model.g0 <= 0.0:
         raise DomainError("threshold is undefined for g0 = 0")
     hk = 0.5 * model.kappa
-    b = model.delta + 0.5 * model.d2 * l * l
+    b = zero_pump_offset(model, l)
     disc = b * b - 3.0 * hk * hk
     if b < 0.0 or disc < 0.0:
         return math.inf
@@ -260,7 +265,7 @@ def g0_for_threshold_fraction(
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a positive drive power")
     hk = 0.5 * model.kappa
-    b = model.delta + 0.5 * model.d2 * l * l
+    b = zero_pump_offset(model, l)
     disc = b * b - 3.0 * hk * hk
     if b < 0.0 or disc < 0.0:
         raise DomainError(

@@ -434,6 +434,8 @@ def normalize_trace(trace: TransmissionTrace, *, prominence=0.05):
     if trace.metadata.get("normalized"):
         return trace
     tr = trace.transmission
+    if tr.size < 3:
+        raise DomainError(f"cannot detrend a trace of {tr.size} samples, need at least 3")
     peaks, props = find_peaks(1.0 - tr, prominence=prominence, width=1)
     widths = props["widths"]
     window = tr.size

@@ -141,6 +141,9 @@ def test_rate_combination_and_ordering():
     swapped = MINIMAL.replace("resonator.q_loaded = 0.83e6", "resonator.q_loaded = 20e6")
     with pytest.raises(ConfigError, match="positive"):
         resolve_text(swapped)
+    no_escape = MINIMAL.replace("resonator.q_loaded = 0.83e6", "resonator.kappa_e_rad_s = 0.0")
+    with pytest.raises(ConfigError, match="resonator.kappa_e_rad_s"):
+        resolve_text(no_escape)
 
 
 def test_echo_roundtrip_is_identity():
@@ -451,6 +454,13 @@ def test_fit_nothing_found_fails(tmp_path):
     out = tmp_path / "out"
     assert main(["fit", str(path), "--out", str(out)]) == EXIT_FAIL
     assert json.loads((out / "fits.json").read_text()) == []
+
+
+def test_fit_short_trace_names_its_length(tmp_path, caplog):
+    path = tmp_path / "two.csv"
+    save_trace(TransmissionTrace(np.array([1550.0, 1550.1]), np.array([0.9, 0.8])), path)
+    assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == EXIT_FAIL
+    assert "cannot detrend a trace of 2 samples" in caplog.text
 
 
 VALIDATE_FAST = (

@@ -30,6 +30,7 @@ from squeezesim.spectra import (
     homodyne_variance,
     output_covariance,
     pair_moments,
+    stability_margin,
 )
 from squeezesim.steady_state import SteadyState, solve_steady_state
 
@@ -147,6 +148,42 @@ def test_vacuum_run_is_flat_shot_noise():
     assert run.psd.shape == (2, 129)
 
 
+def test_zero_efficiency_run_is_flat_shot_noise_at_a_squeezed_pump():
+    # at eta_total = 0 the detector sees only the loss vacuum, whatever the pair does
+    model, st = pure_point(0.5)
+    dt, n = 0.05 * 2 * math.pi / model.kappa, 256
+    run = simulate_pair(
+        model, st, dt=dt, n_samples=n, n_segments=600,
+        thetas=(0.0, 0.5 * math.pi), eta_total=0.0, seed=12,
+    )
+    core = run.psd[:, 1:-1]
+    assert abs(core.mean() - 1.0) < 0.01
+    z = (core - 1.0) / run.psd_sigma[:, 1:-1]
+    assert np.mean(np.abs(z) <= 3.5) > 0.95
+    for th in run.thetas:
+        assert expected_bin_value(model, st, float(th), 20, dt, n, eta_total=0.0) == 1.0
+
+
+def test_run_next_to_threshold_gives_finite_spectra():
+    # x = 0.999: the margin is kappa/2000
+    model, st = pure_point(0.999)
+    assert 0.0 < stability_margin(model, st) < 1e-3 * model.kappa
+    omega_t = 0.3 * model.kappa
+    dt, n = segment_plan(model.kappa, omega_t)
+    k = int(round(omega_t * n * dt / (2 * math.pi)))
+    run = simulate_pair(
+        model, st, dt=dt, n_samples=n, n_segments=20,
+        thetas=(0.0, 0.5 * math.pi), eta_total=0.8, seed=3,
+    )
+    assert np.all(np.isfinite(run.psd)) and np.all(np.isfinite(run.psd_sigma))
+    assert np.all(run.psd > 0.0)
+    anti, squeezed = (
+        expected_bin_value(model, st, float(th), k, dt, n, eta_total=0.8) for th in run.thetas
+    )
+    assert squeezed < 1.0 < anti
+    assert run.psd[1, k] < 1.0 < run.psd[0, k]
+
+
 def test_squeezed_run_matches_analytic_bins():
     model, st = pure_point(0.5)
     omega_t = 0.5 * model.kappa
@@ -229,6 +266,9 @@ def test_simulate_input_validation():
                 model, st, dt=good_dt, n_samples=64, n_segments=10,
                 batch_size=batch_size,
             )
+    for eta in (math.nan, -0.1, 1.1):
+        with pytest.raises(DomainError, match="eta_total"):
+            simulate_pair(model, st, dt=good_dt, n_samples=64, n_segments=10, eta_total=eta)
     bad = SteadyState(
         a0=1.0 + 0j, rho=1.0, delta_eff=1.0, branch="synthetic",
         all_rho=(1.0,), residual=0.0,
@@ -428,6 +468,9 @@ def test_cross_validate_grid_mismatch():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError, match="omega"):
             cross_validate(model, st, [0.5 * model.kappa, bad], n_segments=4)
+    for eta in (math.nan, -0.1, 1.1):
+        with pytest.raises(DomainError, match="eta_total"):
+            cross_validate(model, st, [0.5 * model.kappa], n_segments=4, eta_total=eta)
 
 
 def test_hann_kernel_normalized():

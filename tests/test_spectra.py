@@ -38,6 +38,7 @@ from squeezesim.steady_state import (
     SteadyState,
     solve_steady_state,
     steady_state_roots,
+    threshold_intracavity,
     threshold_power,
 )
 
@@ -444,7 +445,7 @@ def test_calibration_names_bad_x_max():
 
 def test_calibration_names_non_finite_omega():
     pump = PumpDrive.from_power(0.050, make_model(0.0).omega0)
-    # b = delta + d2*l^2/2 = 0 takes the closed form, b = -1/2 the search
+    # b = delta + d2*l^2/2 = 0 takes the closed form, b = -1/2 the quartic
     for model in (make_model(0.0), make_model(-0.5)):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="omega"):
@@ -452,11 +453,11 @@ def test_calibration_names_non_finite_omega():
 
 
 def calibration_objective(model, x, omega, l, eta_total):
-    """Optimal-quadrature variance at drive strength x = g0*rho/(kappa/2)."""
+    """Optimal-quadrature variance at drive strength x = g0*rho/(kappa/2), elementwise."""
     hk = 0.5 * model.kappa
     probe = dataclasses.replace(model, g0=1.0)
-    rho = x * hk
-    a0 = math.sqrt(rho) * cmath.exp(-1j * math.atan2(model.delta - rho, hk))
+    rho = np.asarray(x, dtype=float) * hk
+    a0 = np.sqrt(rho) * np.exp(-1j * np.arctan2(model.delta - rho, hk))
     pair = pair_moments(probe, rho, a0, omega, l)
     return optimal_quadratures_from_cov(output_covariance(pair, eta_total)).var_min
 
@@ -487,22 +488,52 @@ def test_calibration_closed_form_where_pair_offset_vanishes(w, eta_esc, eta, l, 
         assert cal.var_min == pytest.approx(1.0 - (2.0 / 3.0) * eta_esc * eta, abs=1e-12)
         assert cal.var_max == pytest.approx(1.0 + 2.0 * eta_esc * eta, abs=1e-12)
 
-        # a pair offset of 1e-9*kappa/2 takes the search, which meets the
-        # closed form where the two branches join, to the search's stated
-        # accuracy: the objective's curvature in x scales with eta_esc*eta
+        # a pair offset of 1e-9*kappa/2 takes the quartic's roots, which
+        # meet the closed form where the two branches join
         near = dataclasses.replace(model, delta=model.delta + 1e-9)
-        searched = calibrate_g0_to_optimum(near, pump, omega=omega, l=l, eta_total=eta)
-        assert search.call_count == 1
-    assert abs(searched.x_opt - x_ref) <= max(1e-7, 3e-8 / math.sqrt(eta_esc * eta))
+        offset = calibrate_g0_to_optimum(near, pump, omega=omega, l=l, eta_total=eta)
+        assert search.call_count == 0
+    assert abs(offset.x_opt - x_ref) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=hst.floats(-3.0, 3.0),
+    w=hst.floats(0.0, 2.0),
+    eta_esc=hst.floats(0.05, 1.0),
+    eta=hst.floats(0.05, 1.0),
+)
+def test_calibration_finds_the_dense_grid_minimum(b, w, eta_esc, eta):
+    # kappa/2 = 1, so delta = b; the grid spans calibration's own (0, x_hi]
+    model = make_model(b, eta_esc=eta_esc)
+    pump = PumpDrive.from_power(0.050, model.omega0)
+    x_th = threshold_intracavity(dataclasses.replace(model, g0=1.0))
+    x_hi = min(3.0, x_th * (1.0 - 1e-9))
+    grid = np.linspace(0.0, x_hi, 20001)[1:]
+    values = calibration_objective(model, grid, w, 1, eta)
+    assert np.all(np.isfinite(values))
+    best = int(np.argmin(values))
+    edge = x_hi - 1e-3 * (x_hi - 1e-9)
+    # the grid cannot tell which side of the band edge a minimum this close lies on
+    assume(abs(grid[best] - edge) > 2.0 * grid[0])
+    if grid[best] > edge:
+        with pytest.raises(DomainError, match="interior"):
+            calibrate_g0_to_optimum(model, pump, omega=w, eta_total=eta)
+    else:
+        cal = calibrate_g0_to_optimum(model, pump, omega=w, eta_total=eta)
+        assert calibration_objective(model, cal.x_opt, w, 1, eta) <= values[best] + 1e-13
 
 
 _CALIBRATION_PROBE = """
 import json, sys
 from squeezesim.params import PumpDrive, ResonatorModel
 from squeezesim.spectra import calibrate_g0_to_optimum
-model = ResonatorModel(omega0=1.2074690e15, kappa_i=0.2, kappa_e=1.8, delta=0.0, d2=0.0, g0=1.0)
-cal = calibrate_g0_to_optimum(model, PumpDrive.from_power(0.050, model.omega0), omega=0.3)
-print(json.dumps({"x_opt": cal.x_opt, "optimize": "scipy.optimize" in sys.modules}))
+rates = dict(omega0=1.2074690e15, kappa_i=0.2, kappa_e=1.8, d2=0.0, g0=1.0)
+pump = PumpDrive.from_power(0.050, rates["omega0"])
+cal = calibrate_g0_to_optimum(ResonatorModel(delta=0.0, **rates), pump, omega=0.3)
+offset = calibrate_g0_to_optimum(ResonatorModel(delta=-0.5, **rates), pump, omega=0.3)
+print(json.dumps({"x_opt": cal.x_opt, "offset_x_opt": offset.x_opt,
+                  "optimize": "scipy.optimize" in sys.modules}))
 """
 
 
@@ -518,6 +549,11 @@ def test_closed_form_calibration_does_not_import_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["x_opt"] == pytest.approx(math.sqrt((1.0 + 0.3 * 0.3) / 3.0), rel=1e-15)
+    # b = -1/2, w = 0.3: x_opt is a root of the quartic 9x^4 - 12b*x^3 + 4b*c0*x - (c0^2 + 4w^2)
+    x, b, w = report["offset_x_opt"], -0.5, 0.3
+    c0 = 1.0 + b * b - w * w
+    terms = (9.0 * x ** 4, -12.0 * b * x ** 3, 4.0 * b * c0 * x, -(c0 * c0 + 4.0 * w * w))
+    assert abs(sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
     assert report["optimize"] is False
 
 

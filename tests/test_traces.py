@@ -286,6 +286,15 @@ def test_normalize_is_idempotent_and_flagged():
     assert abs(float(np.mean(edges)) - 1.0) < 0.005
 
 
+def test_short_trace_detrend_names_its_length():
+    two = TransmissionTrace(np.array([1550.0, 1550.1]), np.array([0.9, 0.8]))
+    with pytest.raises(DomainError, match="trace of 2 samples"):
+        analyze_trace(two)
+    assert analyze_trace(two, detrend=False).n_detected == 0
+    three = TransmissionTrace(np.array([1550.0, 1550.1, 1550.2]), np.array([0.9, 0.8, 0.9]))
+    assert analyze_trace(three).trace.metadata["baseline_window"] == 3
+
+
 def test_loaded_and_built_traces_detrend_alike(tmp_path):
     # deep and shallow dips: a prominence floor between the two depths
     # sets the baseline window from the deep dips only, on either route
