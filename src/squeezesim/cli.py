@@ -29,9 +29,11 @@ import numpy as np
 from .config import _SCHEMA, ConfigError, RunConfig, load_config, parse_config_text
 from .params import DomainError, PumpDrive
 from .spectra import (
+    bogoliubov_defect,
     optimal_quadratures_from_cov,
     output_covariance,
     pair_moments,
+    pair_scattering,
     phase_scan_trace,
     power_sweep,
     spectrum_grid,
@@ -346,26 +348,32 @@ def cmd_fit(cfg: RunConfig | None, args, out: Path) -> int:
 
 
 def cmd_stats(cfg: RunConfig | None, args, out: Path) -> int:
-    records = []
+    fits = []
     for path in args.fits:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise DomainError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(loaded, list):
             raise DomainError(f"{path}: expected a JSON list of fit records")
-        records.extend(loaded)
-    fits = []
-    for i, rec in enumerate(records):
-        try:
-            fits.append(
-                SimpleNamespace(
-                    q_intrinsic=float(rec["q_intrinsic"]) if rec["q_intrinsic"] is not None else math.inf,
-                    q_loaded=float(rec["q_loaded"]),
-                    q_coupling=float(rec["q_coupling"]),
-                    eta=float(rec["eta"]),
+        for i, rec in enumerate(loaded):
+            if not isinstance(rec, dict):
+                raise DomainError(f"{path}: fit record {i} is not a JSON object")
+            try:
+                q_intrinsic = rec["q_intrinsic"]
+                fits.append(
+                    SimpleNamespace(
+                        q_intrinsic=math.inf if q_intrinsic is None else float(q_intrinsic),
+                        q_loaded=float(rec["q_loaded"]),
+                        q_coupling=float(rec["q_coupling"]),
+                        eta=float(rec["eta"]),
+                    )
                 )
-            )
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"fit record {i}: missing field {exc}") from None
+            except KeyError as exc:
+                raise DomainError(f"{path}: fit record {i}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"{path}: fit record {i}: {exc}") from None
     if not fits:
         log.error("no fit records found")
         return EXIT_FAIL
@@ -486,8 +494,10 @@ def cmd_validate(cfg: RunConfig, args, out: Path) -> int:
                 "max_abs_z": max(abs(c.z) for c in cv.checks),
                 "max_abs_delta_db": max(abs(c.delta_db) for c in cv.checks),
                 # report only: z with sigma = expected/sqrt(N), whose tails
-                # are Gamma-exact, and the spectra route's bias against the
-                # exact discrete bin; neither enters the pass rule
+                # are Gamma-exact, the spectra route against the step-law
+                # route of the same bins, and how far the scattering matrix
+                # at the analysis frequency is from preserving commutators;
+                # none enters the pass rule
                 "max_abs_z_gamma": max(
                     abs(c.measured - c.expected) * math.sqrt(cv.n_segments) / c.expected
                     for c in cv.checks
@@ -495,6 +505,9 @@ def cmd_validate(cfg: RunConfig, args, out: Path) -> int:
                 "max_exact_bin_dev_db": exact_bin_deviation_db(
                     cfg.model, steady, omegas, thetas,
                     eta_total=cfg.eta_total, l=cfg.mode_index,
+                ),
+                "bogoliubov_defect": bogoliubov_defect(
+                    pair_scattering(cfg.model, steady, cfg.omega, cfg.mode_index).s
                 ),
             }
         )

@@ -425,6 +425,8 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
             raise ConfigError("validate.n_segments: need at least 2 segments")
         if int(effective["validate.batch_size"]) < 1:
             raise ConfigError("validate.batch_size: must be at least 1")
+        if int(effective["validate.n_random"]) < 0:
+            raise ConfigError("validate.n_random: must be non-negative")
 
         rtol = float(effective["solver.residual_rtol"])
         if rtol <= 0.0:

@@ -19,25 +19,20 @@ The integrator is exact for this linear system:
 - the detection loss mixes in one vacuum (q, p) pair per step, projected
   onto each homodyne angle like the signal, so records at different
   angles are correlated as they are for one physical detector;
-- sampling changes the spectrum only through the boxcar's sinc^2
-  roll-off of the above-shot part and its aliases, both of which
-  :func:`expected_bin_value` includes;
 - every segment starts from the stationary state distribution, so
   segments are statistically independent, no burn-in is discarded, and
   the scatter between segments gives an honest standard error.
 
-Because the step law is exact, the step size is limited only by how well
-the analytic side describes the sampled record.  :func:`_exact_bin_value`
-gives the expected Hann bin of that record in closed form (aliases and
-finite-segment leakage included, no random numbers), and the test suite
-holds :func:`expected_bin_value`, the analytic-spectrum route, to it over
-the plans of :func:`segment_plan` (``tests/test_langevin.py``, the
-``test_expected_bin_*`` tests).  Those plans use at most 500 steps per
-segment down to kappa/125, stretching the step where a fine step would
-need more, and :func:`simulate_pair` accepts steps up to one cavity
-period 2*pi/kappa, the largest step those tests cover.  The stochastic cross-check itself
-compares the simulation with the analytic route, not with the exact bin,
-so it keeps testing the analytic spectra.
+The analytic side, :func:`expected_bin_value`, is exact too: it takes
+the two-pole spectrum of :func:`~squeezesim.spectra.pair_moments`, turns
+it into the autocovariance of the boxcar-sampled record, and sums that
+over the Hann window's lags, so aliases and finite-segment leakage are
+all included.  :func:`_exact_bin_value` reaches the same bin from the
+step law instead (the tests hold the two together to rounding), but the
+stochastic cross-check compares the simulation with the spectra route,
+so it keeps testing the analytic spectra.  :func:`simulate_pair` accepts
+steps up to one cavity period 2*pi/kappa, the longest step that
+:func:`segment_plan` plans.
 
 Internally time is scaled so the loaded linewidth is 1, which keeps the
 augmented noise covariance well conditioned; reported frequencies are in
@@ -57,15 +52,8 @@ import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from squeezesim.params import DomainError, ResonatorModel
-from squeezesim.spectra import (
-    homodyne_variance,
-    output_covariance,
-    pair_moments,
-)
+from squeezesim.spectra import homodyne_variance, output_covariance, pair_moments
 from squeezesim.steady_state import SteadyState
-
-# power leakage of the periodic Hann window onto the three nearest bins
-HANN_POWER_KERNEL = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 
 # float64 normals per chunk of steps (1 MB): large enough that numpy's
 # per-call cost vanishes, small enough to add nothing to peak memory
@@ -73,11 +61,6 @@ _NOISE_CHUNK_VALUES = 1 << 17
 
 # longest segment segment_plan asks for; beyond it the step is stretched
 _MAX_SEGMENT_STEPS = 500
-
-# aliases summed on each side in expected_bin_value: their terms fall as
-# 1/j^4 (Lorentzian excess times the boxcar's sinc^2), so the rest is
-# below 1e-10 of a bin even at the largest step, one cavity period
-_ALIAS_TERMS = 64
 
 
 def drift_matrix(kappa: float, delta_l: float, g: complex) -> np.ndarray:
@@ -287,8 +270,6 @@ class LangevinRun:
     phi_ref: float
     delta_l: float
     g: complex
-    window: str
-    kernel: tuple
     seed: object
 
 
@@ -321,9 +302,10 @@ def simulate_pair(
     and ``batch_size``.
 
     ``dt`` may be at most one cavity period 2*pi/kappa.  The law is exact
-    at any step, but the tests that hold :func:`expected_bin_value` to the
-    exact discrete bin (``tests/test_langevin.py``) end there; the plans
-    of :func:`segment_plan` step at most 0.8 of a period.
+    at any step, and so is :func:`expected_bin_value`; the cap is the
+    longest step :func:`segment_plan` plans, beyond which a bin mixes so
+    many aliases that it says little about the spectrum at its own
+    frequency.
     """
     _check_dt(dt)
     period = 2.0 * math.pi / model.kappa
@@ -417,10 +399,28 @@ def simulate_pair(
         phi_ref=law.phi_ref,
         delta_l=law.delta_l,
         g=law.g,
-        window="hann",
-        kernel=HANN_POWER_KERNEL,
         seed=seed,
     )
+
+
+def _hann_lag_sum(
+    r0: float, a: np.ndarray, c: np.ndarray, y: np.ndarray, k: int, n: int
+) -> float:
+    """Expected Hann periodogram bin ``k`` of a length-``n`` sampled record.
+
+    The record's autocovariance, normalized so white shot noise is 1 at
+    lag 0, is ``r0`` at lag 0 and ``c.a^(tau-1).y`` at lag tau >= 1.  The
+    bin is sum_tau r(tau) (w*w)(tau) cos(2 pi k tau / n), scaled like the
+    periodogram.  The rows c.a^j come by doubling: O(log n) matrix
+    products instead of a loop over lags.
+    """
+    rows = c[None, :]
+    while rows.shape[0] < n - 1:
+        rows = np.vstack([rows, rows @ a])
+        a = a @ a
+    ww = np.fft.irfft(np.abs(np.fft.rfft(_hann_window(n), 2 * n)) ** 2, 2 * n)[:n]
+    lag_weight = ww[1:] / ww[0] * np.cos(2.0 * math.pi * k * np.arange(1, n) / n)
+    return float(r0 + 2.0 * np.dot(rows[: n - 1] @ y, lag_weight))
 
 
 def expected_bin_value(
@@ -434,26 +434,50 @@ def expected_bin_value(
     eta_total: float = 1.0,
     l: int = 1,
 ) -> float:
-    """Expected Hann periodogram bin from the analytic spectrum.
+    """Expected Hann periodogram bin from the analytic spectrum, exactly.
 
-    Combines the three-tap Hann power kernel with the spectrum of the
-    sampled boxcar record: the white vacuum floor stays exactly flat
-    under averaged sampling (its alias sum is exactly one), while the
-    above-shot excess at each alias omega + 2 pi j / dt is attenuated by
-    sinc^2((omega + 2 pi j / dt) dt / 2) and summed.  The finite-segment
-    leakage beyond the three taps is left out.  Over the plans of
-    :func:`segment_plan` the test suite holds this value to the exact
-    discrete bin (``tests/test_langevin.py``).
+    The above-shot excess of the homodyne spectrum from
+    :func:`~squeezesim.spectra.pair_moments` is a two-pole rational
+    function: with c = (kappa/2)^2 + delta_l^2 - |g|^2,
+
+        excess(omega) = (p0 + p1 omega^2) / ((c - omega^2)^2 + kappa^2 omega^2),
+
+    so its values at omega = 0 and kappa/2 fix p0 and p1.  Its
+    autocovariance E(tau >= 0) solves E'' + kappa E' + c E = 0 from
+    E(0) = p0/(2 kappa c) + p1/(2 kappa) and E'(0+) = -p1/2, i.e. it is
+    e1.exp(F tau).v with F = [[0, 1], [-c, -kappa]].  One block
+    exponential (Van Loan, IEEE TAC 23, 395 (1978)) gives exp(F dt), its
+    step integral Psi and double integral Psi2, and the boxcar-sampled
+    record then has
+
+        rho(0) = 1 + (2 eta / dt) e1.Psi2.v,
+        rho(tau >= 1) = (eta / dt) e1.exp(F dt (tau - 1)).Psi^2.v,
+
+    the white floor staying exactly 1 and detection loss scaling the
+    excess only.  These lags go through the Hann lag sum that
+    :func:`_exact_bin_value` uses, so aliases and finite-segment leakage
+    are included, and at the exceptional point |g| = |delta_l|, where F
+    is a Jordan block, the matrix exponential needs no special case.
+    Nothing here uses the simulation's step law.
     """
     _check_bin(theta, k, dt, n_samples, eta_total)
-    taps = 2.0 * math.pi * (k + np.array([-1, 0, 1])) / (n_samples * dt)
-    aliases = 2.0 * math.pi / dt * np.arange(-_ALIAS_TERMS, _ALIAS_TERMS + 1)
-    w = taps[:, None] + aliases
-    pair = pair_moments(model, steady.rho, steady.a0, w, l).require_below_threshold()
-    # detection loss scales the above-shot part only, so eta = 0 is exactly 1
-    excess = homodyne_variance(output_covariance(pair), theta) - 1.0
-    roll = np.sinc(w * dt / (2.0 * math.pi)) ** 2
-    return float(1.0 + eta_total * np.dot(HANN_POWER_KERNEL, (excess * roll).sum(axis=1)))
+    pair = pair_moments(model, steady.rho, steady.a0, [0.0, 0.5 * model.kappa], l)
+    excess = homodyne_variance(output_covariance(pair.require_below_threshold()), theta) - 1.0
+    # scaled units (kappa = 1) keep the block exponential well conditioned
+    c = 0.25 + (float(pair.delta_l) ** 2 - abs(complex(pair.g)) ** 2) / model.kappa ** 2
+    p0 = excess[0] * c * c
+    p1 = 4.0 * (excess[1] * ((c - 0.25) ** 2 + 0.25) - p0)
+    # E(0) and E'(0+) of the excess autocovariance
+    v = np.array([0.5 * (p0 / c + p1), -0.5 * p1])
+    s_dt = dt * model.kappa
+    blocks = np.zeros((6, 6))
+    blocks[:2, :2] = [[0.0, 1.0], [-c, -1.0]]
+    blocks[:2, 2:4] = blocks[2:4, 4:] = np.eye(2)
+    e = expm(blocks * s_dt)
+    phi, psi, psi2 = e[:2, :2], e[:2, 2:4], e[:2, 4:]
+    scale = eta_total / s_dt
+    r0 = 1.0 + 2.0 * scale * (psi2 @ v)[0]
+    return _hann_lag_sum(r0, phi, np.array([scale, 0.0]), psi @ psi @ v, k, n_samples)
 
 
 def _exact_bin_value(
@@ -469,36 +493,26 @@ def _exact_bin_value(
 ) -> float:
     """Expected Hann periodogram bin of the record that simulate_pair samples.
 
-    A deterministic oracle for :func:`expected_bin_value`, aliases and
-    finite-segment leakage included.  With the step law of
-    :func:`simulate_pair` (A = a_rr, stationary P), the record at angle
-    theta is x_m = c.r_m + t.v_m, t = (cos, sin) of the frame angle and
+    A deterministic oracle for :func:`expected_bin_value` that shares
+    only the lag sum with it.  With the step law of :func:`simulate_pair`
+    (A = a_rr, stationary P), the record at angle theta is
+    x_m = c.r_m + t.v_m, t = (cos, sin) of the frame angle and
     c = t.c_rec.  Its autocovariance is r(0) = c.P.c + t.M_vv.t and
-    r(tau >= 1) = c.A^(tau-1).(A.P.c + M_wv.t), and the bin is
-    sum_tau r(tau) (w*w)(tau) cos(2 pi k tau / n), scaled like the
-    periodogram.  This is the input-output relation (Gardiner and
-    Collett, PRA 31, 3761 (1985)) evaluated on the sampled record; it
-    costs O(n) matrix-vector steps and draws no random numbers.
+    r(tau >= 1) = c.A^(tau-1).(A.P.c + M_wv.t).  This is the input-output
+    relation (Gardiner and Collett, PRA 31, 3761 (1985)) evaluated on the
+    sampled record; it draws no random numbers.
     """
     _check_bin(theta, k, dt, n, eta_total)
     law = _step_law(model, steady, dt, l)
     angle = theta + law.phi_ref
     t = np.array([math.cos(angle), math.sin(angle)])
     c = t @ law.c_rec
-    # lossless record autocovariance; 2 * s_dt * r is 1 for vacuum at lag 0
-    r = np.empty(n)
-    r[0] = c @ law.p0 @ c + t @ law.cov[4:, 4:] @ t
     y = law.a_rr @ (law.p0 @ c) + law.cov[:4, 4:] @ t
-    for tau in range(1, n):
-        r[tau] = c @ y
-        y = law.a_rr @ y
-    # the loss vacuum is white: it adds 1 - eta at lag 0 only
-    rho = eta_total * 2.0 * law.s_dt * r
-    rho[0] += 1.0 - eta_total
-    w = _hann_window(n)
-    ww = np.fft.irfft(np.abs(np.fft.rfft(w, 2 * n)) ** 2, 2 * n)[:n]
-    lag_weight = ww[1:] / ww[0] * np.cos(2.0 * math.pi * k * np.arange(1, n) / n)
-    return float(rho[0] + 2.0 * np.dot(rho[1:], lag_weight))
+    # 2 * s_dt * r is 1 for vacuum at lag 0; the loss vacuum is white and
+    # adds 1 - eta there only
+    scale = eta_total * 2.0 * law.s_dt
+    r0 = scale * (c @ law.p0 @ c + t @ law.cov[4:, 4:] @ t) + 1.0 - eta_total
+    return _hann_lag_sum(r0, law.a_rr, scale * c, y, k, n)
 
 
 def segment_plan(kappa: float, omega: float) -> tuple[float, int]:
@@ -511,9 +525,9 @@ def segment_plan(kappa: float, omega: float) -> tuple[float, int]:
     further out) unless that needs more than 500 steps per segment; then
     the segment has 500 steps and the step is stretched to keep the bin
     width, up to one cavity period 2*pi/kappa (0.8 of it at 0.01 kappa),
-    below which (omega < kappa/125) the segment grows instead.  The test
-    suite bounds :func:`expected_bin_value` against the exact discrete
-    bin over these plans.
+    below which (omega < kappa/125) the segment grows instead.  Both
+    expected-bin routes are exact at any of these plans; the step only
+    sets how many aliases share a bin and what a run costs.
     """
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise DomainError(f"kappa must be positive and finite, got {kappa!r}")
@@ -558,8 +572,10 @@ def exact_bin_deviation_db(
     """Largest |expected_bin_value / exact discrete bin| in dB over a plan.
 
     Covers the bins that :func:`cross_validate` checks at the same
-    frequencies and angles.  It uses no random numbers, so it is a
-    deterministic health metric of the analytic side.
+    frequencies and angles.  Both routes are exact, one from the analytic
+    spectrum and one from the simulation's step law, so this reads at
+    rounding level; anything larger means the two descriptions of one
+    physical model disagree.  It uses no random numbers.
     """
     worst = 0.0
     for target in np.atleast_1d(np.asarray(omegas, dtype=float)):

@@ -122,12 +122,16 @@ def test_validate_options_name_their_keys():
         ("validate.batch_size = -2", "validate.batch_size"),
         ("validate.n_segments = 1", "validate.n_segments"),
         ("validate.n_segments = 0", "validate.n_segments"),
+        ("validate.n_random = -1", "validate.n_random"),
     ):
         with pytest.raises(ConfigError, match=key):
             resolve_text(MINIMAL + text + "\n")
-    cfg = resolve_text(MINIMAL + "validate.batch_size = 1\nvalidate.n_segments = 2\n")
+    cfg = resolve_text(
+        MINIMAL + "validate.batch_size = 1\nvalidate.n_segments = 2\nvalidate.n_random = 0\n"
+    )
     assert cfg.opt("validate.batch_size") == 1
     assert cfg.opt("validate.n_segments") == 2
+    assert cfg.opt("validate.n_random") == 0
 
 
 def test_rate_combination_and_ordering():
@@ -463,6 +467,26 @@ def test_fit_short_trace_names_its_length(tmp_path, caplog):
     assert "cannot detrend a trace of 2 samples" in caplog.text
 
 
+
+def test_stats_names_file_and_record_of_a_bad_fit_file(tmp_path, caplog):
+    good = {"q_intrinsic": 1e7, "q_loaded": 8e5, "q_coupling": 9e5, "eta": 0.9}
+    cases = (
+        ("broken.json", b"[{", "not valid JSON"),
+        ("latin1.json", b"\xff[]", "not valid JSON"),
+        ("text_q.json", json.dumps([good, {**good, "q_intrinsic": "abc"}]), "fit record 1"),
+        ("scalar.json", json.dumps([good, good, 5]), "fit record 2 is not a JSON object"),
+    )
+    for name, text, message in cases:
+        path = tmp_path / name
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        caplog.clear()
+        assert main(["stats", str(path), "--out", str(tmp_path / "out")]) == EXIT_FAIL
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1, errors
+        assert str(path) in errors[0] and message in errors[0], errors[0]
+        assert "\n" not in errors[0]
+
+
 VALIDATE_FAST = (
     "validate.n_segments = 400\nvalidate.n_sigma = 4.5\n"
     "validate.max_db_err = 0.6\nvalidate.n_random = 40\n"
@@ -489,7 +513,8 @@ def test_validate_passes_on_sane_config(tmp_path):
     assert phys["min_symplectic_eigenvalue"] >= 1.0 - 1e-9
     assert phys["vacuum_deviation"] <= 1e-12
     cv = next(c for c in report["checks"] if c["name"] == "stochastic_crossval")
-    assert 0.0 <= cv["max_exact_bin_dev_db"] < 1e-3
+    assert 0.0 <= cv["max_exact_bin_dev_db"] < 1e-10
+    assert 0.0 <= cv["bogoliubov_defect"] <= 1e-12
     assert 0.0 < cv["max_abs_z_gamma"] < 6.0
 
 
@@ -594,14 +619,17 @@ import json, sys
 import squeezesim.cli
 heavy = ("scipy.signal", "scipy.optimize", "scipy.ndimage", "scipy.linalg")
 loaded = [name for name in heavy if name in sys.modules]
+# the stochastic oracle may use scipy.linalg, but nothing heavier
+import squeezesim.langevin
+oracle_loaded = [name for name in heavy[:3] if name in sys.modules]
 import squeezesim
 unresolved = [name for name in squeezesim.__all__ if not hasattr(squeezesim, name)]
 namespace = {}
 exec("from squeezesim import *", namespace)
 unbound = [name for name in squeezesim.__all__ if name not in namespace]
 undir = sorted(set(squeezesim.__all__) - set(dir(squeezesim)))
-print(json.dumps({"loaded": loaded, "unresolved": unresolved,
-                  "unbound": unbound, "undir": undir}))
+print(json.dumps({"loaded": loaded, "oracle_loaded": oracle_loaded,
+                  "unresolved": unresolved, "unbound": unbound, "undir": undir}))
 """
 
 
@@ -616,4 +644,6 @@ def test_cli_import_defers_scipy_and_package_exports_resolve():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report == {"loaded": [], "unresolved": [], "unbound": [], "undir": []}
+    assert report == {
+        "loaded": [], "oracle_loaded": [], "unresolved": [], "unbound": [], "undir": []
+    }

@@ -10,9 +10,9 @@ from scipy.linalg import expm
 from squeezesim.langevin import (
     _NOISE_CHUNK_VALUES,
     _exact_bin_value,
+    _hann_lag_sum,
     BinCheck,
     CrossValidation,
-    HANN_POWER_KERNEL,
     augmented_matrices,
     cross_validate,
     discretize,
@@ -35,10 +35,6 @@ from squeezesim.spectra import (
 from squeezesim.steady_state import SteadyState, solve_steady_state
 
 from test_spectra import make_model, pure_point, steady_at_x
-
-# criterion 3's segment count: one bin's standard error is exact/sqrt(N)
-CRITERION_3_SEGMENTS = 17000
-
 
 def test_drift_matrix_layout():
     a = drift_matrix(2.0, 0.7, 0.3 + 0.2j)
@@ -318,7 +314,7 @@ def test_segment_plan_rules():
 
 def test_expected_bin_matches_exact_bin_on_criterion_3_plan():
     # criterion 3's model, pump levels, frequencies and angles: the spectra
-    # route stays within 5% of one bin's standard error at 17000 segments
+    # route and the step-law route give one bin to rounding
     model = make_model(2.0)
     omegas = np.geomspace(0.01 * model.kappa, 3.0 * model.kappa, 5)
     thetas = (0.0, 0.25 * math.pi, 0.5 * math.pi)
@@ -332,8 +328,8 @@ def test_expected_bin_matches_exact_bin_on_criterion_3_plan():
                 args = (model, steady, theta, k, dt, n)
                 expected = expected_bin_value(*args, eta_total=0.602)
                 exact = _exact_bin_value(*args, eta_total=0.602)
-                dev = abs(expected - exact) * math.sqrt(CRITERION_3_SEGMENTS) / exact
-                assert dev <= 0.05, (fraction, omega / model.kappa, theta, dev)
+                dev = abs(expected - exact) / exact
+                assert dev <= 1e-10, (fraction, omega / model.kappa, theta, dev)
                 worst_db = max(worst_db, abs(10 * math.log10(expected / exact)))
         reported = exact_bin_deviation_db(model, steady, omegas, thetas, eta_total=0.602)
         assert reported == worst_db
@@ -341,9 +337,9 @@ def test_expected_bin_matches_exact_bin_on_criterion_3_plan():
 
 def test_exact_bin_matches_simulation_where_aliases_matter():
     # one cavity period per step and a bin near Nyquist: the record's
-    # aliases lift the squeezed bin, and simulate_pair, the exact discrete
-    # bin and the alias-summed spectra route agree, while the spectrum
-    # at the bin frequency alone misses by many standard errors
+    # aliases lift the squeezed bin, and simulate_pair and both exact bin
+    # routes agree, while a three-tap Hann kernel over the spectrum at the
+    # bin frequency alone (no aliases) misses by many standard errors
     model = make_model(2.0)
     steady, _ = steady_at_x(model, 0.9)
     dt, n, k, eta = 2 * math.pi / model.kappa, 32, 15, 0.7
@@ -352,6 +348,7 @@ def test_exact_bin_matches_simulation_where_aliases_matter():
         model, steady, dt=dt, n_samples=n, n_segments=8000, thetas=thetas,
         eta_total=eta, seed=3,
     )
+    kernel = np.array([1 / 6, 2 / 3, 1 / 6])  # Hann power onto the nearest bins
     taps = 2 * math.pi * (k + np.array([-1, 0, 1])) / (n * dt)
     pair = pair_moments(model, steady.rho, steady.a0, taps)
     no_alias_excess = homodyne_variance(output_covariance(pair), np.array(thetas)) - 1.0
@@ -360,10 +357,10 @@ def test_exact_bin_matches_simulation_where_aliases_matter():
         exact = _exact_bin_value(*args, eta_total=eta)
         expected = expected_bin_value(*args, eta_total=eta)
         roll = np.sinc(taps * dt / (2 * math.pi)) ** 2
-        no_alias = 1 + eta * np.dot(HANN_POWER_KERNEL, no_alias_excess[:, i] * roll)
+        no_alias = 1 + eta * np.dot(kernel, no_alias_excess[:, i] * roll)
         sigma = run.psd_sigma[i, k]
         assert abs(run.psd[i, k] - exact) <= 4 * sigma, (theta, run.psd[i, k], exact)
-        assert abs(expected - exact) <= 0.05 * sigma
+        assert abs(expected - exact) <= 1e-10 * exact
         assert abs(no_alias - exact) >= 8 * sigma, (theta, no_alias, exact)
 
 
@@ -371,14 +368,15 @@ def test_exact_bin_matches_simulation_where_aliases_matter():
 def exact_bin_points(draw):
     """(model, steady, theta, omega, eta) below threshold, edges included.
 
-    kappa/2 = g0 = 1; ``x = g0 rho / (kappa/2)`` up to 0.95 and any pair
-    offset keep the stability margin >= 0.025 kappa.  ``rho = x`` and
+    kappa/2 = g0 = 1; ``x = g0 rho / (kappa/2)`` up to 0.999 and any pair
+    offset keep the stability margin >= 0.0005 kappa.  ``rho = x`` and
     ``a0 = sqrt(x) exp(i phase)`` go in directly; the cold detuning gives
-    the drawn offset.  ``omega`` spans the plans with n <= 500, down to
+    the drawn offset, which may sit on the exceptional point |g| = |delta_l|
+    to rounding.  ``omega`` spans the plans with n <= 500, down to
     kappa/125, where the step is one cavity period.
     """
-    x = draw(hst.sampled_from([0.0, 0.95]) | hst.floats(0.0, 0.95))
-    offset = draw(hst.just(0.0) | hst.floats(-4.0, 4.0))
+    x = draw(hst.sampled_from([0.0, 0.999]) | hst.floats(0.0, 0.999))
+    offset = draw(hst.just(0.0) | hst.sampled_from([x, -x]) | hst.floats(-4.0, 4.0))
     eta_esc = draw(hst.just(1.0) | hst.floats(0.05, 1.0))  # 1.0: kappa_i = 0
     eta = draw(hst.sampled_from([0.0, 1.0]) | hst.floats(0.0, 1.0))
     log_omega = draw(hst.floats(math.log10(1 / 125), math.log10(3.0)))
@@ -410,11 +408,53 @@ def test_expected_bin_tracks_exact_bin_at_the_edges(point):
     exact = _exact_bin_value(*args, eta_total=eta)
     if eta == 0.0:
         assert expected == 1.0 and exact == 1.0
-    # the three-tap Hann kernel leaves out leakage beyond the adjacent bins;
-    # within 0.1 kappa of threshold (x > 0.85, a sharp peak at omega = 0) it
-    # reaches 0.15 of a bin's standard error at 0.3-0.5 kappa, plan unchanged
-    share = 0.05 if x <= 0.85 else 0.2
-    assert abs(expected - exact) <= share * exact / math.sqrt(CRITERION_3_SEGMENTS)
+    assert abs(expected - exact) <= 1e-10 * exact, (x, expected, exact)
+
+
+@pytest.mark.parametrize("a0", [0.5, 0.75j, 0.5 + 0.5j, -0.9375])
+def test_expected_bin_is_exact_at_the_exceptional_point(a0):
+    # dyadic a0 and offsets make |g| = |delta_l| hold exactly in binary: the
+    # pair's two poles merge, and the excess autocovariance of the spectra
+    # route follows a Jordan block
+    x = a0.real ** 2 + a0.imag ** 2
+    for offset in (x, -x):
+        model = make_model(offset + 2.0 * x, eta_esc=0.8)
+        steady = SteadyState(
+            a0=complex(a0), rho=x, delta_eff=model.delta - x, branch="single",
+            all_rho=(x,), residual=0.0,
+        )
+        pair = pair_moments(model, steady.rho, steady.a0, 0.0)
+        g = complex(pair.g)
+        assert g.real ** 2 + g.imag ** 2 == float(pair.delta_l) ** 2
+        for omega_units in (1 / 125, 0.05, 0.4, 3.0):
+            dt, n = segment_plan(model.kappa, omega_units * model.kappa)
+            k = round(omega_units * model.kappa * n * dt / (2 * math.pi))
+            for theta in (0.0, 0.3, 0.5 * math.pi):
+                for eta in (0.0, 0.6, 1.0):
+                    args = (model, steady, theta, k, dt, n)
+                    expected = expected_bin_value(*args, eta_total=eta)
+                    exact = _exact_bin_value(*args, eta_total=eta)
+                    assert abs(expected - exact) <= 1e-10 * exact, (a0, offset, omega_units)
+                    if eta == 0.0:
+                        assert expected == 1.0 and exact == 1.0
+
+
+def test_hann_lag_sum_matches_a_plain_lag_loop():
+    # doubled powers of a against one matrix-vector step per lag, and the
+    # window autocorrelation against np.correlate
+    rng = np.random.default_rng(8)
+    for n, k in ((8, 1), (33, 4), (500, 8), (1000, 4)):
+        a = rng.standard_normal((4, 4))
+        a *= 0.999 / np.max(np.abs(np.linalg.eigvals(a)))
+        c, y = rng.standard_normal(4), rng.standard_normal(4)
+        w = 0.5 * (1.0 - np.cos(2 * math.pi * np.arange(n) / n))
+        ww = np.correlate(w, w, "full")[n - 1 :]
+        terms, v = [1.3], y
+        for tau in range(1, n):
+            terms.append(2 * (c @ v) * ww[tau] / ww[0] * math.cos(2 * math.pi * k * tau / n))
+            v = a @ v
+        got = _hann_lag_sum(1.3, a, c, y, k, n)
+        assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms), (n, got)
 
 
 def test_bin_values_name_bad_inputs():
@@ -472,7 +512,3 @@ def test_cross_validate_grid_mismatch():
         with pytest.raises(DomainError, match="eta_total"):
             cross_validate(model, st, [0.5 * model.kappa], n_segments=4, eta_total=eta)
 
-
-def test_hann_kernel_normalized():
-    assert sum(HANN_POWER_KERNEL) == pytest.approx(1.0, rel=1e-15)
-    assert HANN_POWER_KERNEL[0] == HANN_POWER_KERNEL[2]
