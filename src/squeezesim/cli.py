@@ -623,8 +623,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        log.error("missing file: %s", exc)
+    except OSError as exc:
+        # a missing, unreadable or non-regular file: the message names it
+        log.error("cannot open file: %s", exc)
         return EXIT_FAIL
     except (DomainError, TraceParseError, RuntimeError) as exc:
         # SingularSystemError lands here as a RuntimeError

@@ -18,6 +18,17 @@ Baseline removal uses a rolling 95th-percentile filter, which rides
 over dips and fringes alike.  On noisy data that percentile sits about
 1.645 sigma above the true background; the estimated noise level is
 subtracted back out so that fitted linewidths stay unbiased.
+
+Dips are the peaks of 1 - T that scipy's ``find_peaks(prominence=p,
+width=1, distance=d)`` would return, found with numpy alone: only local
+maxima at least p above the trace minimum can reach prominence p, so
+bases and widths are computed for those few.  Every dip window is then
+fitted at once by one Levenberg-Marquardt over windows padded to a
+common length with zero weight, on the analytic Jacobian of the dip
+model, until the step is at rounding level.  Standard errors are the
+diagonal of s^2 (J^T J)^-1 at the optimum, s^2 = SSR / (m - 4), which is
+what ``curve_fit`` reports with ``absolute_sigma=False``.  Only the
+baseline filter needs scipy (``scipy.ndimage``).
 """
 
 from __future__ import annotations
@@ -184,29 +195,86 @@ def _dip_model_m(lam_m, center_m, kappa, depth, scale):
     return scale * (1.0 - depth / (1.0 + (2.0 * delta / abs(kappa)) ** 2))
 
 
-def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
-                  min_samples_per_fwhm=15):
-    """Least-squares fit of one dip on a nominally flat background.
+def _dip_jacobian_m(lam_m, center_m, kappa, depth, scale):
+    """Analytic partial derivatives of :func:`_dip_model_m` in parameter order."""
+    two_pi_c = 2.0 * math.pi * C_LIGHT
+    delta = -two_pi_c * (lam_m - center_m) / center_m ** 2
+    u = 2.0 * delta / np.abs(kappa)
+    q = 1.0 + u * u
+    dip = depth / q
+    slope = 2.0 * scale * dip * u / q  # d model / d u
+    return (
+        slope * (2.0 / np.abs(kappa)) * (two_pi_c / center_m ** 2 - 2.0 * delta / center_m),
+        -slope * u / kappa,
+        -scale / q,
+        1.0 - dip,
+    )
 
-    Fits (center, kappa, depth) plus a nuisance amplitude that soaks up
-    whatever normalization error the baseline step left behind; depth is
-    relative to that local floor, so T0 keeps its meaning.
 
-    ``regime`` may be "overcoupled", "undercoupled", or None; None (and
-    any dip too shallow to tell the two apart) is reported as
-    "ambiguous" while the rate fields carry the overcoupled reading.
-    Raises DomainError when the fitted linewidth is sampled more
-    coarsely than ``min_samples_per_fwhm`` points per FWHM or when the
-    fit runs away from a physical dip.
+# Levenberg-Marquardt: a step within 4 eps of every parameter's magnitude
+# ends the iteration, and a window still moving after _LM_ITERATIONS fails
+_LM_STEP_TOL = 4.0 * np.finfo(float).eps
+_LM_ITERATIONS = 100
+# padded samples per batch, which bounds the solver's memory
+_LM_BATCH = 1 << 16
+
+
+def _normal_equations(lam, y, weight, p):
+    """SSR, diagonal scales d, and the scaled J^T J and J^T r per window.
+
+    The scaling by d = sqrt(diag(J^T J)) makes the damping Marquardt's
+    diag(J^T J) and leaves a unit diagonal; a window with a zero or
+    non-finite column comes back with ``ok`` false.
     """
-    from scipy.optimize import curve_fit
+    cols = np.empty((lam.shape[0], 5, lam.shape[1]))
+    for k, col in enumerate(_dip_jacobian_m(lam, *p)):
+        cols[:, k] = weight * col
+    cols[:, 4] = weight * (_dip_model_m(lam, *p) - y)
+    # the sample axis is never numpy's fast axis here, so the sums run in
+    # sample order: neither the zero-weight padding nor the other windows
+    # of a batch can change a bit of any window's sums
+    sums = np.add.reduce(cols[:, :, None] * cols[:, None], axis=0).transpose(2, 0, 1)
+    jtj, jtr, ssr = sums[:, :4, :4], sums[:, :4, 4], sums[:, 4, 4]
+    d = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
+    ok = np.isfinite(ssr) & np.all(np.isfinite(sums), axis=(1, 2)) & np.all(d > 0.0, axis=1)
+    d = np.where(ok[:, None], d, 1.0)
+    scaled = np.where(ok[:, None, None], jtj / (d[:, :, None] * d[:, None, :]), np.eye(4))
+    return ssr, d, scaled, np.where(ok[:, None], jtr / d, 0.0), ok
 
-    if regime is not None and regime not in REGIMES:
-        raise DomainError(f"regime must be None or one of {REGIMES}")
-    lam_nm, tr, _ = _canon(wavelength_nm, transmission)
-    if lam_nm.size < 8:
-        raise DomainError("need at least 8 samples to fit a resonance")
-    lam = lam_nm * NM
+
+def _levenberg_marquardt(lam, y, weight, p0):
+    """Least-squares dip parameters for every column (window) at once.
+
+    ``lam``, ``y`` and ``weight`` are (samples, windows) with zero weight
+    on the padding; ``p0`` is (4, windows).  Returns the parameters and
+    whether each window converged: its step fell to rounding level within
+    the iteration cap.
+    """
+    p = p0.copy()
+    mu = np.full(p.shape[1], 1e-3)
+    converged = np.zeros(p.shape[1], dtype=bool)
+    live = np.arange(p.shape[1])
+    for _ in range(_LM_ITERATIONS):
+        if live.size == 0:
+            break
+        cols = (slice(None), live)
+        ssr, d, scaled, grad, ok = _normal_equations(lam[cols], y[cols], weight[cols], p[cols])
+        damped = scaled + mu[live, None, None] * np.eye(4)
+        step = np.linalg.solve(damped, -grad[:, :, None])[:, :, 0].T / d.T
+        done = ok & np.all(np.abs(step) <= _LM_STEP_TOL * np.abs(p[cols]), axis=0)
+        trial = p[cols] + step
+        r = weight[cols] * (_dip_model_m(lam[cols], *trial) - y[cols])
+        # accumulate, unlike reduce on one window, sums in sample order
+        better = ok & ~done & (np.add.accumulate(r * r, axis=0)[-1] < ssr)
+        p[:, live[better]] = trial[:, better]
+        mu[live] = np.where(better, 0.1 * mu[live], 10.0 * mu[live])
+        converged[live[done]] = True
+        live = live[ok & ~done]
+    return p, converged
+
+
+def _initial_guess(lam, tr):
+    """(center, kappa, depth, scale) from the window's minimum and half-depth span."""
     i0 = int(np.argmin(tr))
     scale0 = float(np.percentile(tr, 90))
     depth0 = max(1e-6, 1.0 - tr[i0] / scale0)
@@ -216,17 +284,68 @@ def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
     else:
         width_m = 4.0 * float(np.median(np.diff(lam)))
     kappa0 = 2.0 * math.pi * C_LIGHT * width_m / lam[i0] ** 2
-    p0 = (float(lam[i0]), kappa0, depth0, scale0)
-    popt, pcov = curve_fit(
-        _dip_model_m, lam, tr, p0=p0, xtol=1e-14, ftol=1e-14, maxfev=20000,
-    )
+    return float(lam[i0]), kappa0, depth0, scale0
+
+
+def _fit_windows(lam_nm, tr, windows, regime, min_samples_per_fwhm):
+    """One :class:`ResonanceFit`, or the DomainError that rejects it, per window.
+
+    ``lam_nm`` ascends; each ``(lo, hi)`` window is fitted on its own, in
+    batches of similar length padded with zero weight.
+    """
+    if regime is not None and regime not in REGIMES:
+        raise DomainError(f"regime must be None or one of {REGIMES}")
+    span = [hi - lo for lo, hi in windows]
+    results = [None] * len(windows)
+    batches = [[]]
+    for k in sorted(range(len(windows)), key=span.__getitem__):
+        if span[k] < 8:
+            results[k] = DomainError("need at least 8 samples to fit a resonance")
+        elif batches[-1] and span[k] * (len(batches[-1]) + 1) > _LM_BATCH:
+            batches.append([k])
+        else:
+            batches[-1].append(k)
+    for batch in filter(None, batches):
+        fits = _fit_batch(lam_nm, tr, [windows[k] for k in batch], regime,
+                          min_samples_per_fwhm)
+        for k, fit in zip(batch, fits):
+            results[k] = fit
+    return results
+
+
+def _fit_batch(lam_nm, tr, windows, regime, min_samples_per_fwhm):
+    lo = np.array([w[0] for w in windows])
+    size = np.array([w[1] - w[0] for w in windows])
+    offset = np.arange(size.max())[:, None]
+    index = lo + np.minimum(offset, size - 1)
+    lam = lam_nm[index] * NM
+    y = tr[index]
+    weight = (offset < size).astype(float)
+    p0 = np.array([_initial_guess(lam[:n, j], y[:n, j]) for j, n in enumerate(size)]).T
+    popt, converged = _levenberg_marquardt(lam, y, weight, p0)
+    # covariance s^2 (J^T J)^-1 at the optimum, s^2 = SSR / (m - 4); through
+    # eigh, so that a singular window reads inf instead of failing the batch
+    ssr, d, scaled, _, ok = _normal_equations(lam, y, weight, popt)
+    eigval, eigvec = np.linalg.eigh(scaled)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_diag = np.sum(eigvec ** 2 / np.where(eigval > 0.0, eigval, 0.0)[:, None, :], axis=2)
+    err = np.sqrt(ssr / (size - 4.0) * inv_diag.T) / d.T
+    return [
+        _finish_fit(lam_nm[a:a + n], y[:n, j], popt[:, j], err[:, j],
+                    converged[j] and ok[j], regime, min_samples_per_fwhm)
+        for j, (a, n) in enumerate(zip(lo, size))
+    ]
+
+
+def _finish_fit(lam_nm, tr, popt, err, converged, regime, min_samples_per_fwhm):
+    if not converged:
+        return DomainError("resonance fit did not converge")
+    lam = lam_nm * NM
     center_m, kappa, depth = float(popt[0]), abs(float(popt[1])), float(popt[2])
     scale = float(popt[3])
     if (not (lam[0] <= center_m <= lam[-1]) or kappa <= 0.0
             or not 0.0 < depth <= 1.2 or not 0.5 < scale < 1.5):
-        raise DomainError("resonance fit did not converge to a physical dip")
-    with np.errstate(invalid="ignore"):
-        err = np.sqrt(np.diag(pcov))
+        return DomainError("resonance fit did not converge to a physical dip")
     stderr = (float(err[0]) / NM, float(err[1]), float(err[2]), float(err[3]))
     resid = _dip_model_m(lam, *popt) - tr
     fit_rms = float(np.sqrt(np.mean(resid ** 2)))
@@ -234,12 +353,41 @@ def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
     center_nm = center_m / NM
     n_fwhm = fwhm_pm(kappa, center_nm) * 1e-3 / step
     if n_fwhm < min_samples_per_fwhm:
-        raise DomainError(
+        return DomainError(
             f"only {n_fwhm:.1f} samples per linewidth, need {min_samples_per_fwhm}"
         )
     return _assemble_fit(
         center_nm, kappa, min(depth, 1.0), regime, fit_rms, scale, n_fwhm, stderr
     )
+
+
+def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
+                  min_samples_per_fwhm=15):
+    """Least-squares fit of one dip on a nominally flat background.
+
+    Fits (center, kappa, depth) plus a nuisance amplitude that soaks up
+    whatever normalization error the baseline step left behind; depth is
+    relative to that local floor, so T0 keeps its meaning.
+
+    The fit is the batched Levenberg-Marquardt that :func:`analyze_trace`
+    runs over every dip, here on one window: Marquardt-damped steps on
+    the analytic Jacobian of the dip model, repeated until the step is
+    at rounding level in every parameter.  ``stderr`` holds the square
+    roots of the diagonal of s^2 (J^T J)^-1 at the optimum, with
+    s^2 = SSR / (m - 4) over the m samples; the center's is in nm.
+
+    ``regime`` may be "overcoupled", "undercoupled", or None; None (and
+    any dip too shallow to tell the two apart) is reported as
+    "ambiguous" while the rate fields carry the overcoupled reading.
+    Raises DomainError when the fitted linewidth is sampled more
+    coarsely than ``min_samples_per_fwhm`` points per FWHM, when the fit
+    does not converge, or when it runs away from a physical dip.
+    """
+    lam_nm, tr, _ = _canon(wavelength_nm, transmission)
+    (fit,) = _fit_windows(lam_nm, tr, [(0, lam_nm.size)], regime, min_samples_per_fwhm)
+    if isinstance(fit, DomainError):
+        raise fit
+    return fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,6 +527,158 @@ def save_trace(trace: TransmissionTrace, path) -> None:
             fh.write(f"{float(w)!r},{float(t)!r}\n")
 
 
+def _local_maxima(x, floor):
+    """The local maxima of ``x`` at or above ``floor``, as ``find_peaks`` finds them.
+
+    A maximum is a run of equal samples, touching neither end, whose two
+    outer neighbours are lower; a flat top resolves to its left-rounded
+    midpoint.  Only 1-byte masks of the trace are made, and index arrays
+    of the high samples that rise from their left neighbour or equal
+    their right one.
+    """
+    n = x.size
+    if n < 3:
+        return np.empty(0, dtype=np.intp)
+    rise = x[1:] > x[:-1]
+    fall = x[1:] < x[:-1]
+    high = x >= floor
+    starts = np.flatnonzero(rise[:-1] & high[1:-1]) + 1
+    ends = starts.copy()
+    level = np.flatnonzero(~(rise | fall) & high[:-1])  # x[i + 1] == x[i]
+    if level.size:
+        # a top that starts on a level step ends one past its run of steps
+        breaks = np.flatnonzero(np.diff(level) != 1)  # last step of each run
+        run_last = np.r_[level[breaks], level[-1]]
+        at = np.minimum(np.searchsorted(level, starts), level.size - 1)
+        on = level[at] == starts
+        ends[on] = run_last[np.searchsorted(breaks, at[on])] + 1
+    top = ends <= n - 2
+    top[top] = fall[ends[top]]
+    return (starts[top] + ends[top]) // 2
+
+
+def _prominences(x, barriers, peaks):
+    """``find_peaks`` prominences of ``peaks``, a subset of the local maxima ``barriers``.
+
+    Each base is the minimum between a peak and the nearest strictly
+    higher sample on that side, or the trace end.  From that sample the
+    trace climbs, never falling, to a local maximum or a trace end, so
+    the minimum is the same up to the nearest strictly higher maximum.
+    Every such maximum is among the ``barriers`` (all maxima at least as
+    high as the lowest peak); a sparse-table search over their heights
+    finds it, and one ``np.minimum.reduceat`` per side takes the minima.
+    """
+    n = x.size
+    height = x[barriers]
+    table = [height]
+    while 2 ** len(table) <= height.size:
+        half = 2 ** (len(table) - 1)
+        table.append(np.maximum(table[-1][:-half], table[-1][half:]))
+    value = x[peaks]
+    left = np.searchsorted(barriers, peaks)  # barriers[left - 1] is the next one left
+    right = left + 1  # barriers[right] is the next one right
+    for level in range(len(table) - 1, -1, -1):
+        span = 2 ** level
+        jump = left >= span
+        jump[jump] = table[level][left[jump] - span] <= value[jump]
+        left[jump] -= span
+        jump = right + span <= height.size
+        jump[jump] = table[level][right[jump]] <= value[jump]
+        right[jump] += span
+    edges = np.empty(2 * peaks.size, dtype=np.intp)
+    edges[0::2] = np.where(left > 0, barriers[np.maximum(left - 1, 0)] + 1, 0)
+    edges[1::2] = peaks + 1
+    left_min = np.minimum.reduceat(x, edges)[0::2]
+    open_right = right == height.size
+    edges[0::2] = peaks
+    edges[1::2] = np.where(open_right, n - 1, barriers[np.minimum(right, height.size - 1)])
+    right_min = np.minimum.reduceat(x, edges)[0::2]
+    right_min[open_right] = np.minimum(right_min[open_right], x[-1])
+    return value - np.maximum(left_min, right_min)
+
+
+def _half_crossings(x, peaks, height, side):
+    """The first sample at or below ``height`` from each peak toward ``side`` (-1 or 1).
+
+    The base lies at or below the half-prominence height, so the search,
+    in windows that double, always ends inside the base.
+    """
+    found_at = np.full(peaks.size, 0 if side < 0 else x.size - 1)
+    todo = np.arange(peaks.size)
+    near, far = 0, 16
+    while todo.size and near < x.size:
+        index = np.clip(peaks[todo, None] + side * np.arange(near, far), 0, x.size - 1)
+        hit = x[index] <= height[todo, None]
+        found = hit.any(axis=1)
+        found_at[todo[found]] = index[found, hit[found].argmax(axis=1)]
+        todo = todo[~found]
+        near, far = far, 2 * far
+    return found_at
+
+
+def _select_by_distance(peaks, order, distance):
+    """``find_peaks``' distance rule: visiting ``order``, each kept peak drops its near neighbours."""
+    lo = np.searchsorted(peaks, peaks - distance + 1)
+    hi = np.searchsorted(peaks, peaks + distance - 1, side="right")
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in order.tolist():
+        if keep[j]:
+            keep[lo[j]:hi[j]] = False
+            keep[j] = True
+    return keep
+
+
+def _find_dips(x, prominence, distance=None):
+    """Peak indices and widths of ``find_peaks(x, prominence=, width=1, distance=)``.
+
+    A peak's prominence cannot exceed its height above min(x), so only
+    local maxima at or above min(x) + ``prominence`` are candidates; the
+    floor sits a few ulps lower so rounding cannot drop one, and the
+    exact prominence test follows.  Widths are scipy's: the span at half
+    prominence, linearly interpolated between samples, kept when >= 1.
+    ``distance`` is applied first, to the highest peaks first.  Ties
+    follow ``np.argsort`` over every local maximum's height, as in
+    scipy (an unstable sort orders ties differently on a subset), so
+    that path lists the low maxima too; they sort below every candidate,
+    so they cannot change which candidates it keeps.
+    """
+    x = np.asarray(x, dtype=float)
+    no_dips = np.empty(0, dtype=np.intp), np.empty(0)
+    if x.size < 3:
+        return no_dips
+    lowest = float(np.min(x))
+    floor = lowest + prominence - 4.0 * np.spacing(abs(lowest) + abs(prominence))
+    if distance is None:
+        candidates = peaks = _local_maxima(x, floor)
+    else:
+        every = _local_maxima(x, -np.inf)
+        heights = x[every]
+        high = heights >= floor
+        candidates = every[high]
+        rank = np.cumsum(high) - 1
+        order = rank[np.argsort(heights)[every.size - candidates.size:][::-1]]
+        peaks = candidates[_select_by_distance(candidates, order, math.ceil(distance))]
+    if peaks.size == 0:
+        return no_dips
+    prom = _prominences(x, candidates, peaks)
+    keep = prom >= prominence
+    peaks, prom = peaks[keep], prom[keep]
+    height = x[peaks] - prom * 0.5
+    i = _half_crossings(x, peaks, height, -1)
+    left = i.astype(float)
+    below = x[i] < height
+    i = i[below]
+    left[below] += (height[below] - x[i]) / (x[i + 1] - x[i])
+    i = _half_crossings(x, peaks, height, 1)
+    right = i.astype(float)
+    below = x[i] < height
+    i = i[below]
+    right[below] -= (height[below] - x[i]) / (x[i - 1] - x[i])
+    widths = right - left
+    keep = widths >= 1.0
+    return peaks[keep], widths[keep]
+
+
 def rolling_baseline(transmission, window: int):
     """Rolling 95th-percentile background; window is in samples.
 
@@ -429,15 +729,12 @@ def normalize_trace(trace: TransmissionTrace, *, prominence=0.05):
     at most the whole trace), or the whole trace when no dip reaches
     ``prominence``.
     """
-    from scipy.signal import find_peaks
-
     if trace.metadata.get("normalized"):
         return trace
     tr = trace.transmission
     if tr.size < 3:
         raise DomainError(f"cannot detrend a trace of {tr.size} samples, need at least 3")
-    peaks, props = find_peaks(1.0 - tr, prominence=prominence, width=1)
-    widths = props["widths"]
+    peaks, widths = _find_dips(1.0 - tr, prominence)
     window = tr.size
     if peaks.size:
         window = min(tr.size, max(15, int(round(10.0 * float(np.median(widths)))) | 1))
@@ -460,21 +757,17 @@ def detect_resonances(trace: TransmissionTrace, min_prominence=0.05,
     A flat trace, or a prominence floor above the deepest dip, yields
     an empty list.
     """
-    from scipy.signal import find_peaks
-
     lam = trace.wavelength_nm
     tr = trace.transmission
     distance = None
     if min_spacing_nm > 0.0:
         step = float(np.median(np.diff(lam)))
         distance = max(1, int(round(min_spacing_nm / step)))
-    peaks, props = find_peaks(
-        1.0 - tr, prominence=min_prominence, width=1, distance=distance
-    )
+    peaks, widths = _find_dips(1.0 - tr, min_prominence, distance)
     windows = []
     n = lam.size
     for j, idx in enumerate(peaks):
-        half = max(10, int(round(6.0 * props["widths"][j])))
+        half = max(10, int(round(6.0 * widths[j])))
         lo = idx - half
         hi = idx + half + 1
         if j > 0:
@@ -510,25 +803,18 @@ def analyze_trace(trace: TransmissionTrace, *, detrend=True, min_prominence=0.05
                   min_samples_per_fwhm=15) -> TraceReport:
     """Detect and fit every dip, then estimate the FSR when possible.
 
-    Dips whose fit fails the sampling precondition, or does not
-    converge, count in ``n_rejected`` instead of aborting the trace.
+    All windows go through one batched fit (see :func:`fit_resonance`).
+    Dips whose fit fails the sampling precondition, does not converge or
+    lands on an unphysical dip count in ``n_rejected`` instead of
+    aborting the trace.
     """
     if detrend:
         trace = normalize_trace(trace, prominence=min_prominence)
     windows = detect_resonances(trace, min_prominence, min_spacing_nm)
-    fits = []
-    rejected = 0
-    for lo, hi in windows:
-        if hi - lo < 8:
-            rejected += 1
-            continue
-        try:
-            fits.append(fit_resonance(
-                trace.wavelength_nm[lo:hi], trace.transmission[lo:hi],
-                regime=regime, min_samples_per_fwhm=min_samples_per_fwhm,
-            ))
-        except (DomainError, RuntimeError):
-            rejected += 1
+    results = _fit_windows(trace.wavelength_nm, trace.transmission, windows,
+                           regime, min_samples_per_fwhm)
+    fits = [fit for fit in results if not isinstance(fit, DomainError)]
+    rejected = len(results) - len(fits)
     fsr = None
     if len(fits) >= 3:
         fsr = estimate_fsr([f.center_nm for f in fits])

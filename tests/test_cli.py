@@ -468,6 +468,15 @@ def test_fit_short_trace_names_its_length(tmp_path, caplog):
 
 
 
+def test_fit_and_stats_on_a_directory_fail_with_one_line(tmp_path, caplog):
+    for command in ("fit", "stats"):
+        caplog.clear()
+        assert main([command, str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_FAIL
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1, errors
+        assert str(tmp_path) in errors[0] and "\n" not in errors[0], errors[0]
+
+
 def test_stats_names_file_and_record_of_a_bad_fit_file(tmp_path, caplog):
     good = {"q_intrinsic": 1e7, "q_loaded": 8e5, "q_coupling": 9e5, "eta": 0.9}
     cases = (
@@ -647,3 +656,34 @@ def test_cli_import_defers_scipy_and_package_exports_resolve():
     assert report == {
         "loaded": [], "oracle_loaded": [], "unresolved": [], "unbound": [], "undir": []
     }
+
+
+_FIT_PROBE = """
+import json, sys
+import squeezesim.traces
+traces_loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from squeezesim.cli import main
+code = main(["fit", "trace.csv", "--out", "out"])
+heavy = ("scipy.signal", "scipy.optimize", "scipy.ndimage")
+print(json.dumps({"code": code, "traces_loaded": traces_loaded,
+                  "fit_loaded": [name for name in heavy if name in sys.modules]}))
+"""
+
+
+def test_fit_loads_neither_scipy_signal_nor_optimize(tmp_path):
+    from test_reference_outputs import write_fit_trace
+
+    # a fresh interpreter, so no earlier test has imported scipy already
+    write_fit_trace(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIT_PROBE],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    # scipy.ndimage, for the percentile baseline, shows the probe sees imports
+    assert report == {"code": EXIT_OK, "traces_loaded": [], "fit_loaded": ["scipy.ndimage"]}

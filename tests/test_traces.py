@@ -452,3 +452,175 @@ def test_fit_recovers_random_dips(kappa, t_floor, offset):
     assert fit.center_nm == pytest.approx(
         center, abs=1e-6 * fwhm_pm(kappa, center) * 1e-3
     )
+
+
+# ---- the numpy dip finder against scipy.signal.find_peaks, its reference
+
+
+def assert_same_dips(x, prominence, distance=None):
+    from scipy.signal import find_peaks
+
+    from squeezesim.traces import _find_dips
+
+    want, props = find_peaks(x, prominence=prominence, width=1, distance=distance)
+    peaks, widths = _find_dips(x, prominence, distance)
+    assert np.array_equal(peaks, want)
+    np.testing.assert_allclose(widths, props["widths"], rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def dip_combs(draw):
+    """1 - transmission of a few Lorentzian dips on sample centers.
+
+    Dips may sit on either end sample, repeat one shape (exact height
+    ties), be clipped flat or quantized (plateaus), and carry noise.
+    """
+    n = draw(st.integers(3, 2000))
+    i = np.arange(n)
+    tr = np.ones(n)
+    width, depth = 8.0, 0.5
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):  # otherwise repeat the last shape
+            width = draw(st.floats(0.5, 40.0))
+            depth = draw(st.floats(0.02, 0.9))
+        center = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+        tr *= 1.0 - depth / (1.0 + ((i - center) / (0.5 * width)) ** 2)
+    noise = draw(st.sampled_from([0.0, 1e-3, 1e-2]))
+    if noise:
+        tr += np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(0.0, noise, n)
+    step = draw(st.sampled_from([0.0, 1e-3, 0.02]))
+    if step:
+        tr = np.round(tr / step) * step
+    if draw(st.booleans()):
+        tr = np.maximum(tr, draw(st.floats(0.1, 0.9)))
+    return 1.0 - tr
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=dip_combs(),
+    prominence=st.sampled_from([0.01, 0.05, 0.2]),
+    distance=st.sampled_from([None, 2, 7, 40.5]),
+)
+def test_find_dips_matches_find_peaks(x, prominence, distance):
+    assert_same_dips(x, prominence, distance)
+
+
+def test_find_dips_edge_cases_match_find_peaks():
+    tie = np.zeros(40)
+    tie[[10, 14, 30]] = 1.0  # equal heights, two of them within distance
+    plateau = np.array([0.0, 0.2, 0.7, 0.7, 0.7, 0.7, 0.1, 0.7, 0.7, 0.0, 0.3, 0.3])
+    edges = np.array([0.9, 0.5, 0.1, 0.0, 0.2, 0.6, 0.8])  # rises into both ends
+    for x in (np.zeros(500), np.ones(3), np.array([0.0, 1.0]), tie, plateau, edges):
+        for distance in (None, 1, 5):
+            assert_same_dips(x, 0.05, distance)
+
+
+def bench_sized_comb():
+    """1,000,001 samples, 208 dips 19 samples wide and 4807 apart, noise 0.005."""
+    n = 1_000_001
+    x = np.random.default_rng(11).normal(0.0, 0.005, n)
+    offsets = np.arange(-5000, 5001)
+    shape = 0.3 / (1.0 + (offsets / 9.5) ** 2)
+    for center in 2500 + 4807 * np.arange(208):
+        lo, hi = max(0, center - 5000), min(n, center + 5001)
+        x[lo:hi] += shape[lo - center + 5000:hi - center + 5000]
+    return x
+
+
+def test_find_dips_visits_only_maxima_that_can_reach_the_prominence(monkeypatch):
+    from scipy.signal import find_peaks
+
+    import squeezesim.traces as traces
+
+    x = bench_sized_comb()
+    visited = []
+
+    def spy(x, barriers, peaks):
+        visited.append((barriers.size, peaks.size))
+        return prominences(x, barriers, peaks)
+
+    prominences = traces._prominences
+    monkeypatch.setattr(traces, "_prominences", spy)
+    peaks, widths = traces._find_dips(x, 0.05)
+    high, _ = find_peaks(x, height=float(np.min(x)) + 0.05)
+    every, _ = find_peaks(x)
+    # prominences are computed for, and bounded by, the local maxima at
+    # least min(x) + 0.05 high: under 2 % of all local maxima
+    assert visited == [(high.size, high.size)]
+    assert high.size < 0.02 * every.size
+    want, props = find_peaks(x, prominence=0.05, width=1)
+    assert peaks.size == 208 and np.array_equal(peaks, want)
+    np.testing.assert_allclose(widths, props["widths"], rtol=1e-12, atol=0.0)
+
+
+# ---- the batched Levenberg-Marquardt fit
+
+
+def test_batched_and_single_window_fits_are_bit_identical(monkeypatch):
+    import squeezesim.traces as traces
+
+    # dips of three linewidths, one cut by the trace end, give windows of
+    # different lengths, so every batch is padded
+    lam = np.arange(1559.0, 1561.0, 5e-5)
+    dips = [(1559.002, KAPPA0, 0.5), (1559.5, 2.0 * KAPPA0, 0.3),
+            (1560.0, KAPPA0, T_FLOOR0), (1560.5, 0.7 * KAPPA0, 0.1)]
+    tr = synthesize_trace(lam, dips, noise_rms=0.002, seed=5)
+    report = analyze_trace(TransmissionTrace(lam, tr), detrend=False)
+    windows = detect_resonances(report.trace, 0.05)
+    assert len({hi - lo for lo, hi in windows}) == 4
+    assert report.n_rejected == 0 and len(report.resonances) == 4
+    for (lo, hi), fit in zip(windows, report.resonances):
+        assert fit_resonance(lam[lo:hi], tr[lo:hi]) == fit
+    # batches of one or two windows give the same fits as one batch
+    monkeypatch.setattr(traces, "_LM_BATCH", 1000)
+    split = analyze_trace(TransmissionTrace(lam, tr), detrend=False)
+    assert split.resonances == report.resonances
+
+
+def test_fit_stderr_is_the_curve_fit_covariance():
+    from scipy.optimize import curve_fit
+
+    from squeezesim.traces import _dip_jacobian_m, _dip_model_m
+
+    lam = dense_grid(half_widths=12.0, n=3001)
+    tr = synthesize_trace(lam, [(LAMBDA0, KAPPA0, T_FLOOR0)], noise_rms=0.01, seed=2)
+    fit = fit_resonance(lam, tr)
+    p0 = (fit.center_nm * 1e-9, fit.kappa, 1.0 - fit.t_floor, fit.scale)
+
+    def stderr(**options):
+        _, pcov = curve_fit(_dip_model_m, lam * 1e-9, tr, p0=p0, absolute_sigma=False,
+                            xtol=1e-15, ftol=1e-15, **options)
+        err = np.sqrt(np.diag(pcov))
+        err[0] /= 1e-9
+        return err
+
+    # with the same Jacobian, s^2 (J^T J)^-1 at the same optimum agrees to
+    # well inside 1e-6 (1e-9 seen)
+    exact = stderr(jac=lambda x, *p: np.stack(_dip_jacobian_m(x, *p), axis=1))
+    np.testing.assert_allclose(fit.stderr, exact, rtol=1e-6, atol=0.0)
+    # MINPACK's forward differences step the center by sqrt(eps) of itself,
+    # about 1 % of this linewidth, which moves its stderr by ~3e-4
+    np.testing.assert_allclose(fit.stderr, stderr(), rtol=1e-3, atol=0.0)
+
+
+def test_noise_free_fit_has_finite_stderr():
+    lam = dense_grid(half_widths=12.0, n=2001)
+    fit = fit_resonance(lam, synthesize_trace(lam, [(LAMBDA0, KAPPA0, T_FLOOR0)]))
+    assert all(math.isfinite(e) and e >= 0.0 for e in fit.stderr)
+
+
+def test_pure_noise_window_is_rejected(monkeypatch):
+    import squeezesim.traces as traces
+
+    lam = dense_grid(half_widths=40.0, n=8001)
+    tr = synthesize_trace(lam, [(LAMBDA0, KAPPA0, T_FLOOR0)], noise_rms=0.01, seed=4)
+    # pure noise on which curve_fit ran out of evaluations (a RuntimeError);
+    # other draws fit an insignificant noise dip, then as now
+    tr[:1500] = np.random.default_rng(6).normal(1.0, 0.01, 1500)
+    with pytest.raises(DomainError, match="did not converge"):
+        fit_resonance(lam[:1500], tr[:1500])
+    monkeypatch.setattr(traces, "detect_resonances", lambda *args: [(3000, 5001), (0, 1500)])
+    report = analyze_trace(TransmissionTrace(lam, tr), detrend=False)
+    assert (report.n_detected, report.n_rejected, len(report.resonances)) == (2, 1, 1)
+    assert report.resonances[0] == fit_resonance(lam[3000:5001], tr[3000:5001])
