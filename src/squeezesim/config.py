@@ -222,7 +222,8 @@ class RunConfig:
 
     @property
     def eta_end_to_end(self) -> float:
-        return self.chain.eta_end_to_end
+        """Generation-to-detection efficiency: the chain times the cavity escape."""
+        return self.chain.eta_total * self.model.eta_escape
 
     def opt(self, key: str):
         """Effective value of a config key, defaults included."""
@@ -378,7 +379,6 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
             fsr=float(effective["resonator.fsr_hz"]),
         )
         chain = _resolve_detection(effective)
-        chain = dataclasses.replace(chain, eta_escape=model.eta_escape)
 
         omega = 2.0 * math.pi * float(effective["analysis.omega_hz"])
         mode_index = int(effective["solver.mode_index"])
@@ -427,6 +427,25 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
             raise ConfigError("validate.batch_size: must be at least 1")
         if int(effective["validate.n_random"]) < 0:
             raise ConfigError("validate.n_random: must be non-negative")
+        if not 0.0 < float(effective["validate.min_pass_fraction"]) <= 1.0:
+            raise ConfigError("validate.min_pass_fraction: must lie in (0, 1]")
+        for key in ("validate.n_sigma", "validate.max_db_err", "fit.min_prominence"):
+            if float(effective[key]) <= 0.0:
+                raise ConfigError(f"{key}: must be positive")
+        for key in ("fit.min_spacing_nm", "fit.min_samples_per_fwhm"):
+            if float(effective[key]) < 0.0:
+                raise ConfigError(f"{key}: must be non-negative")
+
+        samples_per_period = int(effective["analysis.samples_per_period"])
+        if samples_per_period % 2 or samples_per_period < 4:
+            raise ConfigError("analysis.samples_per_period: must be even and at least 4")
+        if int(effective["analysis.periods"]) < 1:
+            raise ConfigError("analysis.periods: must be at least 1")
+        if float(effective["analysis.scan_time_s"]) <= 0.0:
+            raise ConfigError("analysis.scan_time_s: must be positive")
+        vbw, rbw = float(effective["analysis.vbw_hz"]), float(effective["analysis.rbw_hz"])
+        if not 0.0 <= vbw <= rbw:
+            raise ConfigError("analysis.vbw_hz: need 0 <= vbw_hz <= analysis.rbw_hz")
 
         rtol = float(effective["solver.residual_rtol"])
         if rtol <= 0.0:

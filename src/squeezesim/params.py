@@ -254,23 +254,20 @@ class DetectionChain:
 
     eta_total covers only the off-chip path (fiber coupling, propagation,
     homodyne visibility squared, photodiode).  The cavity escape
-    efficiency is part of the intracavity model and is tracked separately
-    when known.
+    efficiency belongs to the intracavity model
+    (:attr:`ResonatorModel.eta_escape`).
     """
 
     eta_couple: float = 1.0
     eta_prop: float = 1.0
     visibility: float = 1.0
     eta_pd: float = 1.0
-    eta_escape: float | None = None
     eta_total: float = field(init=False)
 
     def __post_init__(self):
         total = detection_chain_total(
             self.eta_couple, self.eta_prop, self.visibility, self.eta_pd
         )
-        if self.eta_escape is not None and not 0.0 < self.eta_escape <= 1.0:
-            raise DomainError(f"eta_escape must lie in (0, 1], got {self.eta_escape}")
         object.__setattr__(self, "eta_total", total)
 
     @classmethod
@@ -279,10 +276,3 @@ class DetectionChain:
         if not 0.0 < eta_total <= 1.0:
             raise DomainError(f"eta_total must lie in (0, 1], got {eta_total}")
         return cls(eta_couple=eta_total, eta_prop=1.0, visibility=1.0, eta_pd=1.0)
-
-    @property
-    def eta_end_to_end(self) -> float:
-        """Generation-to-detection efficiency, if escape is known."""
-        if self.eta_escape is None:
-            raise DomainError("eta_escape was not provided")
-        return self.eta_total * self.eta_escape

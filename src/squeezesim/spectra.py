@@ -31,9 +31,11 @@ from squeezesim.params import DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
     RESIDUAL_RTOL,
     SteadyState,
+    _steady_state_at,
+    g0_for_gain,
     solve_steady_state,
-    steady_state_on_branch,
-    threshold_intracavity,
+    steady_state_roots,
+    threshold_gain,
     zero_pump_offset,
 )
 
@@ -103,7 +105,6 @@ class PairMoments:
     g: np.ndarray
     phi_ref: np.ndarray
     margin: np.ndarray
-    eta_escape: float
     n_signal: np.ndarray
     m_corr: np.ndarray
 
@@ -168,7 +169,6 @@ def pair_moments(model: ResonatorModel, rho, a0, omega, l: int = 1) -> PairMomen
         g=g,
         phi_ref=phi_ref,
         margin=margin,
-        eta_escape=model.eta_escape,
         n_signal=model.kappa_e * model.kappa * g2 * scale,
         m_corr=rotated * cross * scale,
     )
@@ -541,7 +541,7 @@ def calibrate_g0_to_optimum(
         raise DomainError(f"x_max must be positive and finite, got {x_max}")
     omega = float(_finite_omega(omega))
     hk = 0.5 * model.kappa
-    x_th = threshold_intracavity(dataclasses.replace(model, g0=1.0), l) / hk
+    x_th = threshold_gain(model, l) / hk
     x_hi = min(x_max, x_th * (1.0 - 1e-9))
     b, w = zero_pump_offset(model, l) / hk, omega / hk
     if b == 0.0:
@@ -558,21 +558,22 @@ def calibrate_g0_to_optimum(
             "no interior squeezing optimum in x; calibration is ill-posed "
             "at this detuning"
         )
-    rho = model.kappa_e * pump.flux / (hk * hk + (model.delta - x_opt * hk) ** 2)
-    g0 = x_opt * hk / rho
+    gain = x_opt * hk
+    g0 = g0_for_gain(model, pump, gain)
     calibrated = dataclasses.replace(model, g0=g0)
-    steady = solve_steady_state(calibrated, pump, "lowest")
-    matched = min(range(len(steady.all_rho)), key=lambda i: abs(steady.all_rho[i] - rho))
-    if abs(steady.all_rho[matched] - rho) > 1e-6 * rho:
+    # the root whose gain g0*rho is the target; under bistability it need not be the lowest
+    rhos = steady_state_roots(calibrated, pump)
+    misses = [abs(g0 * rho - gain) for rho in rhos.tolist()]
+    matched = misses.index(min(misses))
+    if misses[matched] > 1e-6 * gain:
         raise RuntimeError("calibrated operating point is not a pump fixed point")
-    if matched != 0:
-        steady = steady_state_on_branch(calibrated, pump, matched)
+    steady = _steady_state_at(calibrated, pump, rhos, matched)
     pair = pair_moments(calibrated, steady.rho, steady.a0, omega, l).require_below_threshold()
     ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
     return CalibrationResult(
         g0=g0,
         x_opt=x_opt,
-        rho=rho,
+        rho=steady.rho,
         branch=steady.branch,
         var_min=ext.var_min,
         var_max=ext.var_max,

@@ -89,6 +89,26 @@ def cubic_roots_scaled(alpha: float, beta: float) -> np.ndarray:
     return np.array(sorted({max(_polish(t + shift, alpha, beta), 0.0) for t in ts}))
 
 
+def fixed_point_photons(model: ResonatorModel, flux: float, delta_eff: float) -> float:
+    """Photon number that the input photon flux ``F`` holds at ``delta_eff``.
+
+    The pump fixed point solved for rho:
+    ``rho = kappa_e*F / ((kappa/2)^2 + delta_eff^2)``.
+    """
+    hk = 0.5 * model.kappa
+    return model.kappa_e * flux / (hk * hk + delta_eff * delta_eff)
+
+
+def fixed_point_flux(model: ResonatorModel, rho: float, delta_eff: float) -> float:
+    """Input photon flux that holds ``rho`` photons at ``delta_eff``.
+
+    The pump fixed point solved for F:
+    ``F = rho*((kappa/2)^2 + delta_eff^2) / kappa_e``.
+    """
+    hk = 0.5 * model.kappa
+    return rho * (hk * hk + delta_eff * delta_eff) / model.kappa_e
+
+
 def is_bistable(model: ResonatorModel) -> bool:
     """Whether some drive level gives three coexisting pump states."""
     return model.g0 > 0.0 and model.delta > math.sqrt(3.0) * 0.5 * model.kappa
@@ -97,6 +117,9 @@ def is_bistable(model: ResonatorModel) -> bool:
 def bistable_flux_window(model: ResonatorModel) -> tuple[float, float]:
     """Input photon-flux interval (lo, hi) with three pump solutions.
 
+    Its ends are the folds, where the flux that holds ``rho`` is
+    stationary in ``rho``: ``u = g0*rho/(kappa/2)`` is
+    ``(2*alpha +- sqrt(alpha^2 - 3))/3`` there.
     Raises DomainError when the detuning is below the bistability knee.
     """
     if not is_bistable(model):
@@ -104,11 +127,11 @@ def bistable_flux_window(model: ResonatorModel) -> tuple[float, float]:
     hk = 0.5 * model.kappa
     alpha = model.delta / hk
     disc = math.sqrt(alpha * alpha - 3.0)
-    betas = sorted(
-        u * (1.0 + (alpha - u) ** 2) for u in ((2 * alpha + disc) / 3, (2 * alpha - disc) / 3)
+    lo, hi = sorted(
+        fixed_point_flux(model, u * hk / model.g0, model.delta - u * hk)
+        for u in ((2 * alpha + disc) / 3, (2 * alpha - disc) / 3)
     )
-    scale = hk ** 3 / (model.g0 * model.kappa_e)
-    return betas[0] * scale, betas[1] * scale
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -131,9 +154,9 @@ class SteadyState:
 
 def steady_state_roots(model: ResonatorModel, pump: PumpDrive) -> np.ndarray:
     """All intracavity photon-number solutions, ascending."""
-    hk = 0.5 * model.kappa
     if model.g0 == 0.0:
-        return np.array([model.kappa_e * pump.flux / (hk * hk + model.delta ** 2)])
+        return np.array([fixed_point_photons(model, pump.flux, model.delta)])
+    hk = 0.5 * model.kappa
     alpha = model.delta / hk
     beta = model.g0 * model.kappa_e * pump.flux / hk ** 3
     return cubic_roots_scaled(alpha, beta) * hk / model.g0
@@ -167,7 +190,7 @@ def solve_steady_state(
         )
     rhos = steady_state_roots(model, pump)
     index = 0 if branch_policy == "lowest" else len(rhos) - 1
-    return _assemble(model, pump, rhos, index, rtol)
+    return _steady_state_at(model, pump, rhos, index, rtol)
 
 
 def steady_state_on_branch(
@@ -177,10 +200,10 @@ def steady_state_on_branch(
     rhos = steady_state_roots(model, pump)
     if not 0 <= index < len(rhos):
         raise DomainError(f"branch index {index} out of range, {len(rhos)} roots exist")
-    return _assemble(model, pump, rhos, index, rtol)
+    return _steady_state_at(model, pump, rhos, index, rtol)
 
 
-def _assemble(model, pump, rhos, index, rtol=RESIDUAL_RTOL) -> SteadyState:
+def _steady_state_at(model, pump, rhos, index, rtol=RESIDUAL_RTOL) -> SteadyState:
     hk = 0.5 * model.kappa
     rho = float(rhos[index])
     delta_eff = model.delta - model.g0 * rho
@@ -209,8 +232,8 @@ def zero_pump_offset(model: ResonatorModel, l: int = 1) -> float:
     return model.delta + 0.5 * model.d2 * l * l
 
 
-def threshold_intracavity(model: ResonatorModel, l: int = 1) -> float:
-    """Pump photon number where side-mode pair ``l`` starts oscillating.
+def threshold_gain(model: ResonatorModel, l: int = 1) -> float:
+    """Parametric gain ``g0*rho`` (rad/s) at which side-mode pair ``l`` starts oscillating.
 
     The pair sees parametric gain g0*rho against its loss kappa/2 and a
     power-pulled offset ``delta + d2*l^2/2 - 2*g0*rho``; threshold is
@@ -219,18 +242,27 @@ def threshold_intracavity(model: ResonatorModel, l: int = 1) -> float:
 
         g0*rho_th = (2*b - sqrt(b^2 - 3*(kappa/2)^2)) / 3,
 
-    which has no real solution when ``b < sqrt(3)*kappa/2``: the pair
-    offset then outruns the gain at every pump level and the threshold is
-    unreachable (returned as ``inf``).
+    which does not depend on g0 and has no real solution when
+    ``b < sqrt(3)*kappa/2``: the pair offset then outruns the gain at
+    every pump level and the threshold is unreachable (returned as
+    ``inf``).
     """
-    if model.g0 <= 0.0:
-        raise DomainError("threshold is undefined for g0 = 0")
     hk = 0.5 * model.kappa
     b = zero_pump_offset(model, l)
     disc = b * b - 3.0 * hk * hk
     if b < 0.0 or disc < 0.0:
         return math.inf
-    return (2.0 * b - math.sqrt(disc)) / (3.0 * model.g0)
+    return (2.0 * b - math.sqrt(disc)) / 3.0
+
+
+def threshold_intracavity(model: ResonatorModel, l: int = 1) -> float:
+    """Pump photon number where side-mode pair ``l`` starts oscillating.
+
+    The threshold gain over g0; ``inf`` when it is unreachable.
+    """
+    if model.g0 <= 0.0:
+        raise DomainError("threshold is undefined for g0 = 0")
+    return threshold_gain(model, l) / model.g0
 
 
 def threshold_power(model: ResonatorModel, l: int = 1) -> float:
@@ -242,9 +274,19 @@ def threshold_power(model: ResonatorModel, l: int = 1) -> float:
     rho_th = threshold_intracavity(model, l)
     if math.isinf(rho_th):
         return math.inf
-    hk = 0.5 * model.kappa
-    flux = rho_th * (hk * hk + (model.delta - model.g0 * rho_th) ** 2) / model.kappa_e
+    flux = fixed_point_flux(model, rho_th, model.delta - model.g0 * rho_th)
     return HBAR * model.omega0 * flux
+
+
+def g0_for_gain(model: ResonatorModel, pump: PumpDrive, gain: float) -> float:
+    """Kerr rate at which ``pump`` holds the parametric gain ``g0*rho = gain``.
+
+    The gain pins the pulled detuning ``delta - gain``, where the pump
+    fixed point gives rho, hence g0 in closed form.  The rate satisfies
+    the cubic exactly; under bistability the branch policy downstream
+    decides whether that root is the one actually occupied.
+    """
+    return gain / fixed_point_photons(model, pump.flux, model.delta - gain)
 
 
 def g0_for_threshold_fraction(
@@ -252,26 +294,16 @@ def g0_for_threshold_fraction(
 ) -> float:
     """Kerr rate that puts the given drive at ``fraction`` of pair threshold.
 
-    The threshold parametric gain g0*rho_th depends only on kappa, the
-    detuning and the dispersion offset, not on g0 itself, so fixing the
-    target gain ``fraction * g0*rho_th`` pins the effective detuning and
-    the pump fixed point gives rho, hence g0, in closed form.  The
-    returned rate satisfies the cubic exactly; under bistability the
-    branch policy downstream decides whether that root is the one
-    actually occupied.
+    The threshold gain does not depend on g0, so the target gain is
+    ``fraction`` of it and :func:`g0_for_gain` places it at ``pump``.
     """
     if not 0.0 < fraction < 1.0:
         raise DomainError("threshold fraction must lie in (0, 1)")
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a positive drive power")
-    hk = 0.5 * model.kappa
-    b = zero_pump_offset(model, l)
-    disc = b * b - 3.0 * hk * hk
-    if b < 0.0 or disc < 0.0:
+    gain_th = threshold_gain(model, l)
+    if math.isinf(gain_th):
         raise DomainError(
             "pair threshold is unreachable at this detuning and dispersion"
         )
-    gain = fraction * (2.0 * b - math.sqrt(disc)) / 3.0
-    delta_eff = model.delta - gain
-    rho = model.kappa_e * pump.flux / (hk * hk + delta_eff * delta_eff)
-    return gain / rho
+    return g0_for_gain(model, pump, fraction * gain_th)

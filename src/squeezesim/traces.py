@@ -217,6 +217,8 @@ _LM_STEP_TOL = 4.0 * np.finfo(float).eps
 _LM_ITERATIONS = 100
 # padded samples per batch, which bounds the solver's memory
 _LM_BATCH = 1 << 16
+# a fitted depth below this many of its standard errors is noise, not a dip
+_MIN_DEPTH_SIGMAS = 5.0
 
 
 def _normal_equations(lam, y, weight, p):
@@ -356,6 +358,11 @@ def _finish_fit(lam_nm, tr, popt, err, converged, regime, min_samples_per_fwhm):
         return DomainError(
             f"only {n_fwhm:.1f} samples per linewidth, need {min_samples_per_fwhm}"
         )
+    if not depth >= _MIN_DEPTH_SIGMAS * stderr[2]:  # a NaN error is no significance
+        return DomainError(
+            f"dip depth {depth:.3g} is below {_MIN_DEPTH_SIGMAS:g} of its standard "
+            f"errors ({stderr[2]:.3g}): noise, not a dip"
+        )
     return _assemble_fit(
         center_nm, kappa, min(depth, 1.0), regime, fit_rms, scale, n_fwhm, stderr
     )
@@ -381,7 +388,9 @@ def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
     "ambiguous" while the rate fields carry the overcoupled reading.
     Raises DomainError when the fitted linewidth is sampled more
     coarsely than ``min_samples_per_fwhm`` points per FWHM, when the fit
-    does not converge, or when it runs away from a physical dip.
+    does not converge, when it runs away from a physical dip, or when the
+    fitted depth is below ``_MIN_DEPTH_SIGMAS`` of its standard errors
+    (a window of noise).
     """
     lam_nm, tr, _ = _canon(wavelength_nm, transmission)
     (fit,) = _fit_windows(lam_nm, tr, [(0, lam_nm.size)], regime, min_samples_per_fwhm)
@@ -392,11 +401,12 @@ def fit_resonance(wavelength_nm, transmission, *, regime="overcoupled",
 
 @dataclass(frozen=True, eq=False)
 class TransmissionTrace:
-    """A validated sweep: ascending wavelength_nm, transmission in [0, 1.05].
+    """A validated sweep: transmission in [0, 1.05] against wavelength_nm.
 
-    Every trace, loaded or built in memory, is checked here; the row
-    scanner repeats the checks only to name the offending line.  NaN
-    fails the range check.  A descending input sweep is reversed and
+    The wavelengths ascend and are finite and positive.  Every trace,
+    loaded or built in memory, is checked here; the row scanner repeats
+    the checks only to name the offending line.  NaN fails the range
+    checks.  A descending input sweep is reversed and
     flagged in metadata under "reversed_input".  Free-form metadata
     (sweep rate, input power, ...) rides along untouched.
     """
@@ -409,6 +419,9 @@ class TransmissionTrace:
         lam, tr, flipped = _canon(self.wavelength_nm, self.transmission)
         if lam.size < 2:
             raise DomainError("a trace needs at least 2 samples")
+        # ascending, so the ends bound every sample; NaN fails both tests
+        if not (lam[0] > 0.0 and lam[-1] < math.inf):
+            raise DomainError("wavelength must be finite and positive")
         if not np.all((tr >= 0.0) & (tr <= 1.05)):
             raise DomainError("transmission must lie in [0, 1.05]")
         meta = dict(self.metadata)
@@ -489,6 +502,8 @@ def _scan_columns(path):
                 t = float(row[1])
             except ValueError:
                 raise TraceParseError(f"line {i}: not a number: {row!r}") from None
+            if not 0.0 < w < math.inf:
+                raise TraceParseError(f"line {i}: wavelength {w!r} is not finite and positive")
             if not 0.0 <= t <= 1.05:
                 raise TraceParseError(f"line {i}: transmission {t!r} outside [0, 1.05]")
             lam.append(w)
@@ -498,8 +513,7 @@ def _scan_columns(path):
         raise TraceParseError(f"line {line}: need at least 2 data rows")
     d = np.diff(lam)
     if not (np.all(d > 0.0) or np.all(d < 0.0)):
-        # "not > 0" rather than "<= 0", so a NaN wavelength is caught too
-        bad = int(np.flatnonzero(~(d * (1.0 if d[0] > 0.0 else -1.0) > 0.0))[0])
+        bad = int(np.flatnonzero(d * (1.0 if d[0] > 0.0 else -1.0) <= 0.0)[0])
         line = _sample_line(bad + 1, blank_lines)
         raise TraceParseError(f"line {line}: wavelength not strictly monotonic")
     return np.array(lam), np.array(tr)
@@ -804,9 +818,9 @@ def analyze_trace(trace: TransmissionTrace, *, detrend=True, min_prominence=0.05
     """Detect and fit every dip, then estimate the FSR when possible.
 
     All windows go through one batched fit (see :func:`fit_resonance`).
-    Dips whose fit fails the sampling precondition, does not converge or
-    lands on an unphysical dip count in ``n_rejected`` instead of
-    aborting the trace.
+    Dips whose fit fails the sampling precondition, does not converge,
+    lands on an unphysical dip or on a depth indistinguishable from noise
+    count in ``n_rejected`` instead of aborting the trace.
     """
     if detrend:
         trace = normalize_trace(trace, prominence=min_prominence)

@@ -1,5 +1,8 @@
 """Config parsing and command-line behavior, including byte determinism."""
 
+import ast
+import dataclasses
+import importlib
 import json
 import math
 import os
@@ -20,7 +23,7 @@ from squeezesim.config import (
 )
 from squeezesim.langevin import load_series
 from squeezesim.params import C_LIGHT, MaterialParams, g0_from_material
-from squeezesim.steady_state import threshold_intracavity, threshold_power
+from squeezesim.steady_state import threshold_gain, threshold_power
 from squeezesim.traces import TransmissionTrace, save_trace, synthesize_trace
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
@@ -60,6 +63,14 @@ def test_minimal_config_defaults():
     assert cfg.opt("resonator.fsr_hz") == 59.3e9
     # scalar omega -> single-point grid
     assert cfg.omega_grid == (cfg.omega,)
+
+
+def test_eta_end_to_end_is_chain_times_escape():
+    cfg = resolve_text(MINIMAL)
+    # the escape efficiency lives on the model alone
+    assert "eta_escape" not in {f.name for f in dataclasses.fields(cfg.chain)}
+    assert cfg.eta_end_to_end == cfg.eta_total * cfg.model.eta_escape
+    assert cfg.eta_end_to_end == pytest.approx(0.602 * 0.9178217821782178, rel=1e-12)
 
 
 def test_parse_errors_name_key_and_line():
@@ -134,6 +145,39 @@ def test_validate_options_name_their_keys():
     assert cfg.opt("validate.n_random") == 0
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("analysis.samples_per_period = 401", "analysis.samples_per_period"),
+        ("analysis.periods = 0", "analysis.periods"),
+        ("analysis.scan_time_s = 0.0", "analysis.scan_time_s"),
+        ("analysis.vbw_hz = 400e3", "analysis.vbw_hz"),
+        ("validate.min_pass_fraction = 0.0", "validate.min_pass_fraction"),
+        ("validate.n_sigma = 0.0", "validate.n_sigma"),
+        ("validate.max_db_err = -0.1", "validate.max_db_err"),
+        ("fit.min_prominence = 0.0", "fit.min_prominence"),
+        ("fit.min_spacing_nm = -0.01", "fit.min_spacing_nm"),
+        ("fit.min_samples_per_fwhm = -1", "fit.min_samples_per_fwhm"),
+    ],
+)
+def test_out_of_range_option_names_its_key_and_exits_2(tmp_path, text, key):
+    with pytest.raises(ConfigError, match=key):
+        resolve_text(MINIMAL + text + "\n")
+    path = write_cfg(tmp_path, MINIMAL + text + "\n")
+    assert main(["phase-scan", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_option_range_ends_are_accepted():
+    cfg = resolve_text(
+        MINIMAL
+        + "analysis.samples_per_period = 4\nanalysis.periods = 1\n"
+        + "analysis.vbw_hz = 300e3\nvalidate.min_pass_fraction = 1.0\n"
+        + "fit.min_spacing_nm = 0.0\nfit.min_samples_per_fwhm = 0\n"
+    )
+    assert cfg.opt("analysis.vbw_hz") == cfg.opt("analysis.rbw_hz")
+    assert cfg.opt("validate.min_pass_fraction") == 1.0
+
+
 def test_rate_combination_and_ordering():
     text = MINIMAL.replace(
         "resonator.q_intrinsic = 10.1e6", "resonator.kappa_i_rad_s = 1.1955e8"
@@ -200,7 +244,7 @@ def test_threshold_fraction_calibration_hits_fraction():
     pump = PumpDrive.from_power(0.050, cfg.model.omega0)
     steady = solve_steady_state(cfg.model, pump, cfg.branch_policy)
     gain = cfg.model.g0 * steady.rho
-    gain_th = cfg.model.g0 * threshold_intracavity(cfg.model, 1)
+    gain_th = threshold_gain(cfg.model, 1)
     assert gain / gain_th == pytest.approx(0.59, rel=1e-9)
 
 
@@ -656,6 +700,27 @@ def test_cli_import_defers_scipy_and_package_exports_resolve():
     assert report == {
         "loaded": [], "oracle_loaded": [], "unresolved": [], "unbound": [], "undir": []
     }
+
+
+def test_bench_traced_names_resolve():
+    # the traced bench swaps each (module, name) for a timing wrapper through
+    # getattr, so a deleted name would break it without failing anything else;
+    # read from the source, so the bench itself is not imported
+    layers = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(layers.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    names = [(module, name) for module, names in traced.items() for name in names]
+    assert len(names) > 20
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
 
 
 _FIT_PROBE = """

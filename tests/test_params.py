@@ -148,16 +148,6 @@ def test_detection_chain_total_and_from_total():
         DetectionChain(eta_couple=1.2)
 
 
-def test_detection_chain_end_to_end():
-    chain = DetectionChain(
-        eta_couple=0.75, eta_prop=0.95, visibility=0.98, eta_pd=0.88,
-        eta_escape=0.9178217822,
-    )
-    assert chain.eta_end_to_end == pytest.approx(0.6021708 * 0.9178217822, rel=1e-6)
-    with pytest.raises(DomainError):
-        DetectionChain.from_total(0.5).eta_end_to_end
-
-
 def test_g0_material_scaling():
     mat = MaterialParams(n2=2.4e-19, n0=1.996, v_eff=1.0e-16)
     omega0 = wavelength_to_omega(1560e-9)

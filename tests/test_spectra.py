@@ -38,7 +38,7 @@ from squeezesim.steady_state import (
     SteadyState,
     solve_steady_state,
     steady_state_roots,
-    threshold_intracavity,
+    threshold_gain,
     threshold_power,
 )
 
@@ -455,10 +455,10 @@ def test_calibration_names_non_finite_omega():
 def calibration_objective(model, x, omega, l, eta_total):
     """Optimal-quadrature variance at drive strength x = g0*rho/(kappa/2), elementwise."""
     hk = 0.5 * model.kappa
-    probe = dataclasses.replace(model, g0=1.0)
-    rho = np.asarray(x, dtype=float) * hk
-    a0 = np.sqrt(rho) * np.exp(-1j * np.arctan2(model.delta - rho, hk))
-    pair = pair_moments(probe, rho, a0, omega, l)
+    gain = np.asarray(x, dtype=float) * hk
+    rho = gain / model.g0
+    a0 = np.sqrt(rho) * np.exp(-1j * np.arctan2(model.delta - gain, hk))
+    pair = pair_moments(model, rho, a0, omega, l)
     return optimal_quadratures_from_cov(output_covariance(pair, eta_total)).var_min
 
 
@@ -507,7 +507,7 @@ def test_calibration_finds_the_dense_grid_minimum(b, w, eta_esc, eta):
     # kappa/2 = 1, so delta = b; the grid spans calibration's own (0, x_hi]
     model = make_model(b, eta_esc=eta_esc)
     pump = PumpDrive.from_power(0.050, model.omega0)
-    x_th = threshold_intracavity(dataclasses.replace(model, g0=1.0))
+    x_th = threshold_gain(model)
     x_hi = min(3.0, x_th * (1.0 - 1e-9))
     grid = np.linspace(0.0, x_hi, 20001)[1:]
     values = calibration_objective(model, grid, w, 1, eta)

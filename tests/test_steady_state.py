@@ -8,10 +8,14 @@ from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
     bistable_flux_window,
     cubic_roots_scaled,
+    fixed_point_flux,
+    fixed_point_photons,
+    g0_for_gain,
     is_bistable,
     solve_steady_state,
     steady_state_on_branch,
     steady_state_roots,
+    threshold_gain,
     threshold_intracavity,
     threshold_power,
 )
@@ -348,3 +352,46 @@ def test_threshold_root_satisfies_gain_condition(alpha):
     gain = model.g0 * rho_th
     offset = model.delta - 2.0 * model.g0 * rho_th
     assert gain * gain == pytest.approx(hk * hk + offset * offset, rel=1e-9)
+
+
+def test_threshold_gain_does_not_depend_on_g0():
+    # b = 2 hk gives g0*rho_th = hk exactly (see the alpha = 2 anchor)
+    gains = {threshold_gain(make_model(2.0, g0=g0)) for g0 in (0.0, 0.5, 2.0, 7.0)}
+    assert gains == {threshold_gain(make_model(2.0))}
+    assert threshold_gain(make_model(2.0)) == pytest.approx(1.0, rel=1e-15)
+    model = make_model(2.5)
+    assert model.g0 * threshold_intracavity(model) == pytest.approx(
+        threshold_gain(model), rel=1e-15
+    )
+    for alpha in (0.0, 1.7, -2.0):
+        assert math.isinf(threshold_gain(make_model(alpha, g0=0.0)))
+
+
+@settings(max_examples=100)
+@given(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=1e-4, max_value=5.0),
+    st.just(0.0) | st.floats(min_value=0.01, max_value=4.0),
+)
+def test_fixed_point_directions_invert_each_other(alpha, beta, g0):
+    model = make_model(alpha, g0=g0)
+    pump = pump_for_beta(model, beta) if g0 > 0.0 else PumpDrive(1e-3, beta, math.sqrt(beta))
+    for rho in steady_state_roots(model, pump):
+        delta_eff = model.delta - model.g0 * rho
+        assert fixed_point_flux(model, rho, delta_eff) == pytest.approx(pump.flux, rel=1e-9)
+        assert fixed_point_photons(model, pump.flux, delta_eff) == pytest.approx(rho, rel=1e-9)
+
+
+@settings(max_examples=100)
+@given(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=1e-3, max_value=3.0),
+)
+def test_g0_for_gain_places_the_gain_at_the_pump(alpha, x):
+    # kappa/2 = 1, so the gain is x itself
+    model = make_model(alpha)
+    pump = PumpDrive.from_power(1e-3, model.omega0)
+    g0 = g0_for_gain(model, pump, x)
+    tuned = make_model(alpha, g0=g0)
+    gains = g0 * steady_state_roots(tuned, pump)
+    assert np.min(np.abs(gains - x)) <= 1e-9 * x

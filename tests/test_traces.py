@@ -249,7 +249,9 @@ def test_load_trace_fast_path_matches_row_scanner(tmp_path):
         "nan transmission": (head + "1550.0,0.9\n1550.1,nan\n", False),
         "inf transmission": (head + "1550.0,0.9\n1550.1,inf\n", False),
         "nan wavelength": (head + "1550.0,0.9\nnan,0.8\n1550.2,0.7\n", False),
-        "inf wavelength": (head + "1550.0,0.9\n1550.1,0.8\ninf,0.7\n", True),
+        "inf wavelength": (head + "1550.0,0.9\n1550.1,0.8\ninf,0.7\n", False),
+        "zero wavelength": (head + "0.0,0.9\n1550.1,0.8\n", False),
+        "negative wavelength": (head + "1550.2,0.9\n1550.1,0.8\n-1.0,0.7\n", False),
         "range": (head + "1550.0,0.9\n1550.1,1.2\n", False),
         "not monotonic": (head + "1550.0,0.9\n\n1550.2,0.8\n1550.1,0.7\n", False),
         "repeated wavelength": (head + "1550.0,0.9\n1550.1,0.8\n1550.1,0.7\n", False),
@@ -268,6 +270,8 @@ def test_load_trace_fast_path_matches_row_scanner(tmp_path):
     # NaN is refused by the trace type, so the scanner names its line
     with pytest.raises(TraceParseError, match="line 3: transmission nan"):
         load_trace(tmp_path / "nan_transmission.csv")
+    with pytest.raises(TraceParseError, match="line 4: wavelength inf"):
+        load_trace(tmp_path / "inf_wavelength.csv")
 
 
 def test_normalize_is_idempotent_and_flagged():
@@ -624,3 +628,32 @@ def test_pure_noise_window_is_rejected(monkeypatch):
     report = analyze_trace(TransmissionTrace(lam, tr), detrend=False)
     assert (report.n_detected, report.n_rejected, len(report.resonances)) == (2, 1, 1)
     assert report.resonances[0] == fit_resonance(lam[3000:5001], tr[3000:5001])
+
+
+def test_insignificant_noise_dip_is_rejected(monkeypatch):
+    import squeezesim.traces as traces
+
+    # pure noise on a 0.019 pm grid: these seeds converge to a "dip" whose
+    # depth is 0.04, 1.3 and 0.18 of its standard error; real dips sit
+    # hundreds of standard errors deep
+    lam = LAMBDA0 + 0.019e-3 * np.arange(6000)
+    tr = synthesize_trace(lam, [(lam[4500], KAPPA0, T_FLOOR0)], noise_rms=0.002, seed=1)
+    for seed in (0, 1, 4):
+        tr[:1500] = np.random.default_rng(seed).normal(1.0, 0.01, 1500)
+        with pytest.raises(DomainError, match="noise, not a dip"):
+            fit_resonance(lam[:1500], tr[:1500])
+        monkeypatch.setattr(traces, "detect_resonances", lambda *args: [(3000, 6000), (0, 1500)])
+        report = analyze_trace(TransmissionTrace(lam, tr), detrend=False)
+        assert (report.n_detected, report.n_rejected, len(report.resonances)) == (2, 1, 1)
+        fit = report.resonances[0]
+        assert (1.0 - fit.t_floor) >= 5.0 * fit.stderr[2]
+
+
+def test_trace_wavelengths_must_be_finite_and_positive():
+    lam = dense_grid(n=128)
+    tr = synthesize_trace(lam, [(LAMBDA0, KAPPA0, T_FLOOR0)])
+    for index, bad in ((-1, math.inf), (0, -math.inf), (0, 0.0), (0, -1.0)):
+        spoiled = lam.copy()
+        spoiled[index] = bad
+        with pytest.raises(DomainError, match="wavelength must be finite and positive"):
+            TransmissionTrace(spoiled, tr)
