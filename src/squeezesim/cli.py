@@ -274,7 +274,7 @@ def cmd_threshold(cfg: RunConfig, args, out: Path) -> int:
 
 
 _FIT_DEFAULTS = {
-    key: default for key, (_, default) in _SCHEMA.items() if key.startswith("fit.")
+    key: default for key, (_, default, _) in _SCHEMA.items() if key.startswith("fit.")
 }
 
 

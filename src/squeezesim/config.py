@@ -5,7 +5,7 @@ Config files are flat ``section.key = value`` pairs, one per line, with
 decay rates, lumped vs per-stage detection efficiency, explicit vs
 material-derived vs power-calibrated Kerr rate) must be supplied exactly
 once; the resolver rejects ambiguous or incomplete combinations and
-reports the offending field paths.
+out-of-range values, and reports the offending field paths.
 
 ``RunConfig.echo_text()`` serializes the effective configuration, with
 defaults filled in, such that re-parsing it reproduces the same run.
@@ -41,57 +41,72 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 _OPTIONAL = object()
 
-# key -> (type tag, default).  _REQUIRED keys must appear; _OPTIONAL keys
-# may be absent and are then omitted from the echo; group membership is
-# enforced separately in resolve_config.
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "seed": ("int", 0),
-    "resonator.wavelength_nm": ("float", _REQUIRED),
-    "resonator.q_intrinsic": ("float", _OPTIONAL),
-    "resonator.kappa_i_rad_s": ("float", _OPTIONAL),
-    "resonator.q_loaded": ("float", _OPTIONAL),
-    "resonator.kappa_e_rad_s": ("float", _OPTIONAL),
-    "resonator.fsr_hz": ("float", 59.3e9),
-    "resonator.d2_rad_s": ("float", 0.0),
-    "resonator.g0_rad_s": ("float", _OPTIONAL),
-    "material.n2_m2_per_w": ("float", _OPTIONAL),
-    "material.n0": ("float", _OPTIONAL),
-    "material.v_eff_m3": ("float", _OPTIONAL),
-    "material.include_c": ("bool", _OPTIONAL),
-    "calibration.power_mw": ("float", _OPTIONAL),
-    "calibration.threshold_fraction": ("float", _OPTIONAL),
-    "drive.power_mw": ("float", _OPTIONAL),
-    "drive.powers_mw": ("floats", ()),
-    "drive.detuning_rad_s": ("float", 0.0),
-    "detection.eta_total": ("float", _OPTIONAL),
-    "detection.eta_couple": ("float", _OPTIONAL),
-    "detection.eta_prop": ("float", _OPTIONAL),
-    "detection.visibility": ("float", _OPTIONAL),
-    "detection.eta_pd": ("float", _OPTIONAL),
-    "analysis.omega_hz": ("float", 7.0e6),
-    "analysis.omega_min_hz": ("float", _OPTIONAL),
-    "analysis.omega_max_hz": ("float", _OPTIONAL),
-    "analysis.n_omega": ("int", 25),
-    "analysis.n_theta": ("int", 91),
-    "analysis.rbw_hz": ("float", 300e3),
-    "analysis.vbw_hz": ("float", 470.0),
-    "analysis.scan_time_s": ("float", 1.0),
-    "analysis.samples_per_period": ("int", 400),
-    "analysis.periods": ("int", 2),
-    "solver.branch_policy": ("choice:" + "|".join(BRANCH_POLICIES), "lowest"),
-    "solver.mode_index": ("int", 1),
-    "solver.residual_rtol": ("float", 1e-10),
-    "validate.n_segments": ("int", 17000),
-    "validate.n_sigma": ("float", 3.0),
-    "validate.max_db_err": ("float", 0.1),
-    "validate.min_pass_fraction": ("float", 0.95),
-    "validate.batch_size": ("int", 128),
-    "validate.n_random": ("int", 200),
-    "fit.regime": ("choice:overcoupled|undercoupled|ambiguous", "overcoupled"),
-    "fit.detrend": ("bool", True),
-    "fit.min_prominence": ("float", 0.05),
-    "fit.min_spacing_nm": ("float", 0.0),
-    "fit.min_samples_per_fwhm": ("int", 15),
+# A range rule is (wording, test): a value v is valid when test(v) holds,
+# and is refused as "<key>: must be <wording>, got <v>".
+_POSITIVE = ("positive", lambda v: v > 0)
+_NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+_EFFICIENCY = ("in (0, 1]", lambda v: 0 < v <= 1)
+_OPEN_FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)
+_EVEN_AT_LEAST_4 = ("even and at least 4", lambda v: v >= 4 and v % 2 == 0)
+
+
+def _at_least(n: int):
+    return (f"at least {n}", lambda v: v >= n)
+
+
+# key -> (type tag, default, range rule).  _REQUIRED keys must appear;
+# _OPTIONAL keys may be absent and are then omitted from the echo.  The
+# rule (None for a signed quantity) applies to each element of a list;
+# group membership and rules tying keys together are enforced in
+# resolve_config.
+_SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
+    "seed": ("int", 0, _NON_NEGATIVE),
+    "resonator.wavelength_nm": ("float", _REQUIRED, _POSITIVE),
+    "resonator.q_intrinsic": ("float", _OPTIONAL, _POSITIVE),
+    "resonator.kappa_i_rad_s": ("float", _OPTIONAL, _NON_NEGATIVE),
+    "resonator.q_loaded": ("float", _OPTIONAL, _POSITIVE),
+    "resonator.kappa_e_rad_s": ("float", _OPTIONAL, None),
+    "resonator.fsr_hz": ("float", 59.3e9, _POSITIVE),
+    "resonator.d2_rad_s": ("float", 0.0, None),
+    "resonator.g0_rad_s": ("float", _OPTIONAL, _NON_NEGATIVE),
+    "material.n2_m2_per_w": ("float", _OPTIONAL, _POSITIVE),
+    "material.n0": ("float", _OPTIONAL, _POSITIVE),
+    "material.v_eff_m3": ("float", _OPTIONAL, _POSITIVE),
+    "material.include_c": ("bool", _OPTIONAL, None),
+    "calibration.power_mw": ("float", _OPTIONAL, _POSITIVE),
+    "calibration.threshold_fraction": ("float", _OPTIONAL, _OPEN_FRACTION),
+    "drive.power_mw": ("float", _OPTIONAL, _NON_NEGATIVE),
+    "drive.powers_mw": ("floats", (), _NON_NEGATIVE),
+    "drive.detuning_rad_s": ("float", 0.0, None),
+    "detection.eta_total": ("float", _OPTIONAL, _EFFICIENCY),
+    "detection.eta_couple": ("float", _OPTIONAL, _EFFICIENCY),
+    "detection.eta_prop": ("float", _OPTIONAL, _EFFICIENCY),
+    "detection.visibility": ("float", _OPTIONAL, _EFFICIENCY),
+    "detection.eta_pd": ("float", _OPTIONAL, _EFFICIENCY),
+    "analysis.omega_hz": ("float", 7.0e6, None),
+    "analysis.omega_min_hz": ("float", _OPTIONAL, _POSITIVE),
+    "analysis.omega_max_hz": ("float", _OPTIONAL, _POSITIVE),
+    "analysis.n_omega": ("int", 25, _at_least(2)),
+    "analysis.n_theta": ("int", 91, _at_least(3)),
+    "analysis.rbw_hz": ("float", 300e3, _POSITIVE),
+    "analysis.vbw_hz": ("float", 470.0, _NON_NEGATIVE),
+    "analysis.scan_time_s": ("float", 1.0, _POSITIVE),
+    "analysis.samples_per_period": ("int", 400, _EVEN_AT_LEAST_4),
+    "analysis.periods": ("int", 2, _at_least(1)),
+    "solver.branch_policy": ("choice:" + "|".join(BRANCH_POLICIES), "lowest", None),
+    "solver.mode_index": ("int", 1, _at_least(1)),
+    "solver.residual_rtol": ("float", 1e-10, _POSITIVE),
+    "validate.n_segments": ("int", 17000, _at_least(2)),
+    "validate.n_sigma": ("float", 3.0, _POSITIVE),
+    "validate.max_db_err": ("float", 0.1, _POSITIVE),
+    "validate.min_pass_fraction": ("float", 0.95, _EFFICIENCY),
+    "validate.batch_size": ("int", 128, _at_least(1)),
+    "validate.n_random": ("int", 200, _NON_NEGATIVE),
+    "fit.regime": ("choice:overcoupled|undercoupled|ambiguous", "overcoupled", None),
+    "fit.detrend": ("bool", True, None),
+    "fit.min_prominence": ("float", 0.05, _POSITIVE),
+    "fit.min_spacing_nm": ("float", 0.0, _NON_NEGATIVE),
+    "fit.min_samples_per_fwhm": ("int", 15, _NON_NEGATIVE),
 }
 
 
@@ -251,8 +266,6 @@ def _resolve_rates(values: Mapping[str, object], omega0: float) -> tuple[float, 
         kappa_i = kappa_from_q(omega0, float(values[key_i]))
     else:
         kappa_i = float(values[key_i])
-        if kappa_i < 0.0:
-            raise ConfigError("resonator.kappa_i_rad_s: must be non-negative")
     if key_e == "resonator.kappa_e_rad_s":
         kappa_e = float(values[key_e])
     else:
@@ -353,11 +366,16 @@ def _resolve_g0(
 
 
 def resolve_config(values: Mapping[str, object]) -> RunConfig:
-    """Apply defaults, enforce the one-of groups, and build the run objects."""
+    """Apply defaults and range rules, enforce the one-of groups, build the run."""
     effective: dict[str, object] = {}
-    for key, (kind, default) in _SCHEMA.items():
+    for key, (kind, default, rule) in _SCHEMA.items():
         if key in values:
-            effective[key] = values[key]
+            value = effective[key] = values[key]
+            if rule is not None:
+                wording, test = rule
+                for item in value if kind == "floats" else (value,):
+                    if not test(item):
+                        raise ConfigError(f"{key}: must be {wording}, got {item}")
         elif default is _REQUIRED:
             raise ConfigError(f"{key}: required key is missing")
         elif default is not _OPTIONAL:
@@ -382,8 +400,6 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
 
         omega = 2.0 * math.pi * float(effective["analysis.omega_hz"])
         mode_index = int(effective["solver.mode_index"])
-        if mode_index < 1:
-            raise ConfigError("solver.mode_index: must be at least 1")
         model, calibration = _resolve_g0(
             effective, model, omega, mode_index, chain.eta_total
         )
@@ -397,62 +413,28 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
         if has_min:
             lo = float(effective["analysis.omega_min_hz"])
             hi = float(effective["analysis.omega_max_hz"])
+            if not lo < hi:
+                raise ConfigError(
+                    "analysis.omega_min_hz: must be below analysis.omega_max_hz, "
+                    f"got {lo} and {hi}"
+                )
             n = int(effective["analysis.n_omega"])
-            if not 0.0 < lo < hi:
-                raise ConfigError("analysis.omega_min_hz: need 0 < min < max")
-            if n < 2:
-                raise ConfigError("analysis.n_omega: need at least 2 grid points")
             grid = tuple(2.0 * math.pi * f for f in np.geomspace(lo, hi, n))
         else:
             grid = (omega,)
 
-        n_theta = int(effective["analysis.n_theta"])
-        if n_theta < 3:
-            raise ConfigError("analysis.n_theta: need at least 3 angles")
-
         power_w = None
         if "drive.power_mw" in effective:
             power_w = float(effective["drive.power_mw"]) * 1e-3
-            if power_w < 0.0:
-                raise ConfigError("drive.power_mw: must be non-negative")
         powers_w = tuple(
             float(p) * 1e-3 for p in effective["drive.powers_mw"]
         )
-        if any(p < 0.0 for p in powers_w):
-            raise ConfigError("drive.powers_mw: powers must be non-negative")
 
-        if int(effective["validate.n_segments"]) < 2:
-            raise ConfigError("validate.n_segments: need at least 2 segments")
-        if int(effective["validate.batch_size"]) < 1:
-            raise ConfigError("validate.batch_size: must be at least 1")
-        if int(effective["validate.n_random"]) < 0:
-            raise ConfigError("validate.n_random: must be non-negative")
-        if not 0.0 < float(effective["validate.min_pass_fraction"]) <= 1.0:
-            raise ConfigError("validate.min_pass_fraction: must lie in (0, 1]")
-        for key in ("validate.n_sigma", "validate.max_db_err", "fit.min_prominence"):
-            if float(effective[key]) <= 0.0:
-                raise ConfigError(f"{key}: must be positive")
-        for key in ("fit.min_spacing_nm", "fit.min_samples_per_fwhm"):
-            if float(effective[key]) < 0.0:
-                raise ConfigError(f"{key}: must be non-negative")
-
-        samples_per_period = int(effective["analysis.samples_per_period"])
-        if samples_per_period % 2 or samples_per_period < 4:
-            raise ConfigError("analysis.samples_per_period: must be even and at least 4")
-        if int(effective["analysis.periods"]) < 1:
-            raise ConfigError("analysis.periods: must be at least 1")
-        if float(effective["analysis.scan_time_s"]) <= 0.0:
-            raise ConfigError("analysis.scan_time_s: must be positive")
         vbw, rbw = float(effective["analysis.vbw_hz"]), float(effective["analysis.rbw_hz"])
-        if not 0.0 <= vbw <= rbw:
-            raise ConfigError("analysis.vbw_hz: need 0 <= vbw_hz <= analysis.rbw_hz")
-
-        rtol = float(effective["solver.residual_rtol"])
-        if rtol <= 0.0:
-            raise ConfigError("solver.residual_rtol: must be positive")
-        seed = int(effective["seed"])
-        if seed < 0:
-            raise ConfigError("seed: must be non-negative")
+        if vbw > rbw:
+            raise ConfigError(
+                f"analysis.vbw_hz: must not exceed analysis.rbw_hz, got {vbw} and {rbw}"
+            )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -464,11 +446,11 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
         powers_w=powers_w,
         omega=omega,
         omega_grid=grid,
-        n_theta=n_theta,
+        n_theta=int(effective["analysis.n_theta"]),
         branch_policy=str(effective["solver.branch_policy"]),
         mode_index=mode_index,
-        residual_rtol=rtol,
-        seed=seed,
+        residual_rtol=float(effective["solver.residual_rtol"]),
+        seed=int(effective["seed"]),
         calibration=calibration,
     )
 
@@ -478,7 +460,5 @@ def load_config(path, *, seed_override: int | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
         values = parse_config_text(handle.read())
     if seed_override is not None:
-        if seed_override < 0:
-            raise ConfigError("seed: must be non-negative")
         values["seed"] = int(seed_override)
     return resolve_config(values)

@@ -636,6 +636,9 @@ def phase_scan_trace(
     """
     if samples_per_period % 2 or samples_per_period < 4:
         raise DomainError("samples_per_period must be even and at least 4")
+    for name, value in (("scan_time", scan_time), ("rbw", rbw)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     if periods < 1:
         raise DomainError("periods must be at least 1")
     if not 0.0 <= vbw <= rbw:

@@ -204,6 +204,8 @@ def steady_state_on_branch(
 
 
 def _steady_state_at(model, pump, rhos, index, rtol=RESIDUAL_RTOL) -> SteadyState:
+    if not 0.0 < rtol < math.inf:  # NaN or inf would turn the residual check off
+        raise DomainError(f"rtol must be finite and positive, got {rtol}")
     hk = 0.5 * model.kappa
     rho = float(rhos[index])
     delta_eff = model.delta - model.g0 * rho

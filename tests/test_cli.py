@@ -3,9 +3,11 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +24,13 @@ from squeezesim.config import (
     resolve_config,
 )
 from squeezesim.langevin import load_series
-from squeezesim.params import C_LIGHT, MaterialParams, g0_from_material
-from squeezesim.steady_state import threshold_gain, threshold_power
+from squeezesim.params import C_LIGHT, HBAR, MaterialParams, PumpDrive, g0_from_material
+from squeezesim.steady_state import (
+    bistable_flux_window,
+    steady_state_roots,
+    threshold_gain,
+    threshold_power,
+)
 from squeezesim.traces import TransmissionTrace, save_trace, synthesize_trace
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
@@ -40,6 +47,11 @@ drive.power_mw = 0.0
 
 def resolve_text(text):
     return resolve_config(parse_config_text(text))
+
+
+def override(text, base=MINIMAL):
+    """Config text of ``base`` with the keys of ``text`` set to its values."""
+    return format_config({**parse_config_text(base), **parse_config_text(text)})
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -158,12 +170,32 @@ def test_validate_options_name_their_keys():
         ("fit.min_prominence = 0.0", "fit.min_prominence"),
         ("fit.min_spacing_nm = -0.01", "fit.min_spacing_nm"),
         ("fit.min_samples_per_fwhm = -1", "fit.min_samples_per_fwhm"),
+        ("resonator.wavelength_nm = -1560", "resonator.wavelength_nm"),
+        ("resonator.q_intrinsic = -1", "resonator.q_intrinsic"),
+        ("resonator.q_loaded = 0", "resonator.q_loaded"),
+        ("resonator.kappa_i_rad_s = -1", "resonator.kappa_i_rad_s"),
+        ("resonator.fsr_hz = -5", "resonator.fsr_hz"),
+        ("resonator.g0_rad_s = -0.5", "resonator.g0_rad_s"),
+        ("material.n2_m2_per_w = -2.4e-19", "material.n2_m2_per_w"),
+        ("material.n0 = 0", "material.n0"),
+        ("material.v_eff_m3 = -1e-16", "material.v_eff_m3"),
+        ("calibration.power_mw = 0", "calibration.power_mw"),
+        ("calibration.threshold_fraction = 1.5", "calibration.threshold_fraction"),
+        ("detection.eta_total = 1.5", "detection.eta_total"),
+        ("detection.eta_couple = 1.5", "detection.eta_couple"),
+        ("detection.eta_prop = 0", "detection.eta_prop"),
+        ("detection.visibility = 1.01", "detection.visibility"),
+        ("detection.eta_pd = -0.5", "detection.eta_pd"),
+        ("analysis.rbw_hz = -1", "analysis.rbw_hz"),
+        ("analysis.n_omega = 1", "analysis.n_omega"),
+        ("drive.powers_mw = 1.0, -1.0", "drive.powers_mw"),
     ],
 )
 def test_out_of_range_option_names_its_key_and_exits_2(tmp_path, text, key):
-    with pytest.raises(ConfigError, match=key):
-        resolve_text(MINIMAL + text + "\n")
-    path = write_cfg(tmp_path, MINIMAL + text + "\n")
+    text = override(text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}:"):
+        resolve_text(text)
+    path = write_cfg(tmp_path, text)
     assert main(["phase-scan", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
@@ -176,6 +208,26 @@ def test_option_range_ends_are_accepted():
     )
     assert cfg.opt("analysis.vbw_hz") == cfg.opt("analysis.rbw_hz")
     assert cfg.opt("validate.min_pass_fraction") == 1.0
+    lossless = MINIMAL.replace(
+        "resonator.q_intrinsic = 10.1e6", "resonator.kappa_i_rad_s = 0.0"
+    )
+    cfg = resolve_text(
+        override(
+            "resonator.g0_rad_s = 0.0\ndetection.eta_total = 1.0\n"
+            "analysis.vbw_hz = 0.0\ndrive.powers_mw = 0.0\n"
+            "analysis.omega_min_hz = 1e6\nanalysis.omega_max_hz = 1e9\n"
+            "analysis.n_omega = 2\nanalysis.n_theta = 3\n",
+            base=lossless,
+        )
+    )
+    assert (cfg.model.kappa_i, cfg.model.g0, cfg.eta_total) == (0.0, 0.0, 1.0)
+    assert (cfg.power_w, cfg.powers_w, len(cfg.omega_grid)) == (0.0, (0.0,), 2)
+    per_stage = MINIMAL.replace(
+        "detection.eta_total = 0.602",
+        "detection.eta_couple = 1\ndetection.eta_prop = 1\n"
+        "detection.visibility = 1\ndetection.eta_pd = 1",
+    )
+    assert resolve_text(per_stage).eta_total == 1.0
 
 
 def test_rate_combination_and_ordering():
@@ -292,6 +344,28 @@ def test_spectrum_reference_config_summary(tmp_path):
     # grid file covers n_omega x n_theta points
     _, rows = read_csv(out / "spectrum.csv")
     assert len(rows) == summary["n_omega"] * summary["n_theta"]
+
+
+def test_spectrum_summary_records_the_optimum_calibration(tmp_path):
+    # with delta = d2 = 0 the optimum is x_opt = sqrt((1 + w^2)/3), where the
+    # pair term G is 12 and var_min = 1 - (2/3) eta_escape eta_chain
+    text = override("calibration.power_mw = 50.0\ndrive.power_mw = 50.0\n")
+    text = text.replace("resonator.g0_rad_s = 0.5\n", "")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", path, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "spectrum_summary.json").read_text())
+    cfg = load_config(path)
+    w = cfg.omega / (0.5 * cfg.model.kappa)
+    calibration = summary["calibration"]
+    assert calibration["x_opt"] == pytest.approx(math.sqrt((1 + w * w) / 3), rel=1e-12)
+    assert calibration["g0_rad_s"] == summary["g0_rad_s"] == cfg.model.g0
+    assert calibration["branch"] == "single"
+    assert calibration["rho"] == pytest.approx(summary["rho"], rel=1e-12)
+    assert summary["squeezing_db"] == pytest.approx(
+        -10 * math.log10(1 - 2 / 3 * cfg.eta_end_to_end), rel=1e-9
+    )
+    assert summary["squeezing_db"] == pytest.approx(1.9953, abs=1e-4)
 
 
 def test_spectrum_rerun_byte_identical(tmp_path):
@@ -435,6 +509,30 @@ def test_threshold_command_reports(tmp_path):
     assert report["at_power"]["below_threshold"] is True
 
 
+def test_threshold_command_reports_the_bistable_window(tmp_path):
+    text = override("resonator.g0_rad_s = 0.3\ndrive.detuning_rad_s = 2.0e9\n")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["threshold", "--config", path, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "threshold.json").read_text())
+    model = load_config(path).model
+    lo, hi = bistable_flux_window(model)
+    assert report["bistable"] is True
+    assert report["bistable_window_mw"] == [
+        flux * HBAR * model.omega0 * 1e3 for flux in (lo, hi)
+    ]
+    assert report["bistable_window_mw"] == pytest.approx([324.39, 500.88], abs=0.01)
+
+    def n_roots(power_mw):
+        pump = PumpDrive.from_power(power_mw * 1e-3, model.omega0)
+        return len(steady_state_roots(model, pump))
+
+    lo_mw, hi_mw = report["bistable_window_mw"]
+    assert [n_roots(p) for p in (0.99 * lo_mw, 0.5 * (lo_mw + hi_mw), 1.01 * hi_mw)] == [
+        1, 3, 1
+    ]
+
+
 def make_trace_file(tmp_path, name="trace.csv", n_dips=3, noise=0.002, seed=3):
     nu0 = C_LIGHT / 1560.3e-9
     centers = [C_LIGHT / (nu0 + k * 59.3e9) * 1e9 for k in range(n_dips)]
@@ -494,6 +592,29 @@ def test_fit_and_stats_commands(tmp_path):
     assert agg["q_loaded"]["mode"] == pytest.approx(0.83e6, rel=0.05)
 
 
+def test_fit_config_options_reach_the_fits(tmp_path):
+    trace_path, centers = make_trace_file(tmp_path)
+    runs = {}
+    for name, text in (
+        ("ambiguous", "fit.regime = ambiguous\n"),
+        ("spaced", "fit.min_spacing_nm = 1.0\n"),
+    ):
+        out = tmp_path / name
+        path = write_cfg(tmp_path, MINIMAL + text, name=name + ".cfg")
+        assert main(["fit", trace_path, "--config", path, "--out", str(out)]) == EXIT_OK
+        assert text in (out / "effective_config.cfg").read_text()
+        runs[name] = (
+            json.loads((out / "fits.json").read_text()),
+            json.loads((out / "fit_stats.json").read_text()),
+        )
+    fits, _ = runs["ambiguous"]
+    assert [f["regime"] for f in fits] == ["ambiguous"] * len(centers)
+    # the three dips sit 0.48 nm apart, so a 1 nm spacing keeps one of them
+    fits, stats = runs["spaced"]
+    assert len(fits) == stats["traces"][0]["n_detected"] == 1
+    assert stats["traces"][0]["fsr_hz"] is None
+
+
 def test_fit_nothing_found_fails(tmp_path):
     grid = np.linspace(1559.0, 1560.0, 2000)
     flat = TransmissionTrace(grid, np.full(grid.size, 0.99))
@@ -528,6 +649,12 @@ def test_stats_names_file_and_record_of_a_bad_fit_file(tmp_path, caplog):
         ("latin1.json", b"\xff[]", "not valid JSON"),
         ("text_q.json", json.dumps([good, {**good, "q_intrinsic": "abc"}]), "fit record 1"),
         ("scalar.json", json.dumps([good, good, 5]), "fit record 2 is not a JSON object"),
+        ("object.json", json.dumps(good), "expected a JSON list of fit records"),
+        (
+            "no_eta.json",
+            json.dumps([{k: v for k, v in good.items() if k != "eta"}]),
+            "fit record 0: missing field 'eta'",
+        ),
     )
     for name, text, message in cases:
         path = tmp_path / name
@@ -538,6 +665,12 @@ def test_stats_names_file_and_record_of_a_bad_fit_file(tmp_path, caplog):
         assert len(errors) == 1, errors
         assert str(path) in errors[0] and message in errors[0], errors[0]
         assert "\n" not in errors[0]
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    caplog.clear()
+    assert main(["stats", str(empty), "--out", str(tmp_path / "out")]) == EXIT_FAIL
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["no fit records found"]
 
 
 VALIDATE_FAST = (
@@ -721,6 +854,59 @@ def test_bench_traced_names_resolve():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def _squeezesim_imports(tree):
+    """Local name -> object for every ``from squeezesim... import`` in ``tree``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("squeezesim"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name, None)
+                if obj is None:  # a submodule, as in ``from squeezesim import cli``
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = obj
+    return bound
+
+
+def _callee(func, bound):
+    """The object a call's ``Name`` or ``Name.attr...`` resolves to, or None."""
+    if isinstance(func, ast.Name):
+        return bound.get(func.id)
+    if isinstance(func, ast.Attribute):
+        base = _callee(func.value, bound)
+        return None if base is None else getattr(base, func.attr)
+    return None
+
+
+def test_bench_calls_into_squeezesim_bind():
+    # the bench builds squeezesim objects field by field and calls functions
+    # by keyword, outside tier-1; a renamed, added or dropped parameter must
+    # fail here rather than only when the bench runs
+    checked, unbound = 0, []
+    for path in sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = _squeezesim_imports(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _callee(node.func, bound)
+            if target is None or inspect.ismodule(target):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            ):
+                continue  # *args or **kwargs: the count is not known here
+            try:
+                inspect.signature(target).bind(
+                    *node.args, **{k.arg: k.value for k in node.keywords}
+                )
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{node.lineno}: {exc}")
+            checked += 1
+    assert unbound == []
+    assert checked > 10
 
 
 _FIT_PROBE = """

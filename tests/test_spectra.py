@@ -659,6 +659,14 @@ def test_phase_scan_trace_jitter_scale():
         phase_scan_trace(model, st, 0.0, samples_per_period=7)
     with pytest.raises(DomainError):
         phase_scan_trace(model, st, 0.0, vbw=1e6, rbw=1e5)
+    # zero scan time gave NaN dB, a negative one a math domain error, inf a
+    # NaN time axis; an infinite rbw silently removed the jitter
+    for scan_time in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^scan_time must be finite and positive"):
+            phase_scan_trace(model, st, 0.0, scan_time=scan_time)
+    for rbw in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^rbw must be finite and positive"):
+            phase_scan_trace(model, st, 0.0, rbw=rbw, vbw=0.0)
 
 
 def test_db_helpers_sign_convention():

@@ -395,3 +395,20 @@ def test_g0_for_gain_places_the_gain_at_the_pump(alpha, x):
     tuned = make_model(alpha, g0=g0)
     gains = g0 * steady_state_roots(tuned, pump)
     assert np.min(np.abs(gains - x)) <= 1e-9 * x
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf])
+def test_residual_tolerance_must_be_finite_and_positive(rtol):
+    # NaN and inf switched the residual check off; zero and below failed
+    # every solve with a RuntimeError quoting a negative tolerance
+    from squeezesim.spectra import power_sweep
+
+    model = make_model(2.0)
+    pump = pump_for_beta(model, 1.0)
+    message = r"^rtol must be finite and positive"
+    with pytest.raises(DomainError, match=message):
+        solve_steady_state(model, pump, rtol=rtol)
+    with pytest.raises(DomainError, match=message):
+        steady_state_on_branch(model, pump, 0, rtol=rtol)
+    with pytest.raises(DomainError, match=message):
+        power_sweep(model, [pump.power_on_chip], rtol=rtol)
