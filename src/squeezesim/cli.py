@@ -26,7 +26,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import _SCHEMA, ConfigError, RunConfig, load_config, parse_config_text
+from .config import (
+    _SCHEMA,
+    ConfigError,
+    RunConfig,
+    format_config,
+    load_config,
+    load_fit_options,
+    parse_config_text,
+)
 from .params import DomainError, PumpDrive
 from .spectra import (
     bogoliubov_defect,
@@ -50,12 +58,6 @@ from .steady_state import (
     threshold_power,
 )
 from .params import HBAR
-from .traces import (
-    TraceParseError,
-    analyze_trace,
-    load_trace,
-    q_statistics,
-)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -278,14 +280,10 @@ _FIT_DEFAULTS = {
 }
 
 
-def _fit_opts(cfg: RunConfig | None) -> dict:
-    if cfg is None:
-        return dict(_FIT_DEFAULTS)
-    return {k: cfg.opt(k) for k in _FIT_DEFAULTS}
-
-
 def _stats_payload(fits) -> dict:
-    stats = q_statistics(fits)
+    from . import traces
+
+    stats = traces.q_statistics(fits)
     payload = {"n_fits": stats.n_fits}
     for name in ("q_intrinsic", "q_loaded", "q_coupling", "eta"):
         summary = getattr(stats, name)
@@ -299,16 +297,19 @@ def _stats_payload(fits) -> dict:
     return payload
 
 
-def cmd_fit(cfg: RunConfig | None, args, out: Path) -> int:
-    opts = _fit_opts(cfg)
+def cmd_fit(opts: dict, args, out: Path) -> int:
+    # imported here, so the other commands do not pay for it, and called
+    # through the module, so a wrapper set on one of its functions is seen
+    from . import traces
+
     regime = opts["fit.regime"]
     prior = None if regime == "ambiguous" else regime
     records = []
     fits = []
     per_trace = []
     for path in args.traces:
-        report = analyze_trace(
-            load_trace(path),
+        report = traces.analyze_trace(
+            traces.load_trace(path),
             detrend=bool(opts["fit.detrend"]),
             min_prominence=float(opts["fit.min_prominence"]),
             min_spacing_nm=float(opts["fit.min_spacing_nm"]),
@@ -347,7 +348,7 @@ def cmd_fit(cfg: RunConfig | None, args, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_stats(cfg: RunConfig | None, args, out: Path) -> int:
+def cmd_stats(opts: dict, args, out: Path) -> int:
     fits = []
     for path in args.fits:
         with open(path, "r", encoding="utf-8") as fh:
@@ -603,22 +604,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config_file(loader, path, **kwargs):
+    try:
+        return loader(path, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = None
-        if args.config is not None:
-            try:
-                cfg = load_config(args.config, seed_override=args.seed)
-            except OSError as exc:
-                raise ConfigError(f"cannot read config: {exc}") from exc
-        elif args.command in _NEEDS_CONFIG:
-            raise ConfigError(f"--config is required for '{args.command}'")
         out = Path(args.out)
-        if cfg is not None:
+        if args.command in _NEEDS_CONFIG:
+            if args.config is None:
+                raise ConfigError(f"--config is required for '{args.command}'")
+            cfg = _load_config_file(load_config, args.config, seed_override=args.seed)
             _write(out, "effective_config.cfg", cfg.echo_text())
+        elif args.config is None:  # fit and stats: the fit.* keys alone
+            cfg = dict(_FIT_DEFAULTS)
+        else:
+            cfg = _load_config_file(load_fit_options, args.config)
+            _write(out, "effective_config.cfg", format_config(cfg))
         return _DISPATCH[args.command](cfg, args, out)
     except ConfigError as exc:
         log.error("config error: %s", exc)
@@ -627,8 +635,15 @@ def main(argv=None) -> int:
         # a missing, unreadable or non-regular file: the message names it
         log.error("cannot open file: %s", exc)
         return EXIT_FAIL
-    except (DomainError, TraceParseError, RuntimeError) as exc:
+    except (DomainError, RuntimeError) as exc:
         # SingularSystemError lands here as a RuntimeError
+        log.error("%s", exc)
+        return EXIT_FAIL
+    except ValueError as exc:
+        from .traces import TraceParseError  # loaded already when fit raised it
+
+        if not isinstance(exc, TraceParseError):
+            raise
         log.error("%s", exc)
         return EXIT_FAIL
 

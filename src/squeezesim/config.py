@@ -365,10 +365,11 @@ def _resolve_g0(
     return dataclasses.replace(model, g0=result.g0), result
 
 
-def resolve_config(values: Mapping[str, object]) -> RunConfig:
-    """Apply defaults and range rules, enforce the one-of groups, build the run."""
+def _apply_schema(values: Mapping[str, object], keys) -> dict[str, object]:
+    """The given keys' effective values: range rules applied, defaults filled in."""
     effective: dict[str, object] = {}
-    for key, (kind, default, rule) in _SCHEMA.items():
+    for key in keys:
+        kind, default, rule = _SCHEMA[key]
         if key in values:
             value = effective[key] = values[key]
             if rule is not None:
@@ -380,6 +381,15 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
             raise ConfigError(f"{key}: required key is missing")
         elif default is not _OPTIONAL:
             effective[key] = default
+    return effective
+
+
+_FIT_KEYS = tuple(key for key in _SCHEMA if key.startswith("fit."))
+
+
+def resolve_config(values: Mapping[str, object]) -> RunConfig:
+    """Apply defaults and range rules, enforce the one-of groups, build the run."""
+    effective = _apply_schema(values, _SCHEMA)
     for key in values:
         if key not in _SCHEMA:  # resolve() may be fed a hand-built dict
             raise ConfigError(f"unknown key {key!r}")
@@ -455,10 +465,19 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
     )
 
 
+def _read_config(path) -> dict[str, object]:
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_config_text(handle.read())
+
+
 def load_config(path, *, seed_override: int | None = None) -> RunConfig:
     """Read, parse, and resolve a config file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        values = parse_config_text(handle.read())
+    values = _read_config(path)
     if seed_override is not None:
         values["seed"] = int(seed_override)
     return resolve_config(values)
+
+
+def load_fit_options(path) -> dict[str, object]:
+    """Read and parse a config file; apply defaults and ranges to its ``fit.*`` keys only."""
+    return _apply_schema(_read_config(path), _FIT_KEYS)

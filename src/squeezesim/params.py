@@ -81,6 +81,14 @@ def photon_flux(power_w: float, omega0: float) -> float:
     return power_w / (HBAR * omega0)
 
 
+def _require_finite(obj, names: tuple[str, ...]) -> None:
+    """DomainError naming the first of ``obj``'s fields that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Nonlinear-material figures entering the single-photon Kerr shift.
@@ -155,6 +163,7 @@ class ResonatorModel:
     kappa: float = field(init=False)
 
     def __post_init__(self):
+        _require_finite(self, ("omega0", "kappa_i", "kappa_e", "delta", "d2", "g0"))
         if self.omega0 <= 0.0:
             raise DomainError(f"omega0 must be positive, got {self.omega0}")
         if self.kappa_i < 0.0:
@@ -220,6 +229,7 @@ class PumpDrive:
         return cls(power_on_chip=power_w, flux=flux, a_in=math.sqrt(flux))
 
     def __post_init__(self):
+        _require_finite(self, ("power_on_chip", "flux", "a_in"))
         if self.power_on_chip < 0.0 or self.flux < 0.0:
             raise DomainError("pump power and flux must be non-negative")
         if self.a_in < 0.0:

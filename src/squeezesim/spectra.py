@@ -31,10 +31,10 @@ from squeezesim.params import DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
     RESIDUAL_RTOL,
     SteadyState,
+    _photon_numbers,
     _steady_state_at,
     g0_for_gain,
     solve_steady_state,
-    steady_state_roots,
     threshold_gain,
     zero_pump_offset,
 )
@@ -562,8 +562,8 @@ def calibrate_g0_to_optimum(
     g0 = g0_for_gain(model, pump, gain)
     calibrated = dataclasses.replace(model, g0=g0)
     # the root whose gain g0*rho is the target; under bistability it need not be the lowest
-    rhos = steady_state_roots(calibrated, pump)
-    misses = [abs(g0 * rho - gain) for rho in rhos.tolist()]
+    rhos = _photon_numbers(calibrated, pump)
+    misses = [abs(g0 * rho - gain) for rho in rhos]
     matched = misses.index(min(misses))
     if misses[matched] > 1e-6 * gain:
         raise RuntimeError("calibrated operating point is not a pump fixed point")

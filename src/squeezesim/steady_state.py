@@ -34,23 +34,55 @@ BRANCH_POLICIES = ("lowest", "highest", "adiabatic_upsweep")
 RESIDUAL_RTOL = 1e-10
 
 
-def _cubic_f(u, alpha, beta):
-    return u * (u * (u - 2.0 * alpha) + 1.0 + alpha * alpha) - beta
-
-
-def _cubic_fprime(u, alpha):
-    return u * (3.0 * u - 4.0 * alpha) + 1.0 + alpha * alpha
+# 2*pi*k of the trigonometric roots k = 1, 2; both products are exact
+_TWO_PI = 2.0 * math.pi
+_FOUR_PI = 4.0 * math.pi
 
 
 def _polish(u, alpha, beta):
     # Newton refinement; skipped near a fold where f' vanishes and the
-    # closed-form root is already the best available answer.
+    # closed-form root is already the best available answer, and left
+    # once a step is 0.0, which every later step would repeat.
     for _ in range(3):
-        fp = _cubic_fprime(u, alpha)
+        fp = u * (3.0 * u - 4.0 * alpha) + 1.0 + alpha * alpha
         if abs(fp) < 1e-9 * (1.0 + u * u + alpha * alpha):
             return u
-        u -= _cubic_f(u, alpha, beta) / fp
+        step = (u * (u * (u - 2.0 * alpha) + 1.0 + alpha * alpha) - beta) / fp
+        if step == 0.0:
+            return u
+        u -= step
     return u
+
+
+def _roots_scaled(alpha: float, beta: float) -> list[float]:
+    """The roots of :func:`cubic_roots_scaled` as an ascending list of floats."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        name, value = ("beta", beta) if math.isfinite(alpha) else ("alpha", alpha)
+        raise DomainError(f"{name} must be finite, got {value}")
+    if beta < 0.0:
+        raise DomainError(f"beta must be non-negative, got {beta}")
+    if beta == 0.0:
+        return [0.0]
+    shift, p = 2.0 * alpha / 3.0, 1.0 - alpha * alpha / 3.0
+    q_alpha = 2.0 * alpha * (alpha * alpha + 9.0) / 27.0
+    q = q_alpha - beta
+    r = 0.25 * q * q + p * p * p / 27.0
+    band = 2.0 ** -52 * (abs(q) * (abs(q_alpha) + beta) + p * p * (1.0 + alpha * alpha))
+    if r < -band:  # three roots
+        m = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
+        ts = (
+            m * math.cos(phi / 3.0),
+            m * math.cos((phi - _TWO_PI) / 3.0),
+            m * math.cos((phi - _FOUR_PI) / 3.0),
+        )
+    elif r <= band:  # fold; c = 0 is the cusp's triple root
+        c = math.copysign((0.5 * abs(q)) ** (1.0 / 3.0), -q)
+        ts = (2.0 * c, -c)
+    else:  # one root (Cardano)
+        a = -math.copysign((0.5 * abs(q) + math.sqrt(r)) ** (1.0 / 3.0), q)
+        return [max(_polish(a - p / (3.0 * a) + shift, alpha, beta), 0.0)]
+    return sorted({max(_polish(t + shift, alpha, beta), 0.0) for t in ts})
 
 
 def cubic_roots_scaled(alpha: float, beta: float) -> np.ndarray:
@@ -64,29 +96,7 @@ def cubic_roots_scaled(alpha: float, beta: float) -> np.ndarray:
     double root ``-c``, ``c = cbrt(-q/2)``.  Roots are distinct and
     non-negative; DomainError for a non-finite argument or ``beta < 0``.
     """
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    if beta < 0.0:
-        raise DomainError(f"beta must be non-negative, got {beta}")
-    if beta == 0.0:
-        return np.array([0.0])
-    shift, p = 2.0 * alpha / 3.0, 1.0 - alpha * alpha / 3.0
-    q_alpha = 2.0 * alpha * (alpha * alpha + 9.0) / 27.0
-    q = q_alpha - beta
-    r = 0.25 * q * q + p * p * p / 27.0
-    band = 2.0 ** -52 * (abs(q) * (abs(q_alpha) + beta) + p * p * (1.0 + alpha * alpha))
-    if r < -band:  # three roots
-        m = 2.0 * math.sqrt(-p / 3.0)
-        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
-        ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-    elif r <= band:  # fold; c = 0 is the cusp's triple root
-        c = math.copysign((0.5 * abs(q)) ** (1.0 / 3.0), -q)
-        ts = [2.0 * c, -c]
-    else:
-        a = -math.copysign((0.5 * abs(q) + math.sqrt(r)) ** (1.0 / 3.0), q)
-        ts = [a - p / (3.0 * a)]
-    return np.array(sorted({max(_polish(t + shift, alpha, beta), 0.0) for t in ts}))
+    return np.array(_roots_scaled(alpha, beta))
 
 
 def fixed_point_photons(model: ResonatorModel, flux: float, delta_eff: float) -> float:
@@ -134,7 +144,7 @@ def bistable_flux_window(model: ResonatorModel) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SteadyState:
     """One self-consistent pump operating point.
 
@@ -152,22 +162,24 @@ class SteadyState:
     residual: float
 
 
+def _photon_numbers(model: ResonatorModel, pump: PumpDrive) -> list[float]:
+    """The roots of :func:`steady_state_roots` as an ascending list of floats."""
+    g0 = model.g0
+    if g0 == 0.0:
+        return [float(fixed_point_photons(model, pump.flux, model.delta))]
+    hk = 0.5 * model.kappa
+    us = _roots_scaled(model.delta / hk, g0 * model.kappa_e * pump.flux / hk ** 3)
+    # float(): a model built from numpy scalars still gives Python floats
+    return [float(u * hk / g0) for u in us]
+
+
 def steady_state_roots(model: ResonatorModel, pump: PumpDrive) -> np.ndarray:
     """All intracavity photon-number solutions, ascending."""
-    if model.g0 == 0.0:
-        return np.array([fixed_point_photons(model, pump.flux, model.delta)])
-    hk = 0.5 * model.kappa
-    alpha = model.delta / hk
-    beta = model.g0 * model.kappa_e * pump.flux / hk ** 3
-    return cubic_roots_scaled(alpha, beta) * hk / model.g0
+    return np.array(_photon_numbers(model, pump))
 
 
-def _branch_label(index: int, count: int) -> str:
-    if count == 1:
-        return "single"
-    if count == 2:
-        return ("lower", "upper")[index]
-    return ("lower", "middle", "upper")[index]
+# branch labels by root count, then root index
+_BRANCHES = (None, ("single",), ("lower", "upper"), ("lower", "middle", "upper"))
 
 
 def solve_steady_state(
@@ -188,7 +200,7 @@ def solve_steady_state(
         raise DomainError(
             f"unknown branch policy {branch_policy!r}, expected one of {BRANCH_POLICIES}"
         )
-    rhos = steady_state_roots(model, pump)
+    rhos = _photon_numbers(model, pump)
     index = 0 if branch_policy == "lowest" else len(rhos) - 1
     return _steady_state_at(model, pump, rhos, index, rtol)
 
@@ -197,23 +209,22 @@ def steady_state_on_branch(
     model: ResonatorModel, pump: PumpDrive, index: int, rtol: float = RESIDUAL_RTOL
 ) -> SteadyState:
     """Steady state on an explicit root index (0 = lowest)."""
-    rhos = steady_state_roots(model, pump)
+    rhos = _photon_numbers(model, pump)
     if not 0 <= index < len(rhos):
         raise DomainError(f"branch index {index} out of range, {len(rhos)} roots exist")
     return _steady_state_at(model, pump, rhos, index, rtol)
 
 
-def _steady_state_at(model, pump, rhos, index, rtol=RESIDUAL_RTOL) -> SteadyState:
+def _steady_state_at(model, pump, rhos: list[float], index, rtol=RESIDUAL_RTOL) -> SteadyState:
     if not 0.0 < rtol < math.inf:  # NaN or inf would turn the residual check off
         raise DomainError(f"rtol must be finite and positive, got {rtol}")
     hk = 0.5 * model.kappa
-    rho = float(rhos[index])
-    delta_eff = model.delta - model.g0 * rho
+    delta, g0 = model.delta, model.g0
+    rho = rhos[index]
+    delta_eff = delta - g0 * rho
     drive = math.sqrt(model.kappa_e) * pump.a_in
     a0 = drive / (hk + 1j * delta_eff)
-    residual = abs(
-        -(hk + 1j * model.delta) * a0 + 1j * model.g0 * abs(a0) ** 2 * a0 + drive
-    )
+    residual = abs(-(hk + 1j * delta) * a0 + 1j * g0 * abs(a0) ** 2 * a0 + drive)
     tol = rtol * max(1.0, drive)
     if residual > tol:
         raise RuntimeError(
@@ -223,8 +234,8 @@ def _steady_state_at(model, pump, rhos, index, rtol=RESIDUAL_RTOL) -> SteadyStat
         a0=a0,
         rho=rho,
         delta_eff=delta_eff,
-        branch=_branch_label(index, len(rhos)),
-        all_rho=tuple(float(r) for r in rhos),
+        branch=_BRANCHES[len(rhos)][index],
+        all_rho=tuple(rhos),
         residual=residual,
     )
 

@@ -615,6 +615,71 @@ def test_fit_config_options_reach_the_fits(tmp_path):
     assert stats["traces"][0]["fsr_hz"] is None
 
 
+FIT_ECHO = (
+    "fit.detrend = true\n"
+    "fit.min_prominence = 0.05\n"
+    "fit.min_samples_per_fwhm = 15\n"
+    "fit.min_spacing_nm = 0.0\n"
+    "fit.regime = ambiguous\n"
+)
+
+
+def test_fit_and_stats_read_only_the_fit_keys(tmp_path, caplog):
+    # no resonator, detection or Kerr group: fit and stats resolve the
+    # fit.* keys alone, and echo those five
+    trace_path, centers = make_trace_file(tmp_path)
+    path = write_cfg(tmp_path, "fit.regime = ambiguous\n", name="fit_only.cfg")
+    out = tmp_path / "fit"
+    assert main(["fit", trace_path, "--config", path, "--out", str(out)]) == EXIT_OK
+    assert (out / "effective_config.cfg").read_text() == FIT_ECHO
+    fits = json.loads((out / "fits.json").read_text())
+    assert [f["regime"] for f in fits] == ["ambiguous"] * len(centers)
+    stats = tmp_path / "stats"
+    fits_json = str(out / "fits.json")
+    assert main(["stats", fits_json, "--config", path, "--out", str(stats)]) == EXIT_OK
+    assert (stats / "effective_config.cfg").read_text() == FIT_ECHO
+    # the fit.* ranges and the parser still apply
+    for text, message in (
+        ("fit.min_prominence = 0.0\n", "fit.min_prominence: must be positive"),
+        ("fit.regime = sideways\n", "fit.regime (line 1)"),
+        ("fit.typo = 1\n", "unknown key 'fit.typo'"),
+    ):
+        caplog.clear()
+        bad = write_cfg(tmp_path, text, name="bad.cfg")
+        for command, target in (("fit", trace_path), ("stats", fits_json)):
+            assert main([command, target, "--config", bad, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+            assert message in caplog.text
+
+
+_TRACES_PROBE = """
+import json, sys
+from squeezesim.cli import main
+code = main(["threshold", "--config", sys.argv[1], "--out", "out"])
+print(json.dumps({"code": code, "traces": "squeezesim.traces" in sys.modules}))
+"""
+
+
+def test_only_fit_and_stats_import_traces(tmp_path):
+    # a fresh interpreter, so no earlier test has imported squeezesim.traces
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACES_PROBE, str(REFERENCE_CFG)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": EXIT_OK, "traces": False}
+
+
+def test_fit_maps_a_trace_parse_error_to_exit_1(tmp_path, caplog):
+    path = tmp_path / "bad.csv"
+    path.write_text("wavelength_nm,transmission\n1550.0,abc\n")
+    assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == EXIT_FAIL
+    assert "line 2" in caplog.text
+
+
 def test_fit_nothing_found_fails(tmp_path):
     grid = np.linspace(1559.0, 1560.0, 2000)
     flat = TransmissionTrace(grid, np.full(grid.size, 0.99))

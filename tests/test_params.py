@@ -124,6 +124,25 @@ def test_resonator_rejects_bad_rates():
         ResonatorModel(omega0=-1e15, kappa_i=1e8, kappa_e=1e9)
 
 
+RESONATOR_FIELDS = dict(omega0=1e15, kappa_i=1e8, kappa_e=1e9, delta=2e8, d2=1e5, g0=0.5)
+
+
+@pytest.mark.parametrize("field", list(RESONATOR_FIELDS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_resonator_rejects_non_finite_fields_by_name(field, bad):
+    # NaN passed every sign check, and failed only later, as "alpha"
+    with pytest.raises(DomainError, match=rf"^{field} must be finite, got {bad}$"):
+        ResonatorModel(**{**RESONATOR_FIELDS, field: bad})
+
+
+@pytest.mark.parametrize("field", ["power_on_chip", "flux", "a_in"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pump_drive_rejects_non_finite_fields_by_name(field, bad):
+    fields = {"power_on_chip": 1e-3, "flux": 7.9e15, "a_in": 8.9e7, field: bad}
+    with pytest.raises(DomainError, match=rf"^{field} must be finite, got {bad}$"):
+        PumpDrive(**fields)
+
+
 def test_pump_drive_from_power():
     omega0 = wavelength_to_omega(1560e-9)
     pump = PumpDrive.from_power(0.050, omega0)

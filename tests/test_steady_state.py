@@ -412,3 +412,136 @@ def test_residual_tolerance_must_be_finite_and_positive(rtol):
         steady_state_on_branch(model, pump, 0, rtol=rtol)
     with pytest.raises(DomainError, match=message):
         power_sweep(model, [pump.power_on_chip], rtol=rtol)
+
+
+# ---- bit identity with the ndarray route that the float route replaced
+
+def reference_cubic_f(u, alpha, beta):
+    return u * (u * (u - 2.0 * alpha) + 1.0 + alpha * alpha) - beta
+
+
+def reference_cubic_fprime(u, alpha):
+    return u * (3.0 * u - 4.0 * alpha) + 1.0 + alpha * alpha
+
+
+def reference_polish(u, alpha, beta):
+    for _ in range(3):
+        fp = reference_cubic_fprime(u, alpha)
+        if abs(fp) < 1e-9 * (1.0 + u * u + alpha * alpha):
+            return u
+        u -= reference_cubic_f(u, alpha, beta) / fp
+    return u
+
+
+def reference_cubic_roots(alpha, beta):
+    if beta == 0.0:
+        return np.array([0.0])
+    shift, p = 2.0 * alpha / 3.0, 1.0 - alpha * alpha / 3.0
+    q_alpha = 2.0 * alpha * (alpha * alpha + 9.0) / 27.0
+    q = q_alpha - beta
+    r = 0.25 * q * q + p * p * p / 27.0
+    band = 2.0 ** -52 * (abs(q) * (abs(q_alpha) + beta) + p * p * (1.0 + alpha * alpha))
+    if r < -band:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
+        ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    elif r <= band:
+        c = math.copysign((0.5 * abs(q)) ** (1.0 / 3.0), -q)
+        ts = [2.0 * c, -c]
+    else:
+        a = -math.copysign((0.5 * abs(q) + math.sqrt(r)) ** (1.0 / 3.0), q)
+        ts = [a - p / (3.0 * a)]
+    return np.array(sorted({max(reference_polish(t + shift, alpha, beta), 0.0) for t in ts}))
+
+
+def reference_roots(model, pump):
+    if model.g0 == 0.0:
+        return np.array([fixed_point_photons(model, pump.flux, model.delta)])
+    hk = 0.5 * model.kappa
+    alpha = model.delta / hk
+    beta = model.g0 * model.kappa_e * pump.flux / hk ** 3
+    return reference_cubic_roots(alpha, beta) * hk / model.g0
+
+
+def reference_steady_state(model, pump, index):
+    """(a0, rho, delta_eff, branch, all_rho, residual), or RuntimeError where the solve raises it."""
+    rhos = reference_roots(model, pump)
+    hk = 0.5 * model.kappa
+    rho = float(rhos[index])
+    delta_eff = model.delta - model.g0 * rho
+    drive = math.sqrt(model.kappa_e) * pump.a_in
+    a0 = drive / (hk + 1j * delta_eff)
+    residual = abs(
+        -(hk + 1j * model.delta) * a0 + 1j * model.g0 * abs(a0) ** 2 * a0 + drive
+    )
+    if residual > 1e-10 * max(1.0, drive):
+        return RuntimeError
+    labels = {1: ("single",), 2: ("lower", "upper"), 3: ("lower", "middle", "upper")}
+    return (a0, rho, delta_eff, labels[len(rhos)][index], tuple(float(r) for r in rhos), residual)
+
+
+def bits(value):
+    """Bit pattern of a float, complex or tuple of them, with its type."""
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, complex):
+        return (type(value).__name__, value.real.hex(), value.imag.hex())
+    if isinstance(value, float):
+        return (type(value).__name__, value.hex())
+    return value
+
+
+def outcome(solve, *args):
+    try:
+        s = solve(*args)
+    except RuntimeError:
+        return RuntimeError
+    return (s.a0, s.rho, s.delta_eff, s.branch, s.all_rho, s.residual)
+
+
+# alpha in [-3, 6] plus the knee; beta anywhere, 0, or at a fold times
+# 1, 1 +- 1e-9 or 1 +- 1e-12 (folds exist from the knee up)
+IDENTITY_CASES = st.tuples(
+    st.just(KNEE) | st.floats(-3.0, 6.0), st.just(0.0) | st.floats(0.0, 40.0)
+) | st.tuples(
+    st.just(KNEE) | st.floats(KNEE, 6.0),
+    st.integers(0, 1),
+    st.sampled_from([1.0] + [1.0 + s * e for e in (1e-9, 1e-12) for s in (-1.0, 1.0)]),
+).map(lambda c: (c[0], fold_betas(c[0])[c[1]] * c[2]))
+
+
+@settings(max_examples=400)
+@given(IDENTITY_CASES, st.sampled_from([2.0, 0.37, 0.0]), st.booleans())
+@example((KNEE, fold_betas(KNEE)[0]), 2.0, False)  # the cusp
+@example((KNEE, fold_betas(KNEE)[0]), 0.37, True)
+@example((2.0, 0.0), 2.0, False)
+def test_float_route_is_bit_identical_to_the_ndarray_route(case, g0, numpy_scalars):
+    # the scalar route runs in Python floats and builds no array; the route
+    # it replaced is kept above, and every output bit must agree with it,
+    # also for a model built from numpy scalars
+    alpha, beta = case
+    roots = cubic_roots_scaled(alpha, beta)
+    assert roots.tobytes() == reference_cubic_roots(alpha, beta).tobytes()
+
+    number = np.float64 if numpy_scalars else float
+    hk, eta = 1.0, 0.9178217822
+    model = ResonatorModel(
+        omega0=1.2074690e15,
+        kappa_i=number((1 - eta) * 2.0 * hk),
+        kappa_e=number(eta * 2.0 * hk),
+        delta=number(alpha * hk),
+        g0=number(g0),
+    )
+    hk = 0.5 * model.kappa
+    flux = beta * hk ** 3 / ((g0 or 1.0) * model.kappa_e)
+    pump = PumpDrive(power_on_chip=flux * HBAR * model.omega0, flux=flux, a_in=math.sqrt(flux))
+    rhos = steady_state_roots(model, pump)
+    assert rhos.tobytes() == reference_roots(model, pump).tobytes()
+
+    last = len(rhos) - 1
+    for policy, index in (("lowest", 0), ("highest", last), ("adiabatic_upsweep", last)):
+        expected = bits(reference_steady_state(model, pump, index))
+        assert bits(outcome(solve_steady_state, model, pump, policy)) == expected
+    for index in range(len(rhos)):
+        expected = bits(reference_steady_state(model, pump, index))
+        assert bits(outcome(steady_state_on_branch, model, pump, index)) == expected
