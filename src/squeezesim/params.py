@@ -35,15 +35,6 @@ def kappa_from_q(omega0: float, q: float) -> float:
     return omega0 / q
 
 
-def q_from_kappa(omega0: float, kappa: float) -> float:
-    """Quality factor of a mode with energy decay rate ``kappa`` (rad/s)."""
-    if omega0 <= 0.0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    return omega0 / kappa
-
-
 def escape_efficiency(q_intrinsic: float, q_loaded: float) -> float:
     """Fraction of intracavity photons that leave through the bus waveguide.
 

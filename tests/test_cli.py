@@ -976,17 +976,24 @@ def test_bench_calls_into_squeezesim_bind():
 
 _FIT_PROBE = """
 import json, sys
-import squeezesim.traces
-traces_loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from squeezesim.cli import main
-code = main(["fit", "trace.csv", "--out", "out"])
-heavy = ("scipy.signal", "scipy.optimize", "scipy.ndimage")
-print(json.dumps({"code": code, "traces_loaded": traces_loaded,
-                  "fit_loaded": [name for name in heavy if name in sys.modules]}))
+
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+codes = [main(["fit", "trace.csv", "--out", "out"])]
+after_fit = scipy_loaded()
+codes.append(main(["stats", "out/fits.json", "--out", "stats"]))
+after_stats = scipy_loaded()
+import scipy.ndimage
+print(json.dumps({"codes": codes, "after_fit": after_fit, "after_stats": after_stats,
+                  "control": "scipy.ndimage" in scipy_loaded()}))
 """
 
 
-def test_fit_loads_neither_scipy_signal_nor_optimize(tmp_path):
+def test_fit_and_stats_load_no_scipy(tmp_path):
     from test_reference_outputs import write_fit_trace
 
     # a fresh interpreter, so no earlier test has imported scipy already
@@ -1001,5 +1008,7 @@ def test_fit_loads_neither_scipy_signal_nor_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    # scipy.ndimage, for the percentile baseline, shows the probe sees imports
-    assert report == {"code": EXIT_OK, "traces_loaded": [], "fit_loaded": ["scipy.ndimage"]}
+    # the probe's own closing scipy.ndimage import shows that it sees imports
+    assert report == {
+        "codes": [EXIT_OK, EXIT_OK], "after_fit": [], "after_stats": [], "control": True,
+    }

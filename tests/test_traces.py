@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squeezesim.params import C_LIGHT, DomainError
 from squeezesim.traces import (
@@ -15,7 +15,6 @@ from squeezesim.traces import (
     estimate_fsr,
     fit_resonance,
     fwhm_pm,
-    kappa_from_fwhm,
     load_trace,
     normalize_trace,
     q_statistics,
@@ -53,8 +52,10 @@ def test_floor_and_width_helpers():
     assert resonance_t_min(0.5 * KAPPA0, 0.5 * KAPPA0) == 0.0
     # FWHM in wavelength is lambda/Q_L
     assert fwhm_pm(KAPPA0, LAMBDA0) == pytest.approx(1.8795181, rel=1e-7)
+    # and inverts to the linewidth, kappa = 2 pi c dlam / lam^2
     w = fwhm_pm(KAPPA0, LAMBDA0)
-    assert kappa_from_fwhm(w, LAMBDA0) == pytest.approx(KAPPA0, rel=1e-12)
+    kappa_back = 2.0 * math.pi * C_LIGHT * w * 1e-12 / (LAMBDA0 * 1e-9) ** 2
+    assert kappa_back == pytest.approx(KAPPA0, rel=1e-12)
     with pytest.raises(DomainError):
         resonance_t_min(0.0, 0.0)
 
@@ -141,8 +142,18 @@ def test_array_input_validation():
         fit_resonance(shuffled, tr)
     with pytest.raises(DomainError):
         fit_resonance(lam, tr[:-1])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="at least 3 samples"):
         rolling_baseline(tr, 2)
+    with pytest.raises(DomainError, match="window"):
+        rolling_baseline(tr, 15.7)
+    for bad in (math.nan, math.inf, -math.inf):
+        spoiled = tr.copy()
+        spoiled[7] = bad
+        with pytest.raises(DomainError, match="transmission"):
+            rolling_baseline(spoiled, 15)
+    for short in ([], [0.5]):
+        with pytest.raises(DomainError, match="transmission"):
+            rolling_baseline(np.array(short), 15)
     with pytest.raises(DomainError):
         synthesize_trace(lam, [(LAMBDA0, KAPPA0, 1.0)])
 
@@ -657,3 +668,41 @@ def test_trace_wavelengths_must_be_finite_and_positive():
         spoiled[index] = bad
         with pytest.raises(DomainError, match="wavelength must be finite and positive"):
             TransmissionTrace(spoiled, tr)
+
+
+@st.composite
+def level_traces(draw):
+    """A trace of 1-400 samples on 3-5 levels (ties, constant runs), and a
+    window from 3 to two samples past the trace."""
+    n = draw(st.integers(1, 400))
+    levels = sorted(draw(st.sets(st.integers(0, 21), min_size=3, max_size=5)))
+    x = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))) / 20.0
+    return x, draw(st.integers(3, n + 2))
+
+
+def assert_same_percentiles(x, window):
+    from scipy.ndimage import percentile_filter
+
+    from squeezesim.traces import _rolling_p95
+
+    want = percentile_filter(x, percentile=95, size=window, mode="nearest")
+    got = _rolling_p95(x, window)
+    # selection copies a sample, so the bits agree, not just the values
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+STAIRS = np.repeat([0.2, 0.9, 0.5, 0.9, 0.2], [3, 1, 4, 2, 7])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=level_traces())
+@example(case=(STAIRS, 3))
+@example(case=(STAIRS, STAIRS.size))
+@example(case=(STAIRS, STAIRS.size + 1))
+@example(case=(np.full(12, 0.65), 4))
+def test_rolling_p95_matches_percentile_filter(case):
+    assert_same_percentiles(*case)
+
+
+def test_rolling_p95_matches_percentile_filter_on_a_bench_sized_comb():
+    assert_same_percentiles(1.0 - bench_sized_comb(), 199)
