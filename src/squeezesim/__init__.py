@@ -39,7 +39,6 @@ _EXPORTS = {
     "pair_scattering": "spectra",
     "output_covariance": "spectra",
     "homodyne_variance": "spectra",
-    "optimal_quadratures": "spectra",
     "optimal_quadratures_from_cov": "spectra",
     "spectrum_grid": "spectra",
     "power_sweep": "spectra",

@@ -53,15 +53,6 @@ class SingularSystemError(RuntimeError):
         self.eigenvalue_real = eigenvalue_real
 
 
-def pair_detuning(model: ResonatorModel, steady: SteadyState, l: int = 1) -> float:
-    """Effective offset of side-mode pair ``l`` from its parametric resonance.
-
-    Combines the cold detuning, the dispersion walk-off of the pair, and
-    the cross-phase pull of the pump, which is twice the self-phase pull.
-    """
-    return float(_offset_and_margin(model, steady.rho, l)[0])
-
-
 def stability_margin(model: ResonatorModel, steady: SteadyState, l: int = 1) -> float:
     """Decay rate (rad/s) of the slowest pair eigenmode; positive = stable.
 
@@ -322,26 +313,6 @@ def optimal_quadratures_from_cov(cov: np.ndarray) -> QuadratureExtrema:
     r_pp = 0.5 * (cov[..., 1, 1] + cov[..., 3, 3] + 2.0 * cov[..., 1, 3])
     r_qp = 0.5 * (cov[..., 0, 1] + cov[..., 0, 3] + cov[..., 2, 1] + cov[..., 2, 3])
     return _extrema(0.5 * (r_qq + r_pp), 0.5 * (r_qq - r_pp), r_qp)
-
-
-def optimal_quadratures(thetas, variances) -> QuadratureExtrema:
-    """Variance extrema from a sampled phase scan.
-
-    The homodyne variance is exactly ``a + b cos(2 theta) + c sin(2 theta)``,
-    so a least-squares fit of that form recovers the extrema from any scan
-    with at least three distinct angles modulo pi.
-    """
-    th = np.asarray(thetas, dtype=float)
-    v = np.asarray(variances, dtype=float)
-    if th.shape != v.shape or th.ndim != 1:
-        raise DomainError("thetas and variances must be matching 1-d arrays")
-    if th.size < 3:
-        raise DomainError("need at least 3 phase samples")
-    design = np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
-    if np.linalg.matrix_rank(design, tol=1e-10) < 3:
-        raise DomainError("phase samples are degenerate modulo pi")
-    mean, d, off = np.linalg.lstsq(design, v, rcond=None)[0]
-    return _extrema(float(mean), float(d), float(off))
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

@@ -24,11 +24,11 @@ width=1, distance=d)`` would return, found with numpy alone: only local
 maxima at least p above the trace minimum can reach prominence p, so
 bases and widths are computed for those few.  Every dip window is then
 fitted at once by one Levenberg-Marquardt over windows padded to a
-common length with zero weight, on the analytic Jacobian of the dip
-model, until the step is at rounding level.  Standard errors are the
-diagonal of s^2 (J^T J)^-1 at the optimum, s^2 = SSR / (m - 4), which is
-what ``curve_fit`` reports with ``absolute_sigma=False``.  Nothing in
-this module needs scipy.
+common length, each summed over its own samples only, on the analytic
+Jacobian of the dip model, until the step is at rounding level.
+Standard errors are the diagonal of s^2 (J^T J)^-1 at the optimum,
+s^2 = SSR / (m - 4), which is what ``curve_fit`` reports with
+``absolute_sigma=False``.  Nothing in this module needs scipy.
 """
 
 from __future__ import annotations
@@ -217,21 +217,35 @@ _LM_BATCH = 1 << 16
 _MIN_DEPTH_SIGMAS = 5.0
 
 
-def _normal_equations(lam, y, weight, p):
+def _sample_sums(terms, size):
+    """Each row's sum over its first ``size`` samples, added in sample order.
+
+    ``np.add.accumulate`` adds strictly in order, whatever the layout, so
+    no other row of the batch and no sample past a row's own ``size``
+    can change a bit of its sum.  ``terms`` is overwritten.
+    """
+    return np.add.accumulate(terms, axis=1, out=terms)[np.arange(size.size), size - 1]
+
+
+def _normal_equations(lam, y, size, p):
     """SSR, diagonal scales d, and the scaled J^T J and J^T r per window.
 
-    The scaling by d = sqrt(diag(J^T J)) makes the damping Marquardt's
-    diag(J^T J) and leaves a unit diagonal; a window with a zero or
-    non-finite column comes back with ``ok`` false.
+    ``lam`` and ``y`` are (windows, samples), each row's first ``size``
+    samples its own; ``p`` is (4, windows).  The scaling by
+    d = sqrt(diag(J^T J)) makes the damping Marquardt's diag(J^T J) and
+    leaves a unit diagonal; a window with a zero or non-finite column
+    comes back with ``ok`` false.
     """
-    cols = np.empty((lam.shape[0], 5, lam.shape[1]))
-    for k, col in enumerate(_dip_jacobian_m(lam, *p)):
-        cols[:, k] = weight * col
-    cols[:, 4] = weight * (_dip_model_m(lam, *p) - y)
-    # the sample axis is never numpy's fast axis here, so the sums run in
-    # sample order: neither the zero-weight padding nor the other windows
-    # of a batch can change a bit of any window's sums
-    sums = np.add.reduce(cols[:, :, None] * cols[:, None], axis=0).transpose(2, 0, 1)
+    jac = _dip_jacobian_m(lam, *p[:, :, None])
+    # the model is its scale times d model / d scale
+    cols = (*jac, p[3][:, None] * jac[3] - y)
+    # the 15 distinct products fill both halves of the symmetric sums
+    sums = np.empty((size.size, 5, 5))
+    prod = np.empty(lam.shape)
+    for i in range(5):
+        for j in range(i, 5):
+            np.multiply(cols[i], cols[j], out=prod)
+            sums[:, i, j] = sums[:, j, i] = _sample_sums(prod, size)
     jtj, jtr, ssr = sums[:, :4, :4], sums[:, :4, 4], sums[:, 4, 4]
     d = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
     ok = np.isfinite(ssr) & np.all(np.isfinite(sums), axis=(1, 2)) & np.all(d > 0.0, axis=1)
@@ -240,11 +254,11 @@ def _normal_equations(lam, y, weight, p):
     return ssr, d, scaled, np.where(ok[:, None], jtr / d, 0.0), ok
 
 
-def _levenberg_marquardt(lam, y, weight, p0):
-    """Least-squares dip parameters for every column (window) at once.
+def _levenberg_marquardt(lam, y, size, p0):
+    """Least-squares dip parameters for every row (window) at once.
 
-    ``lam``, ``y`` and ``weight`` are (samples, windows) with zero weight
-    on the padding; ``p0`` is (4, windows).  Returns the parameters and
+    ``lam`` and ``y`` are (windows, samples), each row padded past its
+    ``size`` samples; ``p0`` is (4, windows).  Returns the parameters and
     whether each window converged: its step fell to rounding level within
     the iteration cap.
     """
@@ -255,15 +269,16 @@ def _levenberg_marquardt(lam, y, weight, p0):
     for _ in range(_LM_ITERATIONS):
         if live.size == 0:
             break
-        cols = (slice(None), live)
-        ssr, d, scaled, grad, ok = _normal_equations(lam[cols], y[cols], weight[cols], p[cols])
+        lam_l, y_l, size_l = lam[live], y[live], size[live]
+        ssr, d, scaled, grad, ok = _normal_equations(lam_l, y_l, size_l, p[:, live])
         damped = scaled + mu[live, None, None] * np.eye(4)
         step = np.linalg.solve(damped, -grad[:, :, None])[:, :, 0].T / d.T
-        done = ok & np.all(np.abs(step) <= _LM_STEP_TOL * np.abs(p[cols]), axis=0)
-        trial = p[cols] + step
-        r = weight[cols] * (_dip_model_m(lam[cols], *trial) - y[cols])
-        # accumulate, unlike reduce on one window, sums in sample order
-        better = ok & ~done & (np.add.accumulate(r * r, axis=0)[-1] < ssr)
+        done = ok & np.all(np.abs(step) <= _LM_STEP_TOL * np.abs(p[:, live]), axis=0)
+        trial = p[:, live] + step
+        r = _dip_model_m(lam_l, *trial[:, :, None])
+        r -= y_l
+        r *= r
+        better = ok & ~done & (_sample_sums(r, size_l) < ssr)
         p[:, live[better]] = trial[:, better]
         mu[live] = np.where(better, 0.1 * mu[live], 10.0 * mu[live])
         converged[live[done]] = True
@@ -289,7 +304,7 @@ def _fit_windows(lam_nm, tr, windows, regime, min_samples_per_fwhm):
     """One :class:`ResonanceFit`, or the DomainError that rejects it, per window.
 
     ``lam_nm`` ascends; each ``(lo, hi)`` window is fitted on its own, in
-    batches of similar length padded with zero weight.
+    batches of similar length padded to the longest.
     """
     if regime is not None and regime not in REGIMES:
         raise DomainError(f"regime must be None or one of {REGIMES}")
@@ -314,22 +329,21 @@ def _fit_windows(lam_nm, tr, windows, regime, min_samples_per_fwhm):
 def _fit_batch(lam_nm, tr, windows, regime, min_samples_per_fwhm):
     lo = np.array([w[0] for w in windows])
     size = np.array([w[1] - w[0] for w in windows])
-    offset = np.arange(size.max())[:, None]
-    index = lo + np.minimum(offset, size - 1)
+    offset = np.arange(size.max())
+    index = lo[:, None] + np.minimum(offset, size[:, None] - 1)
     lam = lam_nm[index] * NM
     y = tr[index]
-    weight = (offset < size).astype(float)
-    p0 = np.array([_initial_guess(lam[:n, j], y[:n, j]) for j, n in enumerate(size)]).T
-    popt, converged = _levenberg_marquardt(lam, y, weight, p0)
+    p0 = np.array([_initial_guess(lam[j, :n], y[j, :n]) for j, n in enumerate(size)]).T
+    popt, converged = _levenberg_marquardt(lam, y, size, p0)
     # covariance s^2 (J^T J)^-1 at the optimum, s^2 = SSR / (m - 4); through
     # eigh, so that a singular window reads inf instead of failing the batch
-    ssr, d, scaled, _, ok = _normal_equations(lam, y, weight, popt)
+    ssr, d, scaled, _, ok = _normal_equations(lam, y, size, popt)
     eigval, eigvec = np.linalg.eigh(scaled)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_diag = np.sum(eigvec ** 2 / np.where(eigval > 0.0, eigval, 0.0)[:, None, :], axis=2)
     err = np.sqrt(ssr / (size - 4.0) * inv_diag.T) / d.T
     return [
-        _finish_fit(lam_nm[a:a + n], y[:n, j], popt[:, j], err[:, j],
+        _finish_fit(lam_nm[a:a + n], y[j, :n], popt[:, j], err[:, j],
                     converged[j] and ok[j], regime, min_samples_per_fwhm)
         for j, (a, n) in enumerate(zip(lo, size))
     ]
@@ -464,9 +478,12 @@ def _load_trace_fast(path):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # "input contained no data"
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            # unpacking fails unless there are 2 columns; the copy makes
-            # them contiguous, as the scanner returns them
-            lam, tr = data.T.copy()
+            if data.shape[1] != 2:
+                return None
+            # one contiguous copy of each column, as the scanner returns
+            # them; the rows go before the trace is checked
+            lam, tr = data[:, 0].copy(), data[:, 1].copy()
+            del data
             return TransmissionTrace(lam, tr, {"path": str(path)})
         except (ValueError, UserWarning):  # DomainError is a ValueError
             return None
@@ -689,8 +706,25 @@ def _find_dips(x, prominence, distance=None):
     return peaks[keep], widths[keep]
 
 
-def _rolling_p95(x, window):
-    """The raw percentile of ``rolling_baseline``: rank rule and padding there.
+def _edge_padded(x, window, peaks=(), widths=()):
+    """``x`` edge-padded for :func:`_rolling_p95`, its dips bridged first.
+
+    :func:`_bridge_dips` works on the middle of the padded buffer, so
+    the trace is copied once.
+    """
+    n = x.size
+    left = window // 2
+    padded = np.empty(n + window - 1)
+    middle = padded[left:left + n]
+    middle[...] = x
+    _bridge_dips(middle, peaks, widths, window)
+    padded[:left] = middle[0]
+    padded[left + n:] = middle[-1]
+    return padded
+
+
+def _rolling_p95(padded, window, out):
+    """The raw percentile of ``rolling_baseline`` into ``out``; see :func:`_edge_padded`.
 
     Windows run in chunks of more than ``window`` outputs, whose
     samples fill a power of two of at least 2**14.  Each chunk is a
@@ -699,11 +733,8 @@ def _rolling_p95(x, window):
     each window into the zero or the one half by its remaining rank, and
     stably partitions the ranks by that bit for the next pass.
     """
-    n = x.size
+    n = out.size
     rank = int(float(window) * 95 / 100.0)
-    left = window // 2
-    padded = np.concatenate((np.full(left, x[0]), x, np.full(window - 1 - left, x[-1])))
-    out = np.empty(n)
     chunk = 2 ** max(14, (2 * window - 1).bit_length()) - (window - 1)
     for start in range(0, n, chunk):
         c = min(chunk, n - start)
@@ -749,6 +780,23 @@ def _rolling_p95(x, window):
     return out
 
 
+def _baseline(padded, window):
+    """``rolling_baseline`` of the samples that :func:`_edge_padded` padded.
+
+    The noise estimate sorts the first differences in the output buffer
+    before the percentile fills it, so no other n-sized array is made.
+    """
+    n = padded.size - window + 1
+    x = padded[window // 2:][:n]
+    out = np.empty(n)
+    diff = np.subtract(x[1:], x[:-1], out=out[:-1])
+    np.absolute(diff, out=diff)
+    sigma = float(np.median(diff, overwrite_input=True)) / _DIFF_MEDIAN
+    _rolling_p95(padded, window, out)
+    out -= _Z95 * sigma
+    return out
+
+
 def rolling_baseline(transmission, window: int):
     """Rolling 95th-percentile background; window is in samples.
 
@@ -777,13 +825,11 @@ def rolling_baseline(transmission, window: int):
         )
     if not np.isfinite(tr).all():
         raise DomainError("transmission must be finite in every sample")
-    base = _rolling_p95(tr, int(window))
-    sigma = float(np.median(np.abs(np.diff(tr)))) / _DIFF_MEDIAN
-    return base - _Z95 * sigma
+    return _baseline(_edge_padded(tr, int(window)), int(window))
 
 
-def _bridge_dips(tr, peaks, widths, reach):
-    """Replace each dip and its surroundings by a straight line.
+def _bridge_dips(filled, peaks, widths, reach):
+    """Replace each dip and its surroundings by a straight line, in place.
 
     The percentile filter would otherwise sag wherever a dip fills most
     of its window.  The bridge spans the filter's whole reach so the
@@ -791,8 +837,7 @@ def _bridge_dips(tr, peaks, widths, reach):
     fit will use, and it anchors on shoulder averages far enough out
     that the Lorentzian wing underneath is negligible.
     """
-    filled = tr.copy()
-    n = tr.size
+    n = filled.size
     for idx, w in zip(peaks, widths):
         pad = max(3, int(round(w)))
         half = reach + pad
@@ -805,7 +850,6 @@ def _bridge_dips(tr, peaks, widths, reach):
         a = float(np.mean(left)) if left.size else float(np.mean(right))
         b = float(np.mean(right)) if right.size else float(np.mean(left))
         filled[lo:hi] = np.linspace(a, b, hi - lo)
-    return filled
 
 
 def normalize_trace(trace: TransmissionTrace, *, prominence=0.05):
@@ -827,9 +871,9 @@ def normalize_trace(trace: TransmissionTrace, *, prominence=0.05):
     # features narrower than the window are resonances the filter must
     # ignore; anything wider (fringes) is background it has to track
     narrow = widths <= window
-    bridged = _bridge_dips(tr, peaks[narrow], widths[narrow], window)
-    base = rolling_baseline(bridged, window)
-    norm = np.minimum(tr / base, 1.05)
+    norm = _baseline(_edge_padded(tr, window, peaks[narrow], widths[narrow]), window)
+    np.divide(tr, norm, out=norm)
+    np.minimum(norm, 1.05, out=norm)
     return TransmissionTrace(
         trace.wavelength_nm, norm,
         {**trace.metadata, "normalized": True, "baseline_window": window},

@@ -17,13 +17,12 @@ from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
 from squeezesim.spectra import (
     PhaseScanTrace,
     SingularSystemError,
+    _offset_and_margin,
     bogoliubov_defect,
     calibrate_g0_to_optimum,
     homodyne_variance,
-    optimal_quadratures,
     optimal_quadratures_from_cov,
     output_covariance,
-    pair_detuning,
     pair_moments,
     pair_scattering,
     phase_scan_trace,
@@ -115,7 +114,7 @@ def steady_at_x(model, x, branch="nearest"):
 def pure_point(x):
     model = make_model(2.0 * x, eta_esc=1.0, g0=1.0)
     st, _ = steady_at_x(model, x)
-    assert abs(pair_detuning(model, st)) < 1e-9
+    assert abs(_offset_and_margin(model, st.rho, 1)[0]) < 1e-9
     return model, st
 
 
@@ -228,7 +227,7 @@ def test_matches_double_pair_psd_oracle():
         expected = reference_variance(
             model.kappa_i,
             model.kappa_e,
-            pair_detuning(model, st),
+            float(_offset_and_margin(model, st.rho, 1)[0]),
             model.g0 * st.a0 ** 2,
             omega,
             theta + pair.phi_ref,
@@ -327,18 +326,17 @@ def test_phase_scan_fit_recovers_extrema():
     model, st = pure_point(0.5)
     cov = output_covariance(pair_scattering(model, st, 0.4), 0.83)
     ref = optimal_quadratures_from_cov(cov)
+    # the variance is exactly a + b cos(2 theta) + c sin(2 theta), so a
+    # least-squares fit of that form to six angles recovers the extrema
     th = np.linspace(0.1, 0.1 + math.pi, 6, endpoint=False)
-    fit = optimal_quadratures(th, homodyne_variance(cov, th))
-    assert fit.var_min == pytest.approx(ref.var_min, rel=1e-10)
-    assert fit.var_max == pytest.approx(ref.var_max, rel=1e-10)
-    assert fit.theta_min == pytest.approx(ref.theta_min, abs=1e-9)
-    with pytest.raises(DomainError):
-        optimal_quadratures(np.array([0.1, 0.1 + math.pi]), np.array([1.0, 1.0]))
-    with pytest.raises(DomainError):
-        # all angles congruent mod pi -> rank deficient
-        optimal_quadratures(
-            np.array([0.2, 0.2 + math.pi, 0.2 + 2 * math.pi]), np.array([1.0, 1.0, 1.0])
-        )
+    design = np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
+    assert np.linalg.matrix_rank(design, tol=1e-10) == 3
+    mean, d, off = np.linalg.lstsq(design, homodyne_variance(cov, th), rcond=None)[0]
+    amp = math.hypot(d, off)
+    assert mean - amp == pytest.approx(ref.var_min, rel=1e-10)
+    assert mean + amp == pytest.approx(ref.var_max, rel=1e-10)
+    theta_min = 0.5 * (math.atan2(off, d) + math.pi) % math.pi
+    assert theta_min == pytest.approx(ref.theta_min, abs=1e-9)
 
 
 def test_spectrum_grid_shapes_and_frequency_symmetry():

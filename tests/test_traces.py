@@ -572,6 +572,74 @@ def test_find_dips_visits_only_maxima_that_can_reach_the_prominence(monkeypatch)
 # ---- the batched Levenberg-Marquardt fit
 
 
+@pytest.mark.parametrize("n_windows", [1, 2, 3, 200])
+def test_normal_equations_sum_each_window_in_sample_order(n_windows):
+    from squeezesim.traces import _dip_jacobian_m, _dip_model_m, _normal_equations
+
+    rng = np.random.default_rng(n_windows)
+    # a few long windows or many short ones, every row padded past its own
+    # samples with values that must not reach its sums
+    lo, hi = (500, 3001) if n_windows <= 3 else (20, 151)
+    size = rng.integers(lo, hi, n_windows)
+    samples = int(size.max()) + 7
+    center = (LAMBDA0 + rng.uniform(-1.0, 1.0, n_windows)) * 1e-9
+    step = rng.uniform(0.5, 2.0, n_windows) * 1e-4 * 1e-9 * 150 / size
+    lam = center[:, None] + step[:, None] * (np.arange(samples) - size[:, None] / 2)
+    kappa = KAPPA0 * rng.uniform(0.5, 2.0, n_windows)
+    depth, scale = rng.uniform(0.1, 0.9, n_windows), rng.uniform(0.9, 1.1, n_windows)
+    p = np.array([center, kappa, depth, scale])
+    y = _dip_model_m(lam, *p[:, :, None]) + rng.normal(0.0, 0.01, lam.shape)
+    p *= 1.0 + rng.normal(0.0, 1e-6, p.shape)  # off the optimum: nonzero gradient
+    ssr, d, scaled, grad, ok = _normal_equations(lam, y, size, p)
+    assert ok.all()
+    for j, n in enumerate(size):
+        own = (lam[j:j + 1, :n], *p[:, j:j + 1, None])
+        cols = [c.ravel().tolist() for c in _dip_jacobian_m(*own)]
+        cols.append((_dip_model_m(*own) - y[j, :n]).ravel().tolist())
+        sums = np.empty((5, 5))
+        for a in range(5):
+            for b in range(5):
+                total = 0.0
+                for u, v in zip(cols[a], cols[b]):
+                    total += u * v
+                sums[a, b] = total
+        d_j = np.sqrt(np.diag(sums[:4, :4]))
+        assert np.array_equal(d[j], d_j)
+        assert np.array_equal(scaled[j], sums[:4, :4] / np.outer(d_j, d_j))
+        assert np.array_equal(grad[j], sums[:4, 4] / d_j)
+        assert ssr[j] == sums[4, 4]
+
+
+def test_fit_holds_each_trace_column_once(tmp_path):
+    import tracemalloc
+
+    # 200,001 samples of a comb like the benchmark's: 0.1 pm steps, dips
+    # about 18 samples wide and 4,807 apart, noise 0.005
+    n = 200_001
+    lam = np.linspace(1510.0, 1530.0, n)
+    centers = lam[2500::4807]
+    kappas = 2.0 * math.pi * C_LIGHT / (centers * 1e-9) / 0.83e6
+    tr = synthesize_trace(lam, [(c, k, T_FLOOR0) for c, k in zip(centers, kappas)],
+                          noise_rms=0.005, seed=9)
+    path = tmp_path / "comb.csv"
+    np.savetxt(path, np.column_stack([lam, tr]), fmt="%.4f,%.9f",
+               header="wavelength_nm,transmission", comments="")
+    column = 8 * n
+    tracemalloc.start()
+    try:
+        trace = load_trace(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        report = analyze_trace(trace)
+        fit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_rejected == 0 and len(report.resonances) == centers.size
+    # the rows and one copy of each column; then the raw and the
+    # normalized trace, and at most about two more columns of scratch
+    assert load_peak <= 4.5 * column
+    assert fit_peak <= 5.75 * column
+
+
 def test_batched_and_single_window_fits_are_bit_identical(monkeypatch):
     import squeezesim.traces as traces
 
@@ -683,10 +751,10 @@ def level_traces(draw):
 def assert_same_percentiles(x, window):
     from scipy.ndimage import percentile_filter
 
-    from squeezesim.traces import _rolling_p95
+    from squeezesim.traces import _edge_padded, _rolling_p95
 
     want = percentile_filter(x, percentile=95, size=window, mode="nearest")
-    got = _rolling_p95(x, window)
+    got = _rolling_p95(_edge_padded(x, window), window, np.empty(x.size))
     # selection copies a sample, so the bits agree, not just the values
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
