@@ -391,7 +391,7 @@ def _physicality_check(cfg: RunConfig, rng: np.random.Generator, n_random: int) 
         stated = [p for p in cfg.powers_w] + ([cfg.power_w] if cfg.power_w else [])
         p_cap = 2.0 * max(stated) if stated and max(stated) > 0 else 0.05
     draws = rng.uniform([0.0, -3.0], [p_cap, math.log10(3.0)], size=(n_random, 2))
-    steadies = [_solve_point(cfg, float(p)) for p in draws[:, 0]]
+    steadies = [_solve_point(cfg, p) for p in draws[:, 0].tolist()]
     rho = np.array([s.rho for s in steadies], dtype=float)
     a0 = np.array([s.a0 for s in steadies], dtype=complex)
     pair = pair_moments(model, rho, a0, model.kappa * 10.0 ** draws[:, 1], cfg.mode_index)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s
 
@@ -72,10 +74,33 @@ def photon_flux(power_w: float, omega0: float) -> float:
     return power_w / (HBAR * omega0)
 
 
-def _require_finite(obj, names: tuple[str, ...]) -> None:
-    """DomainError naming the first of ``obj``'s fields that is NaN or infinite."""
+def _as_float(name: str, value) -> float:
+    """``value`` as a Python float; DomainError naming ``name`` unless it is real.
+
+    Ints, floats, numpy real scalars and 0-d real arrays are real; str,
+    complex, None, bool and sized arrays are not.
+    """
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(f"{name} must be finite, got {value}") from None
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _real_fields(obj, names: tuple[str, ...]) -> None:
+    """Store each of ``obj``'s fields ``names`` as a finite Python float.
+
+    DomainError naming the first field that is not real or is NaN or
+    infinite.  A field that is already a float is only checked.
+    """
     for name in names:
         value = getattr(obj, name)
+        if type(value) is not float:
+            value = _as_float(name, value)
+            object.__setattr__(obj, name, value)
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
 
@@ -93,6 +118,7 @@ class MaterialParams:
     v_eff: float
 
     def __post_init__(self):
+        _real_fields(self, ("n2", "n0", "v_eff"))
         if self.n2 <= 0.0 or self.n0 <= 0.0 or self.v_eff <= 0.0:
             raise DomainError("material parameters must be positive")
 
@@ -142,6 +168,12 @@ class ResonatorModel:
     fsr:
         Free spectral range in Hz, used only for bookkeeping when mapping
         mode indices to absolute optical frequencies.
+
+    Every field is stored as a Python float, so the scalar routes run in
+    float arithmetic whatever numeric type built the model: ints, numpy
+    real scalars and 0-d real arrays are converted.  Any other value
+    (str, complex, None, bool, a sized array), and any NaN or infinite
+    one, raises DomainError naming its field.
     """
 
     omega0: float
@@ -154,7 +186,7 @@ class ResonatorModel:
     kappa: float = field(init=False)
 
     def __post_init__(self):
-        _require_finite(self, ("omega0", "kappa_i", "kappa_e", "delta", "d2", "g0"))
+        _real_fields(self, ("omega0", "kappa_i", "kappa_e", "delta", "d2", "g0", "fsr"))
         if self.omega0 <= 0.0:
             raise DomainError(f"omega0 must be positive, got {self.omega0}")
         if self.kappa_i < 0.0:
@@ -207,7 +239,8 @@ class PumpDrive:
 
     ``a_in`` is normalized so that ``a_in**2`` is the photon flux in 1/s;
     it is kept real and non-negative, the pump phase being the global
-    phase reference.
+    phase reference.  Fields are stored as Python floats and refused by
+    name, as :class:`ResonatorModel`'s are.
     """
 
     power_on_chip: float
@@ -220,7 +253,7 @@ class PumpDrive:
         return cls(power_on_chip=power_w, flux=flux, a_in=math.sqrt(flux))
 
     def __post_init__(self):
-        _require_finite(self, ("power_on_chip", "flux", "a_in"))
+        _real_fields(self, ("power_on_chip", "flux", "a_in"))
         if self.power_on_chip < 0.0 or self.flux < 0.0:
             raise DomainError("pump power and flux must be non-negative")
         if self.a_in < 0.0:
@@ -266,6 +299,7 @@ class DetectionChain:
     eta_total: float = field(init=False)
 
     def __post_init__(self):
+        _real_fields(self, ("eta_couple", "eta_prop", "visibility", "eta_pd"))
         total = detection_chain_total(
             self.eta_couple, self.eta_prop, self.visibility, self.eta_pd
         )

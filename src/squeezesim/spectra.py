@@ -428,7 +428,7 @@ def power_sweep(
     ``rtol`` is the steady-state residual tolerance of each solve.
     """
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    pumps = (PumpDrive.from_power(float(p), model.omega0) for p in powers)
+    pumps = (PumpDrive.from_power(p, model.omega0) for p in powers.tolist())
     steadies = [solve_steady_state(model, pump, branch_policy, rtol) for pump in pumps]
     rho = np.array([s.rho for s in steadies], dtype=float)
     a0 = np.array([s.a0 for s in steadies], dtype=complex)

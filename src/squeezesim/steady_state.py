@@ -166,11 +166,10 @@ def _photon_numbers(model: ResonatorModel, pump: PumpDrive) -> list[float]:
     """The roots of :func:`steady_state_roots` as an ascending list of floats."""
     g0 = model.g0
     if g0 == 0.0:
-        return [float(fixed_point_photons(model, pump.flux, model.delta))]
+        return [fixed_point_photons(model, pump.flux, model.delta)]
     hk = 0.5 * model.kappa
     us = _roots_scaled(model.delta / hk, g0 * model.kappa_e * pump.flux / hk ** 3)
-    # float(): a model built from numpy scalars still gives Python floats
-    return [float(u * hk / g0) for u in us]
+    return [u * hk / g0 for u in us]
 
 
 def steady_state_roots(model: ResonatorModel, pump: PumpDrive) -> np.ndarray:

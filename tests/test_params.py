@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,7 +126,9 @@ def test_resonator_rejects_bad_rates():
         ResonatorModel(omega0=-1e15, kappa_i=1e8, kappa_e=1e9)
 
 
-RESONATOR_FIELDS = dict(omega0=1e15, kappa_i=1e8, kappa_e=1e9, delta=2e8, d2=1e5, g0=0.5)
+RESONATOR_FIELDS = dict(
+    omega0=1e15, kappa_i=1e8, kappa_e=1e9, delta=2e8, d2=1e5, g0=0.5, fsr=59.3e9
+)
 
 
 @pytest.mark.parametrize("field", list(RESONATOR_FIELDS))
@@ -141,6 +145,67 @@ def test_pump_drive_rejects_non_finite_fields_by_name(field, bad):
     fields = {"power_on_chip": 1e-3, "flux": 7.9e15, "a_in": 8.9e7, field: bad}
     with pytest.raises(DomainError, match=rf"^{field} must be finite, got {bad}$"):
         PumpDrive(**fields)
+
+
+# valid fields of each parameter class, then valid integral ones
+REAL_FIELDS = {
+    ResonatorModel: (RESONATOR_FIELDS, dict(omega0=10**15, kappa_i=0, kappa_e=10**9, fsr=59 * 10**9)),
+    PumpDrive: (
+        {"power_on_chip": 1e-3, "flux": 7.9e15, "a_in": 8.9e7},
+        {"power_on_chip": 1, "flux": 4, "a_in": 2},
+    ),
+    MaterialParams: (
+        {"n2": 2.4e-19, "n0": 1.996, "v_eff": 1.0e-16},
+        {"n2": 1, "n0": 2, "v_eff": 3},
+    ),
+    DetectionChain: (
+        {"eta_couple": 0.75, "eta_prop": 0.95, "visibility": 0.98, "eta_pd": 0.88},
+        {"eta_couple": 1, "eta_prop": 1, "visibility": 1, "eta_pd": 1},
+    ),
+}
+FIELD_CASES = [
+    pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+    for cls, (fields, _) in REAL_FIELDS.items()
+    for name in fields
+]
+NON_REAL = {
+    "str": "x",
+    "numeric str": "1e15",
+    "complex": 1 + 0j,
+    "None": None,
+    "bool": True,
+    "sized array": np.array([1e9]),
+    "numpy bool": np.bool_(True),
+    "numpy complex": np.complex128(1.0),
+    "0-d complex array": np.array(1.0 + 0j),
+}
+
+
+@pytest.mark.parametrize("cls, field", FIELD_CASES)
+@pytest.mark.parametrize("bad", list(NON_REAL.values()), ids=list(NON_REAL))
+def test_non_real_fields_are_refused_by_name(cls, field, bad):
+    # bools were stored, and so was any fsr; the rest raised a TypeError naming no field
+    with pytest.raises(DomainError, match=rf"^{field} must be a real number, got "):
+        cls(**{**REAL_FIELDS[cls][0], field: bad})
+
+
+@pytest.mark.parametrize("cls", list(REAL_FIELDS), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "number, integral",
+    [(np.float64, False), (np.array, False), (int, True), (np.int64, True)],
+    ids=["float64", "0-d array", "int", "int64"],
+)
+def test_real_fields_are_stored_as_python_floats(cls, number, integral):
+    fields = REAL_FIELDS[cls][integral]
+    built = cls(**{name: number(value) for name, value in fields.items()})
+    for f in dataclasses.fields(built):
+        assert type(getattr(built, f.name)) is float, f.name
+    assert built == cls(**{name: float(value) for name, value in fields.items()})
+
+
+def test_an_int_too_large_for_a_float_is_refused_by_name():
+    with pytest.raises(DomainError, match=r"^omega0 must be finite, got 1000"):
+        ResonatorModel(**{**RESONATOR_FIELDS, "omega0": 10**400})
 
 
 def test_pump_drive_from_power():

@@ -518,7 +518,8 @@ IDENTITY_CASES = st.tuples(
 def test_float_route_is_bit_identical_to_the_ndarray_route(case, g0, numpy_scalars):
     # the scalar route runs in Python floats and builds no array; the route
     # it replaced is kept above, and every output bit must agree with it,
-    # also for a model built from numpy scalars
+    # also for a model built from numpy scalars, which ResonatorModel
+    # stores as Python floats before any route sees them
     alpha, beta = case
     roots = cubic_roots_scaled(alpha, beta)
     assert roots.tobytes() == reference_cubic_roots(alpha, beta).tobytes()

@@ -1,0 +1,196 @@
+"""Mutation score of the tier-1 suite.
+
+Each mutant is one (file, exact source snippet, replacement) row.  For
+each, the repository is copied to a temporary directory, the snippet is
+replaced there (it must occur exactly once), and the tier-1 command runs
+with ``-x``.  A mutant is killed when the suite fails; the first failing
+test and the seconds it took are recorded.  One pytest process runs at a
+time, and the checkout this reads is never written.  The summary is one
+JSON object on stdout:
+
+    python tools/mutate.py                    # every mutant
+    python tools/mutate.py --only bool-is-real --tests tests/test_params.py
+
+A full pass takes several minutes, so this is not part of tier-1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (file, snippet, replacement)
+MUTANTS = {
+    "eta-total-twice": (
+        "src/squeezesim/spectra.py",
+        "    return eta_total * v + (1.0 - eta_total) * np.eye(4)\n",
+        "    v = eta_total * v + (1.0 - eta_total) * np.eye(4)\n"
+        "    return eta_total * v + (1.0 - eta_total) * np.eye(4)\n",
+    ),
+    "cross-phase-factor-1": (
+        "src/squeezesim/spectra.py",
+        "delta_l = zero_pump_offset(model, l) - 2.0 * model.g0 * rho",
+        "delta_l = zero_pump_offset(model, l) - 1.0 * model.g0 * rho",
+    ),
+    "polish-precomputed-1-plus-alpha2": (
+        "src/squeezesim/steady_state.py",
+        "    for _ in range(3):\n"
+        "        fp = u * (3.0 * u - 4.0 * alpha) + 1.0 + alpha * alpha\n"
+        "        if abs(fp) < 1e-9 * (1.0 + u * u + alpha * alpha):\n"
+        "            return u\n"
+        "        step = (u * (u * (u - 2.0 * alpha) + 1.0 + alpha * alpha) - beta) / fp\n",
+        "    c = 1.0 + alpha * alpha\n"
+        "    for _ in range(3):\n"
+        "        fp = u * (3.0 * u - 4.0 * alpha) + c\n"
+        "        if abs(fp) < 1e-9 * (1.0 + u * u + alpha * alpha):\n"
+        "            return u\n"
+        "        step = (u * (u * (u - 2.0 * alpha) + c) - beta) / fp\n",
+    ),
+    "cross-validation-extra-field": (
+        "src/squeezesim/langevin.py",
+        "    runtime_s: float\n",
+        "    runtime_s: float\n    z_spread: float\n",
+    ),
+    "no-float-coercion": (
+        "src/squeezesim/params.py",
+        "            value = _as_float(name, value)\n"
+        "            object.__setattr__(obj, name, value)\n",
+        "            _as_float(name, value)\n",
+    ),
+    "bool-is-real": (
+        "src/squeezesim/params.py",
+        "isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)",
+        "isinstance(value, (int, float, np.integer, np.floating))",
+    ),
+    "threshold-gain-other-root": (
+        "src/squeezesim/steady_state.py",
+        "return (2.0 * b - math.sqrt(disc)) / 3.0",
+        "return (2.0 * b + math.sqrt(disc)) / 3.0",
+    ),
+    "fixed-point-kappa-for-kappa-e": (
+        "src/squeezesim/steady_state.py",
+        "return model.kappa_e * flux / (hk * hk + delta_eff * delta_eff)",
+        "return model.kappa * flux / (hk * hk + delta_eff * delta_eff)",
+    ),
+    "zero-pump-offset-full-d2": (
+        "src/squeezesim/steady_state.py",
+        "return model.delta + 0.5 * model.d2 * l * l",
+        "return model.delta + model.d2 * l * l",
+    ),
+    "escape-efficiency-over-kappa-e": (
+        "src/squeezesim/params.py",
+        "return self.kappa_e / self.kappa\n",
+        "return 1.0 - self.kappa_i / self.kappa_e\n",
+    ),
+    "hann-lag-sum-one-sided": (
+        "src/squeezesim/langevin.py",
+        "return float(r0 + 2.0 * np.dot(rows[: n - 1] @ y, lag_weight))",
+        "return float(r0 + np.dot(rows[: n - 1] @ y, lag_weight))",
+    ),
+    "dip-prominence-halved": (
+        "src/squeezesim/traces.py",
+        "keep = prom >= prominence",
+        "keep = prom >= 0.5 * prominence",
+    ),
+    "lm-stops-on-any-parameter": (
+        "src/squeezesim/traces.py",
+        "done = ok & np.all(np.abs(step) <= _LM_STEP_TOL * np.abs(p[:, live]), axis=0)",
+        "done = ok & np.any(np.abs(step) <= _LM_STEP_TOL * np.abs(p[:, live]), axis=0)",
+    ),
+}
+
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+# seconds one suite run may take; a mutant that hangs counts as killed
+TIMEOUT = 900.0
+
+# build, test and run leftovers that are not copied
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
+
+
+def mutated(name: str) -> tuple[str, str]:
+    """(file, its text with mutant ``name`` applied); ValueError unless the snippet occurs once."""
+    path, snippet, replacement = MUTANTS[name]
+    text = (ROOT / path).read_text(encoding="utf-8")
+    count = text.count(snippet)
+    if count != 1:
+        raise ValueError(f"{name}: {path}: snippet occurs {count} times, expected once")
+    return path, text.replace(snippet, replacement)
+
+
+def first_failure(output: str) -> str | None:
+    """The node id of the first FAILED or ERROR line of pytest's short summary."""
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                return line[len(tag):].split(" - ")[0].strip()
+    return None
+
+
+def run_suite(tree: Path, tests: list[str]) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(TIER1 + tests, cwd=tree, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return {"killed": True, "by": "timeout", "seconds": round(time.perf_counter() - start, 1)}
+    seconds = round(time.perf_counter() - start, 1)
+    if done.returncode == 0:
+        return {"killed": False, "by": None, "seconds": seconds}
+    by = first_failure(done.stdout) or f"exit {done.returncode}"
+    return {"killed": True, "by": by, "seconds": seconds}
+
+
+def trial(edit: tuple[str, str] | None, tests: list[str]) -> dict:
+    """Copy the checkout, write ``edit`` (file, text) into the copy, run the suite."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        if edit is not None:
+            path, text = edit
+            (tree / path).write_text(text, encoding="utf-8")
+        return run_suite(tree, tests)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", action="append", choices=sorted(MUTANTS),
+                        help="run only this mutant (repeatable)")
+    parser.add_argument("--tests", nargs="+", default=[],
+                        help="test paths or node ids instead of the configured testpaths")
+    args = parser.parse_args(argv)
+    # every row is applied before any suite runs, so a stale one fails at once
+    edits = {name: mutated(name) for name in args.only or MUTANTS}
+    baseline = trial(None, args.tests)
+    if baseline["killed"]:
+        sys.exit(f"the unmutated suite fails ({baseline['by']}); no mutant can be scored")
+    results = {}
+    for name, edit in edits.items():
+        results[name] = trial(edit, args.tests)
+        print(f"{name}: {results[name]}", file=sys.stderr)
+    survivors = [name for name, r in results.items() if not r["killed"]]
+    print(json.dumps({
+        "tests": args.tests or "testpaths",
+        "baseline_seconds": baseline["seconds"],
+        "mutants": len(results),
+        "killed": len(results) - len(survivors),
+        "kill_rate": round((len(results) - len(survivors)) / len(results), 3),
+        "survivors": survivors,
+        "results": results,
+    }, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
