@@ -13,6 +13,7 @@ parametric oscillation threshold, and provides:
   spectra (:mod:`squeezesim.langevin`),
 - linewidth / coupling extraction from swept-wavelength transmission
   traces (:mod:`squeezesim.traces`),
+- the checks behind ``validate`` as one report (:mod:`squeezesim.validation`),
 - a command line front end (:mod:`squeezesim.cli`).
 """
 

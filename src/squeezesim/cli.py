@@ -33,27 +33,18 @@ from .config import (
     format_config,
     load_config,
     load_fit_options,
-    parse_config_text,
 )
-from .params import DomainError, PumpDrive
+from .params import DomainError
 from .spectra import (
-    bogoliubov_defect,
-    optimal_quadratures_from_cov,
-    output_covariance,
-    pair_moments,
-    pair_scattering,
     phase_scan_trace,
-    power_sweep,
     spectrum_grid,
     squeezing_db,
     stability_margin,
-    symplectic_eigenvalues,
     variance_db,
 )
 from .steady_state import (
     bistable_flux_window,
     is_bistable,
-    solve_steady_state,
     threshold_intracavity,
     threshold_power,
 )
@@ -126,16 +117,9 @@ def _write_table(out_dir: Path, stem: str, header, rows, fmt: str) -> Path:
     return _write(out_dir, stem + ".json", _json_text(records))
 
 
-def _solve_point(cfg: RunConfig, power_w: float):
-    pump = PumpDrive.from_power(power_w, cfg.model.omega0)
-    return solve_steady_state(
-        cfg.model, pump, cfg.branch_policy, cfg.residual_rtol
-    )
-
-
 def cmd_spectrum(cfg: RunConfig, args, out: Path) -> int:
     power_w = cfg.require_power()
-    steady = _solve_point(cfg, power_w)
+    steady = cfg.solve(power_w)
     thetas = np.linspace(0.0, math.pi, cfg.n_theta)
     grid = spectrum_grid(
         cfg.model,
@@ -190,20 +174,8 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-def _sweep(cfg: RunConfig, powers_w):
-    return power_sweep(
-        cfg.model,
-        powers_w,
-        omega=cfg.omega,
-        l=cfg.mode_index,
-        eta_total=cfg.eta_total,
-        branch_policy=cfg.branch_policy,
-        rtol=cfg.residual_rtol,
-    )
-
-
 def cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
-    sweep = _sweep(cfg, cfg.powers_w)
+    sweep = cfg.sweep(cfg.powers_w)
     rows = zip(
         sweep.powers * 1e3,
         variance_db(sweep.var_min),
@@ -220,7 +192,7 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> int:
 
 def cmd_phase_scan(cfg: RunConfig, args, out: Path) -> int:
     power_w = cfg.require_power()
-    steady = _solve_point(cfg, power_w)
+    steady = cfg.solve(power_w)
     trace = phase_scan_trace(
         cfg.model,
         steady,
@@ -262,7 +234,7 @@ def cmd_threshold(cfg: RunConfig, args, out: Path) -> int:
         scale = HBAR * cfg.model.omega0 * 1e3
         report["bistable_window_mw"] = [lo * scale, hi * scale]
     if cfg.power_w is not None:
-        steady = _solve_point(cfg, cfg.power_w)
+        steady = cfg.solve(cfg.power_w)
         margin = stability_margin(cfg.model, steady, cfg.mode_index)
         report["at_power"] = {
             "power_mw": cfg.power_w * 1e3,
@@ -382,165 +354,16 @@ def cmd_stats(opts: dict, args, out: Path) -> int:
     return EXIT_OK
 
 
-def _physicality_check(cfg: RunConfig, rng: np.random.Generator, n_random: int) -> dict:
-    model = cfg.model
-    p_th = threshold_power(model, cfg.mode_index) if model.g0 > 0 else math.inf
-    if math.isfinite(p_th):
-        p_cap = 0.98 * p_th
-    else:
-        stated = [p for p in cfg.powers_w] + ([cfg.power_w] if cfg.power_w else [])
-        p_cap = 2.0 * max(stated) if stated and max(stated) > 0 else 0.05
-    draws = rng.uniform([0.0, -3.0], [p_cap, math.log10(3.0)], size=(n_random, 2))
-    steadies = [_solve_point(cfg, p) for p in draws[:, 0].tolist()]
-    rho = np.array([s.rho for s in steadies], dtype=float)
-    a0 = np.array([s.a0 for s in steadies], dtype=complex)
-    pair = pair_moments(model, rho, a0, model.kappa * 10.0 ** draws[:, 1], cfg.mode_index)
-    usable = pair.margin > 0.0
-    cov = output_covariance(pair, cfg.eta_total)[usable]
-    ext = optimal_quadratures_from_cov(cov)
-    min_nu = float(np.min(symplectic_eigenvalues(cov)[..., 0], initial=math.inf))
-    min_prod = float(np.min(ext.var_min * ext.var_max, initial=math.inf))
-    min_slack = float(np.min(ext.var_min - (1.0 - cfg.eta_total), initial=math.inf))
-    used = int(np.count_nonzero(usable))
-    vac = _sweep(cfg, 0.0)
-    worst_vacuum = max(abs(vac.var_min[0] - 1.0), abs(vac.var_max[0] - 1.0))
-    passed = (
-        used >= n_random // 2
-        and min_nu >= 1.0 - 1e-9
-        and min_prod >= 1.0 - 1e-9
-        and min_slack >= -1e-9
-        and worst_vacuum <= 1e-12
-    )
-    return {
-        "name": "physicality_random",
-        "passed": passed,
-        "n_draws": n_random,
-        "n_usable": used,
-        "min_symplectic_eigenvalue": min_nu,
-        "min_variance_product": min_prod,
-        "min_loss_floor_slack": min_slack,
-        "vacuum_deviation": worst_vacuum,
-    }
-
-
 def cmd_validate(cfg: RunConfig, args, out: Path) -> int:
-    from .langevin import (
-        cross_validate,
-        dump_series,
-        exact_bin_deviation_db,
-        segment_plan,
-        simulate_pair,
-    )
+    # imported here: the oracle loads scipy.linalg, which no other command needs
+    from .validation import validation_report
 
-    checks = []
-
-    echoed = parse_config_text(cfg.echo_text())
-    roundtrip_ok = echoed == dict(cfg.values)
-    checks.append({"name": "config_roundtrip", "passed": bool(roundtrip_ok)})
-
-    powers = list(cfg.powers_w) or ([cfg.power_w] if cfg.power_w is not None else [0.0])
-    for power in powers:
-        steady = _solve_point(cfg, power)
-        margin = stability_margin(cfg.model, steady, cfg.mode_index)
-        checks.append(
-            {
-                "name": "below_threshold",
-                "power_mw": power * 1e3,
-                "passed": margin > 0.0,
-                "margin_rad_s": margin,
-                "margin_over_kappa": margin / cfg.model.kappa,
-                "branch": steady.branch,
-            }
-        )
-
-    rng = np.random.default_rng(cfg.seed)
-    checks.append(_physicality_check(cfg, rng, int(cfg.opt("validate.n_random"))))
-
-    cv_power = cfg.power_w if cfg.power_w is not None else (powers[-1] if powers else 0.0)
-    steady = _solve_point(cfg, cv_power)
-    if stability_margin(cfg.model, steady, cfg.mode_index) <= 0.0:
-        checks.append(
-            {
-                "name": "stochastic_crossval",
-                "passed": False,
-                "detail": "configured power is at or above threshold",
-            }
-        )
-    else:
-        kappa = cfg.model.kappa
-        omegas = [0.05 * kappa, 0.5 * kappa, 2.0 * kappa]
-        thetas = (0.0, 0.25 * math.pi, 0.5 * math.pi)
-        cv = cross_validate(
-            cfg.model,
-            steady,
-            omegas,
-            thetas,
-            eta_total=cfg.eta_total,
-            l=cfg.mode_index,
-            n_segments=int(cfg.opt("validate.n_segments")),
-            seed=cfg.seed,
-            batch_size=int(cfg.opt("validate.batch_size")),
-            n_sigma=float(cfg.opt("validate.n_sigma")),
-            max_db_err=float(cfg.opt("validate.max_db_err")),
-            min_pass_fraction=float(cfg.opt("validate.min_pass_fraction")),
-        )
-        checks.append(
-            {
-                "name": "stochastic_crossval",
-                "passed": bool(cv.passed),
-                "pass_fraction": cv.pass_fraction,
-                "n_bins": len(cv.checks),
-                "n_segments": cv.n_segments,
-                "power_mw": cv_power * 1e3,
-                "max_abs_z": max(abs(c.z) for c in cv.checks),
-                "max_abs_delta_db": max(abs(c.delta_db) for c in cv.checks),
-                # report only: z with sigma = expected/sqrt(N), whose tails
-                # are Gamma-exact, the spectra route against the step-law
-                # route of the same bins, and how far the scattering matrix
-                # at the analysis frequency is from preserving commutators;
-                # none enters the pass rule
-                "max_abs_z_gamma": max(
-                    abs(c.measured - c.expected) * math.sqrt(cv.n_segments) / c.expected
-                    for c in cv.checks
-                ),
-                "max_exact_bin_dev_db": exact_bin_deviation_db(
-                    cfg.model, steady, omegas, thetas,
-                    eta_total=cfg.eta_total, l=cfg.mode_index,
-                ),
-                "bogoliubov_defect": bogoliubov_defect(
-                    pair_scattering(cfg.model, steady, cfg.omega, cfg.mode_index).s
-                ),
-            }
-        )
-        if args.dump_series:
-            dt, n = segment_plan(kappa, cfg.omega)
-            run = simulate_pair(
-                cfg.model,
-                steady,
-                dt=dt,
-                n_samples=n,
-                n_segments=8,
-                thetas=(0.0, 0.25 * math.pi, 0.5 * math.pi),
-                eta_total=cfg.eta_total,
-                l=cfg.mode_index,
-                seed=cfg.seed,
-            )
-            dump_series(out / "series.bin", run)
-            log.info("wrote %s", out / "series.bin")
-
-    passed = all(c["passed"] for c in checks)
-    report = {
-        "passed": passed,
-        "n_checks": len(checks),
-        "n_failed": sum(not c["passed"] for c in checks),
-        "checks": checks,
-    }
+    report = validation_report(cfg, out / "series.bin" if args.dump_series else None)
     _write(out, "validate_report.json", _json_text(report))
-    if not passed:
-        for check in checks:
-            if not check["passed"]:
-                log.error("check failed: %s", check["name"])
-    return EXIT_OK if passed else EXIT_FAIL
+    for check in report["checks"]:
+        if not check["passed"]:
+            log.error("check failed: %s", check["name"])
+    return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 _DISPATCH = {

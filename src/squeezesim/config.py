@@ -30,8 +30,10 @@ from .params import (
     kappa_from_q,
     wavelength_to_omega,
 )
-from .spectra import CalibrationResult, calibrate_g0_to_optimum
-from .steady_state import BRANCH_POLICIES, g0_for_threshold_fraction
+from .spectra import CalibrationResult, PowerSweepResult, calibrate_g0_to_optimum, power_sweep
+from .steady_state import (
+    BRANCH_POLICIES, SteadyState, g0_for_threshold_fraction, solve_steady_state,
+)
 
 
 class ConfigError(ValueError):
@@ -253,6 +255,18 @@ class RunConfig:
                 "drive.power_mw: this command needs a single operating power"
             )
         return self.power_w
+
+    def solve(self, power_w: float) -> SteadyState:
+        """The steady state at ``power_w`` on this run's branch policy and tolerance."""
+        pump = PumpDrive.from_power(power_w, self.model.omega0)
+        return solve_steady_state(self.model, pump, self.branch_policy, self.residual_rtol)
+
+    def sweep(self, powers_w) -> PowerSweepResult:
+        """Squeezing extrema at this run's analysis frequency over ``powers_w``."""
+        return power_sweep(
+            self.model, powers_w, omega=self.omega, l=self.mode_index,
+            eta_total=self.eta_total, branch_policy=self.branch_policy, rtol=self.residual_rtol,
+        )
 
 
 def _resolve_rates(values: Mapping[str, object], omega0: float) -> tuple[float, float]:

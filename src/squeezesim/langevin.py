@@ -227,23 +227,6 @@ def _hann_periodograms(segments: np.ndarray, dt: float) -> np.ndarray:
     return (spec.real ** 2 + spec.imag ** 2) * (dt / (n * np.mean(w * w)))
 
 
-def welch_psd(segments, dt: float):
-    """Averaged two-sided spectral density from independent segments.
-
-    ``segments`` is (n_segments, n_samples); returns ``(omega, psd,
-    sigma)`` where white input samples of variance ``s0/dt`` estimate
-    ``psd = s0`` at every bin and ``sigma`` is the standard error from
-    the scatter between segments.
-    """
-    x = np.atleast_2d(np.asarray(segments, dtype=float))
-    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 8:
-        raise DomainError("welch_psd needs at least 2 segments of >= 8 samples")
-    _check_dt(dt)
-    p = _hann_periodograms(x, dt)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(x.shape[1], d=dt)
-    return omega, p.mean(axis=0), p.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
-
-
 @dataclass(frozen=True)
 class LangevinRun:
     """Result of one stochastic run at fixed operating point.

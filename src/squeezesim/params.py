@@ -249,6 +249,11 @@ class PumpDrive:
 
     @classmethod
     def from_power(cls, power_w: float, omega0: float) -> "PumpDrive":
+        # refused by name before photon_flux compares them; a float passes as is
+        if type(power_w) is not float:
+            power_w = _as_float("power_w", power_w)
+        if type(omega0) is not float:
+            omega0 = _as_float("omega0", omega0)
         flux = photon_flux(power_w, omega0)
         return cls(power_on_chip=power_w, flux=flux, a_in=math.sqrt(flux))
 

@@ -546,9 +546,9 @@ def calibrate_g0_to_optimum(
         x_opt=x_opt,
         rho=steady.rho,
         branch=steady.branch,
-        var_min=ext.var_min,
-        var_max=ext.var_max,
-        theta_opt=ext.theta_min,
+        var_min=float(ext.var_min),
+        var_max=float(ext.var_max),
+        theta_opt=float(ext.theta_min),
     )
 
 

@@ -189,6 +189,25 @@ def test_non_real_fields_are_refused_by_name(cls, field, bad):
         cls(**{**REAL_FIELDS[cls][0], field: bad})
 
 
+FROM_POWER = {"power_w": 1e-3, "omega0": 1.2e15}
+
+
+@pytest.mark.parametrize("field", list(FROM_POWER))
+@pytest.mark.parametrize("bad", list(NON_REAL.values()), ids=list(NON_REAL))
+def test_from_power_refuses_non_real_arguments_by_name(field, bad):
+    # a str, None or complex power raised a bare TypeError inside photon_flux
+    with pytest.raises(DomainError, match=rf"^{field} must be a real number, got "):
+        PumpDrive.from_power(**{**FROM_POWER, field: bad})
+
+
+def test_from_power_takes_any_real_number():
+    pump = PumpDrive.from_power(1e-3, 1.2e15)
+    for power, omega0 in ((np.float64(1e-3), np.array(1.2e15)), (1e-3, 12 * 10**14)):
+        built = PumpDrive.from_power(power, omega0)
+        assert built == pump
+        assert all(type(getattr(built, f.name)) is float for f in dataclasses.fields(built))
+
+
 @pytest.mark.parametrize("cls", list(REAL_FIELDS), ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize(
     "number, integral",

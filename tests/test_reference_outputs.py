@@ -1,14 +1,17 @@
-"""The analytic commands and ``fit`` reproduce their saved reference outputs.
+"""The commands reproduce their saved reference outputs.
 
 ``tests/data/reference/`` holds what ``spectrum``, ``sweep``, ``threshold``
-and ``phase-scan`` wrote for ``configs/reference.cfg``, and what ``fit``
-wrote for the trace that :func:`write_fit_trace` synthesizes.  Each command
-is rerun here and every output cell is compared with the saved one:
+and ``phase-scan`` wrote for ``configs/reference.cfg``, what ``fit``
+wrote for the trace that :func:`write_fit_trace` synthesizes, and the
+``validate_report.json`` and ``series.bin`` that ``validate --dump-series``
+wrote for ``tests/data/validate_fast.cfg``.  Each command is rerun here
+and every output cell is compared with the saved one:
 
 - non-numeric cells (text, ``nan``, config lines) must match exactly;
 - numeric cells must agree to 1e-12 relative;
 - dB cells (column or key names ending in ``_db``) must agree to
-  4.35e-12 dB absolute, which is 1e-12 relative in the variance.
+  4.35e-12 dB absolute, which is 1e-12 relative in the variance;
+- every sample of ``series.bin`` must agree to 1e-12 relative.
 
 A change that is meant to alter these outputs regenerates the files from
 the repository root with
@@ -21,6 +24,9 @@ the repository root with
         "import test_reference_outputs as t; t.write_fit_trace('.')" &&
         PYTHONPATH="$OLDPWD/src" python -m squeezesim fit trace.csv \\
             --out "$OLDPWD/tests/data/reference")
+    (out="$(mktemp -d)" && PYTHONPATH=src python -m squeezesim validate \\
+        --config tests/data/validate_fast.cfg --out "$out" --dump-series &&
+        cp "$out/validate_report.json" "$out/series.bin" tests/data/reference)
 
 and says in its change notes why the numbers moved.
 """
@@ -33,12 +39,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from squeezesim.cli import EXIT_OK, main
+from squeezesim.cli import EXIT_OK, _jsonify, main
+from squeezesim.config import load_config
+from squeezesim.langevin import load_series
 from squeezesim.params import C_LIGHT
+from squeezesim.validation import validation_report
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_DIR = ROOT / "tests" / "data" / "reference"
 REFERENCE_CFG = ROOT / "configs" / "reference.cfg"
+VALIDATE_CFG = ROOT / "tests" / "data" / "validate_fast.cfg"
 
 COMMANDS = {
     "spectrum": ("spectrum.csv", "spectrum_summary.json", "effective_config.cfg"),
@@ -155,6 +165,21 @@ def test_fit_reference_outputs_reproduce(tmp_path, monkeypatch):
     for name in FIT_OUTPUTS:
         problems, _, _ = compare_file(REFERENCE_DIR / name, tmp_path / "out" / name)
         assert not problems, f"{name}: " + "; ".join(problems[:5])
+
+
+def test_validate_reference_outputs_reproduce(tmp_path):
+    argv = ["validate", "--config", str(VALIDATE_CFG), "--out", str(tmp_path), "--dump-series"]
+    assert main(argv) == EXIT_OK
+    name = "validate_report.json"
+    problems, _, _ = compare_file(REFERENCE_DIR / name, tmp_path / name)
+    assert not problems, f"{name}: " + "; ".join(problems[:5])
+    want, want_dt = load_series(REFERENCE_DIR / "series.bin")
+    got, got_dt = load_series(tmp_path / "series.bin")
+    assert got_dt == want_dt
+    np.testing.assert_allclose(got, want, rtol=REL_TOL, atol=0.0)
+    # the library call alone builds the report the command wrote
+    written = json.loads((tmp_path / name).read_text())
+    assert _jsonify(validation_report(load_config(VALIDATE_CFG))) == written
 
 
 def test_reference_comparison_has_teeth(tmp_path):

@@ -69,6 +69,14 @@ def build(cls, number, **values):
     return built
 
 
+def calibration(model, pump, **kwargs):
+    """``calibrate_g0_to_optimum``; each of its numeric fields is a Python float."""
+    result = calibrate_g0_to_optimum(model, pump, **kwargs)
+    for name in ("g0", "x_opt", "rho", "var_min", "var_max", "theta_opt"):
+        assert type(getattr(result, name)) is float, name
+    return result
+
+
 def reachable_power(model, fallback):
     """Threshold power of pair 1, or ``fallback`` where there is none."""
     try:
@@ -100,11 +108,9 @@ def outputs(rates, pump_fields, omega, eta, number):
         thetas = np.linspace(0.0, math.pi, 7)
         out["spectrum_grid"] = outcome(spectrum_grid, model, steady, omegas, thetas, eta_total=eta)
         out["pair_scattering"] = outcome(pair_scattering, model, steady, omega)
-    out["calibration"] = outcome(calibrate_g0_to_optimum, model, pump, omega=omega, eta_total=eta)
+    out["calibration"] = outcome(calibration, model, pump, omega=omega, eta_total=eta)
     flat = build(ResonatorModel, number, **{**rates, "delta": 0.0, "d2": 0.0})  # b = 0
-    out["calibration b = 0"] = outcome(
-        calibrate_g0_to_optimum, flat, pump, omega=omega, eta_total=eta
-    )
+    out["calibration b = 0"] = outcome(calibration, flat, pump, omega=omega, eta_total=eta)
     return out
 
 

@@ -106,6 +106,26 @@ MUTANTS = {
         "done = ok & np.all(np.abs(step) <= _LM_STEP_TOL * np.abs(p[:, live]), axis=0)",
         "done = ok & np.any(np.abs(step) <= _LM_STEP_TOL * np.abs(p[:, live]), axis=0)",
     ),
+    "margin-over-kappa-e": (
+        "src/squeezesim/validation.py",
+        '"margin_over_kappa": margin / cfg.model.kappa,',
+        '"margin_over_kappa": margin / cfg.model.kappa_e,',
+    ),
+    "cross-check-at-first-power": (
+        "src/squeezesim/validation.py",
+        "cv_power = cfg.power_w if cfg.power_w is not None else powers[-1]",
+        "cv_power = cfg.power_w if cfg.power_w is not None else powers[0]",
+    ),
+    "bogoliubov-sigma4-sign": (
+        "src/squeezesim/spectra.py",
+        "sigma4 = np.diag([1.0, -1.0, 1.0, -1.0])",
+        "sigma4 = np.diag([1.0, 1.0, 1.0, -1.0])",
+    ),
+    "residual-tolerance-1e6": (
+        "src/squeezesim/steady_state.py",
+        "tol = rtol * max(1.0, drive)",
+        "tol = rtol * max(1e6, drive)",
+    ),
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
