@@ -27,14 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from squeezesim.params import DomainError, PumpDrive, ResonatorModel
+from squeezesim.params import DomainError, PumpDrive, ResonatorModel, photon_flux
 from squeezesim.steady_state import (
     RESIDUAL_RTOL,
     SteadyState,
+    _check_solve_args,
+    _fixed_point,
     _photon_numbers,
     _steady_state_at,
     g0_for_gain,
-    solve_steady_state,
     threshold_gain,
     zero_pump_offset,
 )
@@ -74,7 +75,7 @@ def _offset_and_margin(model: ResonatorModel, rho, l: int):
 def _finite_omega(omega):
     """``omega`` as a float array (0-d for a scalar); DomainError if not finite."""
     omega = np.asarray(omega, dtype=float)[()]
-    if not np.all(np.isfinite(omega)):
+    if not np.isfinite(omega).all():
         raise DomainError(f"omega must be finite, got {omega}")
     return omega
 
@@ -425,13 +426,22 @@ def power_sweep(
 ) -> PowerSweepResult:
     """Sweep pump power and record the optimal-quadrature extrema.
 
-    ``rtol`` is the steady-state residual tolerance of each solve.
+    Each point is the steady state :func:`solve_steady_state` selects
+    under ``branch_policy``, bit for bit; ``rtol`` is the residual
+    tolerance of each solve.
     """
+    _check_solve_args(rtol, branch_policy)
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    pumps = (PumpDrive.from_power(p, model.omega0) for p in powers.tolist())
-    steadies = [solve_steady_state(model, pump, branch_policy, rtol) for pump in pumps]
-    rho = np.array([s.rho for s in steadies], dtype=float)
-    a0 = np.array([s.a0 for s in steadies], dtype=complex)
+    if powers.ndim != 1:
+        raise DomainError(f"powers must be one-dimensional, got shape {powers.shape}")
+    omega0, root_kappa_e = model.omega0, math.sqrt(model.kappa_e)
+    index = 0 if branch_policy == "lowest" else -1
+    rho = np.empty(powers.shape)
+    a0 = np.empty(powers.shape, dtype=complex)
+    for i, p in enumerate(powers.tolist()):
+        flux = photon_flux(p, omega0)
+        rho[i] = r = _photon_numbers(model, flux)[index]
+        a0[i] = _fixed_point(model, root_kappa_e * math.sqrt(flux), r, rtol)[0]
     pair = pair_moments(model, rho, a0, omega, l)
     ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
     return PowerSweepResult(
@@ -533,7 +543,7 @@ def calibrate_g0_to_optimum(
     g0 = g0_for_gain(model, pump, gain)
     calibrated = dataclasses.replace(model, g0=g0)
     # the root whose gain g0*rho is the target; under bistability it need not be the lowest
-    rhos = _photon_numbers(calibrated, pump)
+    rhos = _photon_numbers(calibrated, pump.flux)
     misses = [abs(g0 * rho - gain) for rho in rhos]
     matched = misses.index(min(misses))
     if misses[matched] > 1e-6 * gain:

@@ -162,19 +162,53 @@ class SteadyState:
     residual: float
 
 
-def _photon_numbers(model: ResonatorModel, pump: PumpDrive) -> list[float]:
-    """The roots of :func:`steady_state_roots` as an ascending list of floats."""
+def _photon_numbers(model: ResonatorModel, flux: float) -> list[float]:
+    """The roots of :func:`steady_state_roots` at input photon flux ``flux``, ascending."""
     g0 = model.g0
     if g0 == 0.0:
-        return [fixed_point_photons(model, pump.flux, model.delta)]
+        return [fixed_point_photons(model, flux, model.delta)]
     hk = 0.5 * model.kappa
-    us = _roots_scaled(model.delta / hk, g0 * model.kappa_e * pump.flux / hk ** 3)
-    return [u * hk / g0 for u in us]
+    us = _roots_scaled(model.delta / hk, g0 * model.kappa_e * flux / hk ** 3)
+    # a loop, not a comprehension: on Python 3.11 that is a call of its
+    # own, and every solve and sweep point passes here
+    rhos = []
+    for u in us:
+        rhos.append(u * hk / g0)
+    return rhos
 
 
 def steady_state_roots(model: ResonatorModel, pump: PumpDrive) -> np.ndarray:
     """All intracavity photon-number solutions, ascending."""
-    return np.array(_photon_numbers(model, pump))
+    return np.array(_photon_numbers(model, pump.flux))
+
+
+def _check_solve_args(rtol: float, branch_policy: str = "lowest") -> None:
+    """DomainError for an unknown branch policy or an ``rtol`` not in (0, inf)."""
+    if branch_policy not in BRANCH_POLICIES:
+        raise DomainError(
+            f"unknown branch policy {branch_policy!r}, expected one of {BRANCH_POLICIES}"
+        )
+    if not 0.0 < rtol < math.inf:  # NaN or inf would turn the residual check off
+        raise DomainError(f"rtol must be finite and positive, got {rtol}")
+
+
+def _fixed_point(model: ResonatorModel, drive: float, rho: float, rtol: float):
+    """``(a0, delta_eff, residual)`` of the root ``rho`` at ``drive = sqrt(kappa_e)*a_in``.
+
+    ``a0 = drive / (kappa/2 + i*delta_eff)``; RuntimeError when ``a0``
+    misses the field equation by more than ``rtol * max(1, drive)``.
+    """
+    hk = 0.5 * model.kappa
+    delta, g0 = model.delta, model.g0
+    delta_eff = delta - g0 * rho
+    a0 = drive / (hk + 1j * delta_eff)
+    residual = abs(-(hk + 1j * delta) * a0 + 1j * g0 * abs(a0) ** 2 * a0 + drive)
+    tol = rtol * max(1.0, drive)
+    if residual > tol:
+        raise RuntimeError(
+            f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return a0, delta_eff, residual
 
 
 # branch labels by root count, then root index
@@ -195,11 +229,8 @@ def solve_steady_state(
     exists; it selects the largest root, the unique one outside the
     bistable window.
     """
-    if branch_policy not in BRANCH_POLICIES:
-        raise DomainError(
-            f"unknown branch policy {branch_policy!r}, expected one of {BRANCH_POLICIES}"
-        )
-    rhos = _photon_numbers(model, pump)
+    _check_solve_args(rtol, branch_policy)
+    rhos = _photon_numbers(model, pump.flux)
     index = 0 if branch_policy == "lowest" else len(rhos) - 1
     return _steady_state_at(model, pump, rhos, index, rtol)
 
@@ -208,27 +239,17 @@ def steady_state_on_branch(
     model: ResonatorModel, pump: PumpDrive, index: int, rtol: float = RESIDUAL_RTOL
 ) -> SteadyState:
     """Steady state on an explicit root index (0 = lowest)."""
-    rhos = _photon_numbers(model, pump)
+    rhos = _photon_numbers(model, pump.flux)
     if not 0 <= index < len(rhos):
         raise DomainError(f"branch index {index} out of range, {len(rhos)} roots exist")
+    _check_solve_args(rtol)
     return _steady_state_at(model, pump, rhos, index, rtol)
 
 
 def _steady_state_at(model, pump, rhos: list[float], index, rtol=RESIDUAL_RTOL) -> SteadyState:
-    if not 0.0 < rtol < math.inf:  # NaN or inf would turn the residual check off
-        raise DomainError(f"rtol must be finite and positive, got {rtol}")
-    hk = 0.5 * model.kappa
-    delta, g0 = model.delta, model.g0
+    """The steady state on ``rhos[index]``; ``rtol`` is checked by the caller."""
     rho = rhos[index]
-    delta_eff = delta - g0 * rho
-    drive = math.sqrt(model.kappa_e) * pump.a_in
-    a0 = drive / (hk + 1j * delta_eff)
-    residual = abs(-(hk + 1j * delta) * a0 + 1j * g0 * abs(a0) ** 2 * a0 + drive)
-    tol = rtol * max(1.0, drive)
-    if residual > tol:
-        raise RuntimeError(
-            f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
+    a0, delta_eff, residual = _fixed_point(model, math.sqrt(model.kappa_e) * pump.a_in, rho, rtol)
     return SteadyState(
         a0=a0,
         rho=rho,

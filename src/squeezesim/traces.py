@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -462,31 +464,49 @@ def _header_ok(header) -> bool:
     return tuple(h.strip() for h in header) == _HEADER
 
 
+# suffixes np.loadtxt opens through a decompressor
+_DECOMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
 def _load_trace_fast(path):
     """The trace through ``np.loadtxt``, or None to defer to the scanner.
 
-    None on a header the scanner would reject, on any ``loadtxt``
+    None for anything but a regular file (a FIFO is read once, by the
+    scanner), on a header the scanner would reject, on any ``loadtxt``
     failure (its empty-input warning included), on other than 2 columns,
     or on data :class:`TransmissionTrace` rejects.  Whatever this
     accepts, :func:`_scan_columns` accepts with the same values.
+    ``loadtxt`` is handed the path, not a file object: from a path it
+    reads in C, from a file object line by line in Python.  It would
+    decompress a path by its suffix, so such a path also goes to the
+    scanner, which reads every file as text.
     """
+    name = os.path.abspath(os.fsdecode(path))  # absolute, so numpy never takes it for a URL
+    try:
+        regular = stat.S_ISREG(os.stat(name).st_mode)
+    except OSError:  # the scanner's open raises it
+        return None
+    if not regular or name.endswith(_DECOMPRESSED):
+        return None
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or not _header_ok(header):
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        # a quoted newline would make the header more than the one row skipped below
+        if header is None or rows.line_num != 1 or not _header_ok(header):
             return None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)  # "input contained no data"
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            if data.shape[1] != 2:
-                return None
-            # one contiguous copy of each column, as the scanner returns
-            # them; the rows go before the trace is checked
-            lam, tr = data[:, 0].copy(), data[:, 1].copy()
-            del data
-            return TransmissionTrace(lam, tr, {"path": str(path)})
-        except (ValueError, UserWarning):  # DomainError is a ValueError
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            data = np.loadtxt(name, delimiter=",", comments=None, skiprows=1, ndmin=2)
+        if data.shape[1] != 2:
             return None
+        # one contiguous copy of each column, as the scanner returns
+        # them; the rows go before the trace is checked
+        lam, tr = data[:, 0].copy(), data[:, 1].copy()
+        del data
+        return TransmissionTrace(lam, tr, {"path": str(path)})
+    except (ValueError, UserWarning):  # DomainError is a ValueError
+        return None
 
 
 def _scan_columns(path):

@@ -35,6 +35,7 @@ from squeezesim.spectra import (
 )
 from squeezesim.steady_state import (
     SteadyState,
+    bistable_flux_window,
     solve_steady_state,
     steady_state_roots,
     threshold_gain,
@@ -398,6 +399,75 @@ def test_power_sweep_zero_detuning_never_flags():
     assert not sweep.above_threshold.any()
     assert np.all(sweep.var_min < 1.0)
     assert np.all(sweep.var_max > 1.0)
+
+
+def sweep_bytes(result):
+    return tuple(
+        getattr(result, name).tobytes()
+        for name in ("rho", "var_min", "var_max", "theta_opt", "margin", "above_threshold")
+    )
+
+
+def per_point_sweep(model, powers, policy, omega, l, eta_total):
+    """The sweep's columns through one full solve per power."""
+    steadies = [
+        solve_steady_state(model, PumpDrive.from_power(p, model.omega0), policy)
+        for p in powers
+    ]
+    rho = np.array([s.rho for s in steadies], dtype=float)
+    a0 = np.array([s.a0 for s in steadies], dtype=complex)
+    pair = pair_moments(model, rho, a0, omega, l)
+    ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
+    return (
+        rho.tobytes(), ext.var_min.tobytes(), ext.var_max.tobytes(),
+        ext.theta_min.tobytes(), pair.margin.tobytes(), (pair.margin <= 0.0).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("policy", ["lowest", "highest", "adiabatic_upsweep"])
+def test_power_sweep_matches_per_point_solves_bit_for_bit(policy):
+    bistable = make_model(3.0, d2=0.4)
+    lo, hi = bistable_flux_window(bistable)
+    to_power = HBAR * bistable.omega0
+    # zero, below, inside (three roots) and above the bistable window
+    powers = [0.0, *(to_power * hi * f for f in np.linspace(0.05, 1.6, 40)), to_power * lo]
+    assert any(
+        len(steady_state_roots(bistable, PumpDrive.from_power(p, bistable.omega0))) == 3
+        for p in powers
+    )
+    cases = [
+        (bistable, powers, 0.3, 1, 0.6021708),
+        (make_model(0.7, g0=0.0), powers, 0.0, 1, 1.0),
+        (make_model(0.0, g0=2.0), [0.0, 0.0], 0.0, 2, 0.8),
+        # numpy-scalar powers reach the per-point route as they are
+        (bistable, [np.float32(0.0), np.float64(2 * lo * to_power), np.int64(0)], 0.1, 1, 0.9),
+    ]
+    for model, ps, omega, l, eta in cases:
+        sweep = power_sweep(model, ps, omega=omega, l=l, eta_total=eta, branch_policy=policy)
+        assert sweep_bytes(sweep) == per_point_sweep(model, ps, policy, omega, l, eta)
+
+
+def test_power_sweep_refuses_policy_and_rtol_before_any_solve():
+    model = make_model(3.0)
+    with mock.patch("squeezesim.spectra._photon_numbers", side_effect=AssertionError("solved")):
+        for powers in ([1e-20], []):
+            with pytest.raises(DomainError, match=r"^unknown branch policy 'upper'"):
+                power_sweep(model, powers, branch_policy="upper")
+            for rtol in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match=r"^rtol must be finite and positive"):
+                    power_sweep(model, powers, rtol=rtol)
+
+
+def test_power_sweep_names_a_bad_power():
+    model = make_model(3.0)
+    for bad in (math.nan, math.inf, -math.inf, -1e-20):
+        message = f"^power must be finite and non-negative, got {bad}$"
+        with pytest.raises(DomainError, match=message):
+            power_sweep(model, [0.0, bad])
+        with pytest.raises(DomainError, match=message):
+            PumpDrive.from_power(bad, model.omega0)
+    with pytest.raises(DomainError, match=r"^powers must be one-dimensional"):
+        power_sweep(model, [[0.0, 1e-20]])
 
 
 def test_calibration_places_optimum_at_target_power():

@@ -414,6 +414,23 @@ def test_residual_tolerance_must_be_finite_and_positive(rtol):
         power_sweep(model, [pump.power_on_chip], rtol=rtol)
 
 
+def test_fixed_point_refuses_a_root_off_the_fixed_point_at_small_drive():
+    from squeezesim.steady_state import RESIDUAL_RTOL, _fixed_point
+
+    model = make_model(2.0)
+    pump = pump_for_beta(model, 1.989)
+    drive = math.sqrt(model.kappa_e) * pump.a_in
+    assert drive < 1.0  # the tolerance is then rtol itself, not rtol * drive
+    for rho in steady_state_roots(model, pump).tolist():
+        _, _, residual = _fixed_point(model, drive, rho, RESIDUAL_RTOL)
+        assert residual <= 1e-14
+        # a root missed by 1e-7 misses the field equation by ~1e-7 * drive,
+        # far above rtol and far below 1e6 * rtol
+        off = rho * (1.0 + 1e-7)
+        with pytest.raises(RuntimeError, match=r"^steady-state residual .* exceeds tolerance 1\.000e-10$"):
+            _fixed_point(model, drive, off, RESIDUAL_RTOL)
+
+
 # ---- bit identity with the ndarray route that the float route replaced
 
 def reference_cubic_f(u, alpha, beta):

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -283,6 +285,57 @@ def test_load_trace_fast_path_matches_row_scanner(tmp_path):
         load_trace(tmp_path / "nan_transmission.csv")
     with pytest.raises(TraceParseError, match="line 4: wavelength inf"):
         load_trace(tmp_path / "inf_wavelength.csv")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_trace_reads_a_fifo_once_as_it_reads_the_file(tmp_path):
+    # more than a pipe buffer, so the writer blocks until the reader drains it
+    rows = "".join(f"{1550.0 + 1e-3 * k!r},{0.9 - 1e-5 * k!r}\n" for k in range(5000))
+    text = "wavelength_nm,transmission\n" + rows
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    results = []
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    def read():
+        try:
+            results.append(load_trace(fifo))
+        except Exception as exc:  # re-raised below, in the test's thread
+            results.append(exc)
+
+    # daemons, so a reader stuck on a second open cannot hold up the run
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+    assert results, "load_trace did not return: it opened the FIFO twice"
+    if isinstance(results[0], Exception):
+        raise results[0]
+    got, want = results[0], load_trace(path)
+    assert got.wavelength_nm.tobytes() == want.wavelength_nm.tobytes()
+    assert got.transmission.tobytes() == want.transmission.tobytes()
+    assert len(got) == 5000
+
+
+def test_load_trace_reads_a_compression_suffix_as_text(tmp_path):
+    # np.loadtxt would open these paths through a decompressor
+    text = "wavelength_nm,transmission\n1550.0,0.9\n1550.1,0.8\n1550.2,0.7\n"
+    want = load_trace(_write(tmp_path / "trace.csv", text))
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        got = load_trace(_write(tmp_path / f"trace.csv{suffix}", text))
+        assert got.wavelength_nm.tobytes() == want.wavelength_nm.tobytes(), suffix
+        assert got.transmission.tobytes() == want.transmission.tobytes(), suffix
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
 
 
 def test_normalize_is_idempotent_and_flagged():

@@ -126,6 +126,16 @@ MUTANTS = {
         "tol = rtol * max(1.0, drive)",
         "tol = rtol * max(1e6, drive)",
     ),
+    "sweep-branch-pick-swapped": (
+        "src/squeezesim/spectra.py",
+        'index = 0 if branch_policy == "lowest" else -1',
+        'index = -1 if branch_policy == "lowest" else 0',
+    ),
+    "sweep-drive-without-sqrt-kappa-e": (
+        "src/squeezesim/spectra.py",
+        "_fixed_point(model, root_kappa_e * math.sqrt(flux), r, rtol)",
+        "_fixed_point(model, math.sqrt(flux), r, rtol)",
+    ),
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
