@@ -27,7 +27,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import (
-    _SCHEMA,
     ConfigError,
     RunConfig,
     format_config,
@@ -247,11 +246,6 @@ def cmd_threshold(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
-_FIT_DEFAULTS = {
-    key: default for key, (_, default, _) in _SCHEMA.items() if key.startswith("fit.")
-}
-
-
 def _stats_payload(fits) -> dict:
     from . import traces
 
@@ -445,11 +439,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--config is required for '{args.command}'")
             cfg = _load_config_file(load_config, args.config, seed_override=args.seed)
             _write(out, "effective_config.cfg", cfg.echo_text())
-        elif args.config is None:  # fit and stats: the fit.* keys alone
-            cfg = dict(_FIT_DEFAULTS)
-        else:
+        else:  # fit and stats: the fit.* keys alone
             cfg = _load_config_file(load_fit_options, args.config)
-            _write(out, "effective_config.cfg", format_config(cfg))
+            if args.config is not None:
+                _write(out, "effective_config.cfg", format_config(cfg))
         return _DISPATCH[args.command](cfg, args, out)
     except ConfigError as exc:
         log.error("config error: %s", exc)

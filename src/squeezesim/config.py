@@ -492,6 +492,6 @@ def load_config(path, *, seed_override: int | None = None) -> RunConfig:
     return resolve_config(values)
 
 
-def load_fit_options(path) -> dict[str, object]:
-    """Read and parse a config file; apply defaults and ranges to its ``fit.*`` keys only."""
-    return _apply_schema(_read_config(path), _FIT_KEYS)
+def load_fit_options(path=None) -> dict[str, object]:
+    """A config file's ``fit.*`` keys alone, defaults and ranges applied; None: the defaults."""
+    return _apply_schema({} if path is None else _read_config(path), _FIT_KEYS)

@@ -522,9 +522,10 @@ def segment_plan(kappa: float, omega: float) -> tuple[float, int]:
     dt = 0.05 * period if omega < kappa else 0.0125 * period
     rel_bw = 0.25 if omega < 0.5 * kappa else 0.125
     span = 2.0 * math.pi / rel_bw / omega  # rel_bw is a power of 2: exact
-    if not math.isfinite(span):
+    steps = span / dt
+    if not math.isfinite(steps):
         raise DomainError(f"analysis frequency omega={omega!r} is too small to plan")
-    n = max(32, int(round(span / dt)))
+    n = max(32, int(round(steps)))
     if n > _MAX_SEGMENT_STEPS:
         dt = min(period, span / _MAX_SEGMENT_STEPS)
         n = int(round(span / dt))

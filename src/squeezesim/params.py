@@ -23,16 +23,16 @@ class DomainError(ValueError):
 
 def wavelength_to_omega(wavelength_m: float) -> float:
     """Angular frequency (rad/s) of light with the given vacuum wavelength."""
-    if wavelength_m <= 0.0:
+    if not wavelength_m > 0.0:
         raise DomainError(f"wavelength must be positive, got {wavelength_m}")
     return 2.0 * math.pi * C_LIGHT / wavelength_m
 
 
 def kappa_from_q(omega0: float, q: float) -> float:
     """Energy decay rate (rad/s) of a mode with quality factor ``q``."""
-    if omega0 <= 0.0:
+    if not omega0 > 0.0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
-    if q <= 0.0:
+    if not q > 0.0:
         raise DomainError(f"quality factor must be positive, got {q}")
     return omega0 / q
 
@@ -44,7 +44,7 @@ def escape_efficiency(q_intrinsic: float, q_loaded: float) -> float:
     quality factor can never exceed the intrinsic one; equality means the
     resonator is not coupled at all (eta = 0).
     """
-    if q_intrinsic <= 0.0 or q_loaded <= 0.0:
+    if not (q_intrinsic > 0.0 and q_loaded > 0.0):
         raise DomainError("quality factors must be positive")
     if q_loaded > q_intrinsic:
         raise DomainError(
@@ -69,7 +69,7 @@ def photon_flux(power_w: float, omega0: float) -> float:
     """Photon arrival rate (1/s) of a beam with the given on-chip power."""
     if not (math.isfinite(power_w) and power_w >= 0.0):
         raise DomainError(f"power must be finite and non-negative, got {power_w}")
-    if omega0 <= 0.0:
+    if not omega0 > 0.0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
     return power_w / (HBAR * omega0)
 
@@ -137,7 +137,7 @@ def g0_from_material(
     to the caller; calibration against a measured operating point is the
     more reliable route either way.
     """
-    if omega0 <= 0.0:
+    if not omega0 > 0.0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
     g0 = HBAR * omega0 ** 2 * material.n2 / (material.n0 ** 2 * material.v_eff)
     if include_c:

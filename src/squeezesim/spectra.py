@@ -27,15 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from squeezesim.params import DomainError, PumpDrive, ResonatorModel, photon_flux
+from squeezesim.params import DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
     RESIDUAL_RTOL,
     SteadyState,
-    _check_solve_args,
-    _fixed_point,
-    _photon_numbers,
-    _steady_state_at,
     g0_for_gain,
+    operating_points,
+    steady_state_at_gain,
     threshold_gain,
     zero_pump_offset,
 )
@@ -426,22 +424,11 @@ def power_sweep(
 ) -> PowerSweepResult:
     """Sweep pump power and record the optimal-quadrature extrema.
 
-    Each point is the steady state :func:`solve_steady_state` selects
-    under ``branch_policy``, bit for bit; ``rtol`` is the residual
-    tolerance of each solve.
+    Each point is the steady state :func:`operating_points` finds under
+    ``branch_policy``; ``rtol`` is the residual tolerance of each solve.
     """
-    _check_solve_args(rtol, branch_policy)
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
-    if powers.ndim != 1:
-        raise DomainError(f"powers must be one-dimensional, got shape {powers.shape}")
-    omega0, root_kappa_e = model.omega0, math.sqrt(model.kappa_e)
-    index = 0 if branch_policy == "lowest" else -1
-    rho = np.empty(powers.shape)
-    a0 = np.empty(powers.shape, dtype=complex)
-    for i, p in enumerate(powers.tolist()):
-        flux = photon_flux(p, omega0)
-        rho[i] = r = _photon_numbers(model, flux)[index]
-        a0[i] = _fixed_point(model, root_kappa_e * math.sqrt(flux), r, rtol)[0]
+    rho, a0 = operating_points(model, powers, branch_policy, rtol)
     pair = pair_moments(model, rho, a0, omega, l)
     ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
     return PowerSweepResult(
@@ -542,13 +529,7 @@ def calibrate_g0_to_optimum(
     gain = x_opt * hk
     g0 = g0_for_gain(model, pump, gain)
     calibrated = dataclasses.replace(model, g0=g0)
-    # the root whose gain g0*rho is the target; under bistability it need not be the lowest
-    rhos = _photon_numbers(calibrated, pump.flux)
-    misses = [abs(g0 * rho - gain) for rho in rhos]
-    matched = misses.index(min(misses))
-    if misses[matched] > 1e-6 * gain:
-        raise RuntimeError("calibrated operating point is not a pump fixed point")
-    steady = _steady_state_at(calibrated, pump, rhos, matched)
+    steady = steady_state_at_gain(calibrated, pump, gain)
     pair = pair_moments(calibrated, steady.rho, steady.a0, omega, l).require_below_threshold()
     ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
     return CalibrationResult(

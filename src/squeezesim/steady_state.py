@@ -26,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
+from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel, photon_flux
 
-BRANCH_POLICIES = ("lowest", "highest", "adiabatic_upsweep")
+# the root each branch policy selects from the ascending photon numbers
+_ROOT_INDEX = {"lowest": 0, "highest": -1, "adiabatic_upsweep": -1}
+BRANCH_POLICIES = tuple(_ROOT_INDEX)
 
 # Relative residual allowed on the physical fixed-point equation.
 RESIDUAL_RTOL = 1e-10
@@ -231,8 +233,31 @@ def solve_steady_state(
     """
     _check_solve_args(rtol, branch_policy)
     rhos = _photon_numbers(model, pump.flux)
-    index = 0 if branch_policy == "lowest" else len(rhos) - 1
-    return _steady_state_at(model, pump, rhos, index, rtol)
+    return _steady_state_at(model, pump, rhos, _ROOT_INDEX[branch_policy], rtol)
+
+
+def operating_points(
+    model: ResonatorModel, powers, branch_policy: str = "lowest", rtol: float = RESIDUAL_RTOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rho, a0)`` arrays over the on-chip powers (W) of the 1-D ``powers``.
+
+    Each point is :func:`solve_steady_state`'s at ``PumpDrive.from_power``,
+    bit for bit, with no :class:`SteadyState` built; the policy and
+    ``rtol`` are refused before any point is solved.
+    """
+    _check_solve_args(rtol, branch_policy)
+    powers = np.asarray(powers, dtype=float)
+    if powers.ndim != 1:
+        raise DomainError(f"powers must be one-dimensional, got shape {powers.shape}")
+    omega0, root_kappa_e = model.omega0, math.sqrt(model.kappa_e)
+    index = _ROOT_INDEX[branch_policy]
+    rho = np.empty(powers.shape)
+    a0 = np.empty(powers.shape, dtype=complex)
+    for i, p in enumerate(powers.tolist()):
+        flux = photon_flux(p, omega0)
+        rho[i] = r = _photon_numbers(model, flux)[index]
+        a0[i] = _fixed_point(model, root_kappa_e * math.sqrt(flux), r, rtol)[0]
+    return rho, a0
 
 
 def steady_state_on_branch(
@@ -320,6 +345,22 @@ def g0_for_gain(model: ResonatorModel, pump: PumpDrive, gain: float) -> float:
     decides whether that root is the one actually occupied.
     """
     return gain / fixed_point_photons(model, pump.flux, model.delta - gain)
+
+
+def steady_state_at_gain(model: ResonatorModel, pump: PumpDrive, gain: float) -> SteadyState:
+    """The steady state at ``pump`` whose parametric gain ``g0*rho`` is ``gain``.
+
+    Pairs with :func:`g0_for_gain`: under bistability the root that holds
+    the gain need not be the lowest, so this picks the root nearest it.
+    RuntimeError when none lies within ``1e-6 * gain`` of it.
+    """
+    g0 = model.g0
+    rhos = _photon_numbers(model, pump.flux)
+    misses = [abs(g0 * rho - gain) for rho in rhos]
+    matched = misses.index(min(misses))
+    if misses[matched] > 1e-6 * gain:
+        raise RuntimeError("calibrated operating point is not a pump fixed point")
+    return _steady_state_at(model, pump, rhos, matched)
 
 
 def g0_for_threshold_fraction(

@@ -73,7 +73,7 @@ def dip_transmission(wavelength_nm, center_nm, kappa, depth):
 def resonance_t_min(kappa_e: float, kappa_i: float) -> float:
     """On-resonance power transmission of a single coupled resonance."""
     kappa = kappa_e + kappa_i
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError("total linewidth must be positive")
     return ((kappa_i - kappa_e) / kappa) ** 2
 
@@ -92,7 +92,7 @@ def coupling_rates_from_dip(kappa, t_floor, regime="overcoupled"):
     """
     if regime not in REGIMES:
         raise DomainError(f"regime must be one of {REGIMES}")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError("kappa must be positive")
     if not 0.0 <= t_floor < 1.0:
         raise DomainError("dip floor must lie in [0, 1)")
@@ -124,30 +124,14 @@ class ResonanceFit:
     n_samples_fwhm: float
     stderr: tuple
 
-    def alternate(self) -> "ResonanceFit":
-        """The same dip under the swapped coupling assignment."""
-        swap = {"overcoupled": "undercoupled", "undercoupled": "overcoupled"}
-        if self.regime in swap:
-            prior = swap[self.regime]
-        else:
-            # ambiguous: hand back the undercoupled reading of the pair
-            prior = "undercoupled" if self.kappa_e >= self.kappa_i else "overcoupled"
-        return _assemble_fit(
-            self.center_nm, self.kappa, 1.0 - self.t_floor, prior, self.fit_rms,
-            self.scale, self.n_samples_fwhm, self.stderr, force_regime=prior,
-        )
 
-
-def _assemble_fit(center_nm, kappa, depth, regime, fit_rms, scale, n_fwhm,
-                  stderr, force_regime=None):
+def _assemble_fit(center_nm, kappa, depth, regime, fit_rms, scale, n_fwhm, stderr):
     t_floor = max(0.0, 1.0 - depth)
     split = math.sqrt(t_floor)
     assign = regime if regime in REGIMES else "overcoupled"
     kappa_e, kappa_i = coupling_rates_from_dip(kappa, t_floor, assign)
     # below this split the two assignments are numerically the same dip
-    if force_regime is not None:
-        label = force_regime
-    elif regime not in REGIMES or split < 1e-4:
+    if regime not in REGIMES or split < 1e-4:
         label = REGIME_AMBIGUOUS
     else:
         label = regime

@@ -20,7 +20,7 @@ from .spectra import (
     stability_margin,
     symplectic_eigenvalues,
 )
-from .steady_state import threshold_power
+from .steady_state import operating_points, threshold_power
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +40,7 @@ def _physicality_check(cfg: RunConfig) -> dict:
     # each draw: a power below the cap and a sideband from 1e-3 to 3 kappa
     rng = np.random.default_rng(cfg.seed)
     draws = rng.uniform([0.0, -3.0], [p_cap, math.log10(3.0)], size=(n_random, 2))
-    steadies = [cfg.solve(p) for p in draws[:, 0].tolist()]
-    rho = np.array([s.rho for s in steadies], dtype=float)
-    a0 = np.array([s.a0 for s in steadies], dtype=complex)
+    rho, a0 = operating_points(model, draws[:, 0], cfg.branch_policy, cfg.residual_rtol)
     pair = pair_moments(model, rho, a0, model.kappa * 10.0 ** draws[:, 1], cfg.mode_index)
     usable = pair.margin > 0.0
     cov = output_covariance(pair, cfg.eta_total)[usable]

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import math
@@ -972,6 +973,41 @@ def test_bench_calls_into_squeezesim_bind():
             checked += 1
     assert unbound == []
     assert checked > 10
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore marks a name as its module's own; a module that
+    # needs another's private name needs a public route to it instead
+    package = Path(__file__).resolve().parent.parent / "src" / "squeezesim"
+    private = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "squeezesim")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_every_mutation_row_applies_exactly_once():
+    # tools/mutate.py finds a stale row only when it is run, which takes
+    # minutes; apply every row here and run no suite
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("mutate", root / "tools" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    stale = []
+    for name in mutate.MUTANTS:
+        try:
+            path, text = mutate.mutated(name)
+        except ValueError as exc:
+            stale.append(str(exc))
+            continue
+        assert text != (root / path).read_text(encoding="utf-8"), name
+    assert len(mutate.MUTANTS) >= 19
+    assert stale == []
 
 
 _FIT_PROBE = """

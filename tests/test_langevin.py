@@ -303,9 +303,11 @@ def test_segment_plan_rules():
     # below kappa/125 the step stays at one period and the segment grows
     dt, n = segment_plan(kappa, 0.004 * kappa)
     assert dt == period and n == 1000
-    for bad in (0.0, -1.0, math.nan, math.inf, 5e-324):
+    # the last pair overflowed the step count of a finite span
+    for k, bad in ((kappa, 0.0), (kappa, -1.0), (kappa, math.nan), (kappa, math.inf),
+                   (kappa, 5e-324), (1.4547819e9, 1e-300)):
         with pytest.raises(DomainError, match="omega"):
-            segment_plan(kappa, bad)
+            segment_plan(k, bad)
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="kappa"):
             segment_plan(bad, 0.5)

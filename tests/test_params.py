@@ -21,6 +21,7 @@ from squeezesim.params import (
     photon_flux,
     wavelength_to_omega,
 )
+from squeezesim.traces import coupling_rates_from_dip, resonance_t_min
 
 # Frozen anchors, computed by hand from the defining formulas:
 #   omega0 = 2 pi c / lambda          at lambda = 1560 nm
@@ -115,6 +116,26 @@ def test_resonator_allows_lossless_limit():
     res = ResonatorModel(omega0=1e15, kappa_i=0.0, kappa_e=1e9)
     assert res.eta_escape == 1.0
     assert res.q_intrinsic == math.inf
+    assert escape_efficiency(math.inf, 0.83e6) == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: wavelength_to_omega(math.nan), "wavelength must be positive"),
+    (lambda: kappa_from_q(math.nan, 0.83e6), "omega0 must be positive"),
+    (lambda: kappa_from_q(OMEGA0_1560, math.nan), "quality factor must be positive"),
+    (lambda: photon_flux(50e-3, math.nan), "omega0 must be positive"),
+    (lambda: escape_efficiency(math.nan, 0.83e6), "quality factors must be positive"),
+    (lambda: escape_efficiency(10.1e6, math.nan), "quality factors must be positive"),
+    (lambda: g0_from_material(math.nan, MaterialParams(2.4e-19, 1.996, 1.0e-16)),
+     "omega0 must be positive"),
+    (lambda: coupling_rates_from_dip(math.nan, 0.1), "kappa must be positive"),
+    (lambda: resonance_t_min(math.nan, 1e8), "total linewidth must be positive"),
+], ids=["wavelength", "kappa_omega0", "kappa_q", "flux_omega0", "escape_qi", "escape_ql",
+        "g0_omega0", "dip_kappa", "t_min_kappa_e"])
+def test_scalar_helpers_refuse_nan(call, message):
+    # NaN fails every comparison, so a check written as x <= 0 let it through
+    with pytest.raises(DomainError, match=f"^{message}"):
+        call()
 
 
 def test_resonator_rejects_bad_rates():

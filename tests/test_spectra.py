@@ -449,7 +449,7 @@ def test_power_sweep_matches_per_point_solves_bit_for_bit(policy):
 
 def test_power_sweep_refuses_policy_and_rtol_before_any_solve():
     model = make_model(3.0)
-    with mock.patch("squeezesim.spectra._photon_numbers", side_effect=AssertionError("solved")):
+    with mock.patch("squeezesim.steady_state._photon_numbers", side_effect=AssertionError("solved")):
         for powers in ([1e-20], []):
             with pytest.raises(DomainError, match=r"^unknown branch policy 'upper'"):
                 power_sweep(model, powers, branch_policy="upper")
