@@ -55,8 +55,6 @@ EXIT_CONFIG = 2
 
 log = logging.getLogger("squeezesim")
 
-_NEEDS_CONFIG = {"spectrum", "sweep", "phase-scan", "threshold", "validate"}
-
 
 def _setup_logging() -> None:
     if log.handlers or logging.getLogger().handlers:
@@ -198,11 +196,11 @@ def cmd_phase_scan(cfg: RunConfig, args, out: Path) -> int:
         cfg.omega,
         l=cfg.mode_index,
         eta_total=cfg.eta_total,
-        periods=int(cfg.opt("analysis.periods")),
-        samples_per_period=int(cfg.opt("analysis.samples_per_period")),
-        scan_time=float(cfg.opt("analysis.scan_time_s")),
-        rbw=float(cfg.opt("analysis.rbw_hz")),
-        vbw=float(cfg.opt("analysis.vbw_hz")),
+        periods=cfg.opt("analysis.periods"),
+        samples_per_period=cfg.opt("analysis.samples_per_period"),
+        scan_time=cfg.opt("analysis.scan_time_s"),
+        rbw=cfg.opt("analysis.rbw_hz"),
+        vbw=cfg.opt("analysis.vbw_hz"),
         seed=cfg.seed,
     )
     rows = list(
@@ -276,11 +274,11 @@ def cmd_fit(opts: dict, args, out: Path) -> int:
     for path in args.traces:
         report = traces.analyze_trace(
             traces.load_trace(path),
-            detrend=bool(opts["fit.detrend"]),
-            min_prominence=float(opts["fit.min_prominence"]),
-            min_spacing_nm=float(opts["fit.min_spacing_nm"]),
+            detrend=opts["fit.detrend"],
+            min_prominence=opts["fit.min_prominence"],
+            min_spacing_nm=opts["fit.min_spacing_nm"],
             regime=prior,
-            min_samples_per_fwhm=int(opts["fit.min_samples_per_fwhm"]),
+            min_samples_per_fwhm=opts["fit.min_samples_per_fwhm"],
         )
         for fit in report.resonances:
             record = dataclasses.asdict(fit)
@@ -360,14 +358,17 @@ def cmd_validate(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "sweep": cmd_sweep,
-    "phase-scan": cmd_phase_scan,
-    "threshold": cmd_threshold,
-    "fit": cmd_fit,
-    "stats": cmd_stats,
-    "validate": cmd_validate,
+# name -> (handler, whether it needs --config, help), in the order --help lists them
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, True, "noise spectra over the frequency/angle grid at one power"),
+    "sweep": (cmd_sweep, True, "squeezing extrema versus power"),
+    "phase-scan": (
+        cmd_phase_scan, True, "synthetic spectrum-analyzer trace of a homodyne phase ramp"
+    ),
+    "fit": (cmd_fit, False, "fit resonances in transmission traces"),
+    "stats": (cmd_stats, False, "aggregate statistics over saved fit records"),
+    "threshold": (cmd_threshold, True, "pair oscillation threshold summary"),
+    "validate": (cmd_validate, True, "run the invariant suite and the stochastic cross-check"),
 }
 
 
@@ -386,34 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze below-threshold Kerr pair generation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "spectrum",
-        parents=[common],
-        help="noise spectra over the frequency/angle grid at one power",
-    )
-    sub.add_parser("sweep", parents=[common], help="squeezing extrema versus power")
-    sub.add_parser(
-        "phase-scan",
-        parents=[common],
-        help="synthetic spectrum-analyzer trace of a homodyne phase ramp",
-    )
-    fit = sub.add_parser(
-        "fit", parents=[common], help="fit resonances in transmission traces"
-    )
-    fit.add_argument("traces", nargs="+", metavar="TRACE", help="trace CSV files")
-    stats = sub.add_parser(
-        "stats", parents=[common], help="aggregate statistics over saved fit records"
-    )
-    stats.add_argument("fits", nargs="+", metavar="FITS_JSON", help="fits.json files")
-    sub.add_parser(
-        "threshold", parents=[common], help="pair oscillation threshold summary"
-    )
-    validate = sub.add_parser(
-        "validate",
-        parents=[common],
-        help="run the invariant suite and the stochastic cross-check",
-    )
-    validate.add_argument(
+    commands = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, (_, _, text) in _COMMANDS.items()
+    }
+    commands["fit"].add_argument("traces", nargs="+", metavar="TRACE", help="trace CSV files")
+    commands["stats"].add_argument("fits", nargs="+", metavar="FITS_JSON", help="fits.json files")
+    commands["validate"].add_argument(
         "--dump-series",
         action="store_true",
         help="also dump a short raw homodyne record (series.bin)",
@@ -434,7 +414,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out = Path(args.out)
-        if args.command in _NEEDS_CONFIG:
+        handler, needs_config, _ = _COMMANDS[args.command]
+        if needs_config:
             if args.config is None:
                 raise ConfigError(f"--config is required for '{args.command}'")
             cfg = _load_config_file(load_config, args.config, seed_override=args.seed)
@@ -443,7 +424,7 @@ def main(argv=None) -> int:
             cfg = _load_config_file(load_fit_options, args.config)
             if args.config is not None:
                 _write(out, "effective_config.cfg", format_config(cfg))
-        return _DISPATCH[args.command](cfg, args, out)
+        return handler(cfg, args, out)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
@@ -452,14 +433,7 @@ def main(argv=None) -> int:
         log.error("cannot open file: %s", exc)
         return EXIT_FAIL
     except (DomainError, RuntimeError) as exc:
-        # SingularSystemError lands here as a RuntimeError
-        log.error("%s", exc)
-        return EXIT_FAIL
-    except ValueError as exc:
-        from .traces import TraceParseError  # loaded already when fit raised it
-
-        if not isinstance(exc, TraceParseError):
-            raise
+        # TraceParseError is a DomainError; SingularSystemError a RuntimeError
         log.error("%s", exc)
         return EXIT_FAIL
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -58,6 +59,7 @@ def _at_least(n: int):
 
 # key -> (type tag, default, range rule).  _REQUIRED keys must appear;
 # _OPTIONAL keys may be absent and are then omitted from the echo.  The
+# tag is enforced by _typed, on parsed text and hand-built maps alike.  The
 # rule (None for a signed quantity) applies to each element of a list;
 # group membership and rules tying keys together are enforced in
 # resolve_config.
@@ -112,51 +114,63 @@ _SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
 }
 
 
-def _parse_value(key: str, kind: str, text: str, line_no: int):
-    where = f"{key} (line {line_no})"
+def _typed(where: str, kind: str, value):
+    """``value`` as its kind's canonical type, or a ConfigError starting ``where``.
+
+    ``float``: a finite real number other than a bool, stored as a float;
+    ``int``: an integer other than a bool; ``bool``: a bool; ``floats``: a
+    list or tuple of such floats, stored as a tuple; ``choice:a|b``: one
+    of the listed strings.
+    """
     if kind == "float":
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
         try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"{where}: expected a number, got {text!r}") from None
+            value = float(value)
+        except OverflowError:  # an int too large for a float
+            value = math.inf
         if not math.isfinite(value):
-            raise ConfigError(f"{where}: value must be finite")
+            raise ConfigError(f"{where}: must be finite, got {value}")
         return value
     if kind == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        return int(value)
     if kind == "bool":
-        if text == "true":
-            return True
-        if text == "false":
-            return False
-        raise ConfigError(f"{where}: expected true or false, got {text!r}")
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        return value
     if kind == "floats":
-        if text == "":
-            return ()
-        out = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                raise ConfigError(f"{where}: empty element in list")
-            try:
-                value = float(part)
-            except ValueError:
-                raise ConfigError(
-                    f"{where}: expected a number, got {part!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ConfigError(f"{where}: list values must be finite")
-            out.append(value)
-        return tuple(out)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
+        return tuple(_typed(where, "float", item) for item in value)
     choices = kind.split(":", 1)[1].split("|")
-    if text not in choices:
-        raise ConfigError(
-            f"{where}: expected one of {', '.join(choices)}, got {text!r}"
-        )
-    return text
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{where}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _number(text: str, cast):
+    """``cast(text)``, or ``text`` itself for :func:`_typed` to refuse."""
+    try:
+        return cast(text)
+    except ValueError:
+        return text
+
+
+def _parse_value(key: str, kind: str, text: str, line_no: int):
+    where = f"{key} (line {line_no})"
+    value = text
+    if kind == "float" or kind == "int":
+        value = _number(text, float if kind == "float" else int)
+    elif kind == "bool":
+        value = {"true": True, "false": False}.get(text, text)
+    elif kind == "floats":
+        parts = [part.strip() for part in text.split(",")] if text else []
+        if "" in parts:
+            raise ConfigError(f"{where}: empty element in list")
+        value = [_number(part, float) for part in parts]
+    return _typed(where, kind, value)
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -184,15 +198,11 @@ def parse_config_text(text: str) -> dict[str, object]:
 
 
 def _format_value(kind: str, value) -> str:
-    if kind == "float":
-        return repr(float(value))
-    if kind == "int":
-        return str(int(value))
     if kind == "bool":
         return "true" if value else "false"
     if kind == "floats":
-        return ", ".join(repr(float(v)) for v in value)
-    return str(value)
+        return ", ".join(map(repr, value))
+    return repr(value) if kind == "float" else str(value)
 
 
 def format_config(values: Mapping[str, object]) -> str:
@@ -200,7 +210,7 @@ def format_config(values: Mapping[str, object]) -> str:
     lines = []
     for key in sorted(values):
         kind = _SCHEMA[key][0]
-        lines.append(f"{key} = {_format_value(kind, values[key])}")
+        lines.append(f"{key} = {_format_value(kind, _typed(key, kind, values[key]))}")
     return "\n".join(lines) + "\n"
 
 
@@ -277,14 +287,14 @@ def _resolve_rates(values: Mapping[str, object], omega0: float) -> tuple[float, 
         values, "resonator coupling", ("resonator.q_loaded", "resonator.kappa_e_rad_s")
     )
     if key_i == "resonator.q_intrinsic":
-        kappa_i = kappa_from_q(omega0, float(values[key_i]))
+        kappa_i = kappa_from_q(omega0, values[key_i])
     else:
-        kappa_i = float(values[key_i])
+        kappa_i = values[key_i]
     if key_e == "resonator.kappa_e_rad_s":
-        kappa_e = float(values[key_e])
+        kappa_e = values[key_e]
     else:
         # loaded Q fixes the total rate; the external share is what remains
-        kappa_e = kappa_from_q(omega0, float(values[key_e])) - kappa_i
+        kappa_e = kappa_from_q(omega0, values[key_e]) - kappa_i
     if kappa_e <= 0.0:
         raise ConfigError(
             f"{key_e}: external coupling resolves to {kappa_e:.6g} rad/s, "
@@ -308,7 +318,7 @@ def _resolve_detection(values: Mapping[str, object]) -> DetectionChain:
             + ", ".join(given)
         )
     if has_total:
-        return DetectionChain.from_total(float(values["detection.eta_total"]))
+        return DetectionChain.from_total(values["detection.eta_total"])
     if len(given) != len(quartet):
         missing = [k for k in quartet if k not in values]
         raise ConfigError(
@@ -316,12 +326,7 @@ def _resolve_detection(values: Mapping[str, object]) -> DetectionChain:
             + ", ".join(quartet)
             + (f" (missing {', '.join(missing)})" if given else "")
         )
-    return DetectionChain(
-        eta_couple=float(values[quartet[0]]),
-        eta_prop=float(values[quartet[1]]),
-        visibility=float(values[quartet[2]]),
-        eta_pd=float(values[quartet[3]]),
-    )
+    return DetectionChain(*(values[key] for key in quartet))
 
 
 def _resolve_g0(
@@ -349,28 +354,24 @@ def _resolve_g0(
         )
     route = chosen[0]
     if route == "resonator.g0_rad_s":
-        return dataclasses.replace(model, g0=float(values["resonator.g0_rad_s"])), None
+        return dataclasses.replace(model, g0=values["resonator.g0_rad_s"]), None
     if route == "material.*":
         missing = [k for k in material_keys if k not in values]
         if missing:
             raise ConfigError(f"material: missing {', '.join(missing)}")
-        mat = MaterialParams(
-            n2=float(values["material.n2_m2_per_w"]),
-            n0=float(values["material.n0"]),
-            v_eff=float(values["material.v_eff_m3"]),
-        )
+        mat = MaterialParams(*(values[key] for key in material_keys))
         g0 = g0_from_material(
-            model.omega0, mat, include_c=bool(values.get("material.include_c", False))
+            model.omega0, mat, include_c=values.get("material.include_c", False)
         )
         return dataclasses.replace(model, g0=g0), None
     if "calibration.power_mw" not in values:
         raise ConfigError(
             "calibration.threshold_fraction: needs calibration.power_mw"
         )
-    power_w = float(values["calibration.power_mw"]) * 1e-3
+    power_w = values["calibration.power_mw"] * 1e-3
     pump = PumpDrive.from_power(power_w, model.omega0)
     if "calibration.threshold_fraction" in values:
-        fraction = float(values["calibration.threshold_fraction"])
+        fraction = values["calibration.threshold_fraction"]
         g0 = g0_for_threshold_fraction(model, pump, fraction, l)
         return dataclasses.replace(model, g0=g0), None
     result = calibrate_g0_to_optimum(
@@ -380,12 +381,12 @@ def _resolve_g0(
 
 
 def _apply_schema(values: Mapping[str, object], keys) -> dict[str, object]:
-    """The given keys' effective values: range rules applied, defaults filled in."""
+    """The given keys' effective values: types and range rules applied, defaults filled in."""
     effective: dict[str, object] = {}
     for key in keys:
         kind, default, rule = _SCHEMA[key]
         if key in values:
-            value = effective[key] = values[key]
+            value = effective[key] = _typed(key, kind, values[key])
             if rule is not None:
                 wording, test = rule
                 for item in value if kind == "floats" else (value,):
@@ -409,21 +410,21 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
             raise ConfigError(f"unknown key {key!r}")
 
     try:
-        omega0 = wavelength_to_omega(float(effective["resonator.wavelength_nm"]) * 1e-9)
+        omega0 = wavelength_to_omega(effective["resonator.wavelength_nm"] * 1e-9)
         kappa_i, kappa_e = _resolve_rates(effective, omega0)
         model = ResonatorModel(
             omega0=omega0,
             kappa_i=kappa_i,
             kappa_e=kappa_e,
-            delta=float(effective["drive.detuning_rad_s"]),
-            d2=float(effective["resonator.d2_rad_s"]),
+            delta=effective["drive.detuning_rad_s"],
+            d2=effective["resonator.d2_rad_s"],
             g0=0.0,
-            fsr=float(effective["resonator.fsr_hz"]),
+            fsr=effective["resonator.fsr_hz"],
         )
         chain = _resolve_detection(effective)
 
-        omega = 2.0 * math.pi * float(effective["analysis.omega_hz"])
-        mode_index = int(effective["solver.mode_index"])
+        omega = 2.0 * math.pi * effective["analysis.omega_hz"]
+        mode_index = effective["solver.mode_index"]
         model, calibration = _resolve_g0(
             effective, model, omega, mode_index, chain.eta_total
         )
@@ -435,26 +436,24 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
                 "analysis: omega_min_hz and omega_max_hz must be given together"
             )
         if has_min:
-            lo = float(effective["analysis.omega_min_hz"])
-            hi = float(effective["analysis.omega_max_hz"])
+            lo = effective["analysis.omega_min_hz"]
+            hi = effective["analysis.omega_max_hz"]
             if not lo < hi:
                 raise ConfigError(
                     "analysis.omega_min_hz: must be below analysis.omega_max_hz, "
                     f"got {lo} and {hi}"
                 )
-            n = int(effective["analysis.n_omega"])
+            n = effective["analysis.n_omega"]
             grid = tuple(2.0 * math.pi * f for f in np.geomspace(lo, hi, n))
         else:
             grid = (omega,)
 
         power_w = None
         if "drive.power_mw" in effective:
-            power_w = float(effective["drive.power_mw"]) * 1e-3
-        powers_w = tuple(
-            float(p) * 1e-3 for p in effective["drive.powers_mw"]
-        )
+            power_w = effective["drive.power_mw"] * 1e-3
+        powers_w = tuple(p * 1e-3 for p in effective["drive.powers_mw"])
 
-        vbw, rbw = float(effective["analysis.vbw_hz"]), float(effective["analysis.rbw_hz"])
+        vbw, rbw = effective["analysis.vbw_hz"], effective["analysis.rbw_hz"]
         if vbw > rbw:
             raise ConfigError(
                 f"analysis.vbw_hz: must not exceed analysis.rbw_hz, got {vbw} and {rbw}"
@@ -470,11 +469,11 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
         powers_w=powers_w,
         omega=omega,
         omega_grid=grid,
-        n_theta=int(effective["analysis.n_theta"]),
-        branch_policy=str(effective["solver.branch_policy"]),
+        n_theta=effective["analysis.n_theta"],
+        branch_policy=effective["solver.branch_policy"],
         mode_index=mode_index,
-        residual_rtol=float(effective["solver.residual_rtol"]),
-        seed=int(effective["seed"]),
+        residual_rtol=effective["solver.residual_rtol"],
+        seed=effective["seed"],
         calibration=calibration,
     )
 
@@ -488,7 +487,7 @@ def load_config(path, *, seed_override: int | None = None) -> RunConfig:
     """Read, parse, and resolve a config file."""
     values = _read_config(path)
     if seed_override is not None:
-        values["seed"] = int(seed_override)
+        values["seed"] = seed_override
     return resolve_config(values)
 
 

@@ -23,15 +23,15 @@ class DomainError(ValueError):
 
 def wavelength_to_omega(wavelength_m: float) -> float:
     """Angular frequency (rad/s) of light with the given vacuum wavelength."""
-    if not wavelength_m > 0.0:
-        raise DomainError(f"wavelength must be positive, got {wavelength_m}")
+    if not 0.0 < wavelength_m < math.inf:
+        raise DomainError(f"wavelength must be positive and finite, got {wavelength_m}")
     return 2.0 * math.pi * C_LIGHT / wavelength_m
 
 
 def kappa_from_q(omega0: float, q: float) -> float:
-    """Energy decay rate (rad/s) of a mode with quality factor ``q``."""
-    if not omega0 > 0.0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
+    """Energy decay rate (rad/s) of a mode with quality factor ``q``; 0 for ``q = inf``."""
+    if not 0.0 < omega0 < math.inf:
+        raise DomainError(f"omega0 must be positive and finite, got {omega0}")
     if not q > 0.0:
         raise DomainError(f"quality factor must be positive, got {q}")
     return omega0 / q
@@ -42,10 +42,11 @@ def escape_efficiency(q_intrinsic: float, q_loaded: float) -> float:
 
     ``eta_esc = kappa_e / kappa = 1 - q_loaded / q_intrinsic``.  The loaded
     quality factor can never exceed the intrinsic one; equality means the
-    resonator is not coupled at all (eta = 0).
+    resonator is not coupled at all (eta = 0).  An infinite intrinsic Q is
+    the lossless limit (eta = 1); the loaded Q must be finite.
     """
-    if not (q_intrinsic > 0.0 and q_loaded > 0.0):
-        raise DomainError("quality factors must be positive")
+    if not (q_intrinsic > 0.0 and 0.0 < q_loaded < math.inf):
+        raise DomainError("quality factors must be positive, and the loaded Q finite")
     if q_loaded > q_intrinsic:
         raise DomainError(
             f"loaded Q ({q_loaded:g}) cannot exceed intrinsic Q ({q_intrinsic:g})"
@@ -69,8 +70,8 @@ def photon_flux(power_w: float, omega0: float) -> float:
     """Photon arrival rate (1/s) of a beam with the given on-chip power."""
     if not (math.isfinite(power_w) and power_w >= 0.0):
         raise DomainError(f"power must be finite and non-negative, got {power_w}")
-    if not omega0 > 0.0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
+    if not 0.0 < omega0 < math.inf:
+        raise DomainError(f"omega0 must be positive and finite, got {omega0}")
     return power_w / (HBAR * omega0)
 
 
@@ -137,8 +138,8 @@ def g0_from_material(
     to the caller; calibration against a measured operating point is the
     more reliable route either way.
     """
-    if not omega0 > 0.0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
+    if not 0.0 < omega0 < math.inf:
+        raise DomainError(f"omega0 must be positive and finite, got {omega0}")
     g0 = HBAR * omega0 ** 2 * material.n2 / (material.n0 ** 2 * material.v_eff)
     if include_c:
         g0 *= C_LIGHT

@@ -54,7 +54,7 @@ _Z95 = 1.6448536269514722
 _DIFF_MEDIAN = 0.9538725524089399
 
 
-class TraceParseError(ValueError):
+class TraceParseError(DomainError):
     """A trace file violated the CSV schema; message cites the line."""
 
 
@@ -73,8 +73,8 @@ def dip_transmission(wavelength_nm, center_nm, kappa, depth):
 def resonance_t_min(kappa_e: float, kappa_i: float) -> float:
     """On-resonance power transmission of a single coupled resonance."""
     kappa = kappa_e + kappa_i
-    if not kappa > 0.0:
-        raise DomainError("total linewidth must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError("total linewidth must be positive and finite")
     return ((kappa_i - kappa_e) / kappa) ** 2
 
 
@@ -92,8 +92,8 @@ def coupling_rates_from_dip(kappa, t_floor, regime="overcoupled"):
     """
     if regime not in REGIMES:
         raise DomainError(f"regime must be one of {REGIMES}")
-    if not kappa > 0.0:
-        raise DomainError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError("kappa must be positive and finite")
     if not 0.0 <= t_floor < 1.0:
         raise DomainError("dip floor must lie in [0, 1)")
     split = math.sqrt(t_floor)

@@ -30,7 +30,7 @@ THETAS = (0.0, 0.25 * math.pi, 0.5 * math.pi)
 
 def _physicality_check(cfg: RunConfig) -> dict:
     model = cfg.model
-    n_random = int(cfg.opt("validate.n_random"))
+    n_random = cfg.opt("validate.n_random")
     p_th = threshold_power(model, cfg.mode_index) if model.g0 > 0 else math.inf
     if math.isfinite(p_th):
         p_cap = 0.98 * p_th
@@ -75,12 +75,12 @@ def _crossval_check(cfg: RunConfig, steady, power_w: float) -> dict:
     omegas = [0.05 * kappa, 0.5 * kappa, 2.0 * kappa]
     cv = cross_validate(
         cfg.model, steady, omegas, THETAS, eta_total=cfg.eta_total, l=cfg.mode_index,
-        n_segments=int(cfg.opt("validate.n_segments")),
+        n_segments=cfg.opt("validate.n_segments"),
         seed=cfg.seed,
-        batch_size=int(cfg.opt("validate.batch_size")),
-        n_sigma=float(cfg.opt("validate.n_sigma")),
-        max_db_err=float(cfg.opt("validate.max_db_err")),
-        min_pass_fraction=float(cfg.opt("validate.min_pass_fraction")),
+        batch_size=cfg.opt("validate.batch_size"),
+        n_sigma=cfg.opt("validate.n_sigma"),
+        max_db_err=cfg.opt("validate.max_db_err"),
+        min_pass_fraction=cfg.opt("validate.min_pass_fraction"),
     )
     return {
         "name": "stochastic_crossval",

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from squeezesim.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
+from squeezesim import config as config_module
 from squeezesim.config import (
     ConfigError,
     format_config,
@@ -257,6 +258,63 @@ def test_echo_roundtrip_is_identity():
     empty = resolve_text(MINIMAL)
     assert "drive.powers_mw =" in empty.echo_text()
     assert resolve_config(parse_config_text(empty.echo_text())).powers_w == ()
+
+
+def _wrong_typed(kind):
+    """Values of the wrong type for a ``_SCHEMA`` kind."""
+    if kind == "float":
+        return ["0.5", True, None, [0.5], 1j, math.nan, math.inf, 10**400]
+    if kind == "int":
+        return [4.5, 3.0, True, "3", None]
+    if kind == "bool":
+        return ["false", "true", 0, 1, None, np.bool_(True)]
+    if kind == "floats":
+        return [1.0, "1.0, 2.0", None, [1.0, "2"], [True], (math.inf,), np.array([1.0])]
+    first = kind.split(":", 1)[1].split("|")[0]
+    return [first.upper(), " " + first, 1, None, [first]]
+
+
+SCHEMA_KINDS = sorted({kind for kind, _, _ in config_module._SCHEMA.values()})
+
+
+@pytest.mark.parametrize("kind", SCHEMA_KINDS)
+def test_hand_built_config_refuses_a_wrong_type_by_key(kind):
+    key = next(k for k, row in config_module._SCHEMA.items() if row[0] == kind)
+    for bad in _wrong_typed(kind):
+        values = {**parse_config_text(MINIMAL), key: bad}
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            resolve_config(values)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            format_config(values)
+
+
+@pytest.mark.parametrize("key, bad, base", [
+    ("material.include_c", "false", MINIMAL.replace(
+        "resonator.g0_rad_s = 0.5",
+        "material.n2_m2_per_w = 2.4e-19\nmaterial.n0 = 1.99\nmaterial.v_eff_m3 = 1.0e-16",
+    )),
+    ("analysis.n_theta", 91.7, MINIMAL),
+    ("seed", 4.5, MINIMAL),
+    ("drive.power_mw", "50", MINIMAL),
+], ids=["include_c", "n_theta", "seed", "power_mw"])
+def test_hand_built_config_is_not_misread(key, bad, base):
+    # each was read as another value (c times g0, 91, seed 4) or raised a TypeError
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected"):
+        resolve_config({**parse_config_text(base), key: bad})
+
+
+def test_an_int_for_a_float_key_resolves_as_the_equal_float():
+    floats = {**parse_config_text(MINIMAL), "drive.powers_mw": (0.0, 1.0, 3.0)}
+    ints = {k: int(v) if type(v) is float and v.is_integer() else v for k, v in floats.items()}
+    ints["drive.powers_mw"] = [0, 1, np.int64(3)]
+    assert ints["resonator.q_loaded"] == 830000 and type(ints["resonator.q_loaded"]) is int
+    a, b = resolve_config(floats), resolve_config(ints)
+    assert {k: (type(v), v) for k, v in b.values.items()} == {
+        k: (type(v), v) for k, v in a.values.items()
+    }
+    assert b.echo_text() == a.echo_text()
+    assert (b.model, b.chain, b.power_w, b.powers_w) == (a.model, a.chain, a.power_w, a.powers_w)
+    assert type(b.seed) is int and type(b.n_theta) is int
 
 
 def test_seed_override(tmp_path):
@@ -1006,7 +1064,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 19
+    assert len(mutate.MUTANTS) >= 21
     assert stale == []
 
 

@@ -117,6 +117,7 @@ def test_resonator_allows_lossless_limit():
     assert res.eta_escape == 1.0
     assert res.q_intrinsic == math.inf
     assert escape_efficiency(math.inf, 0.83e6) == 1.0
+    assert kappa_from_q(OMEGA0_1560, math.inf) == 0.0
 
 
 @pytest.mark.parametrize("call, message", [
@@ -130,10 +131,21 @@ def test_resonator_allows_lossless_limit():
      "omega0 must be positive"),
     (lambda: coupling_rates_from_dip(math.nan, 0.1), "kappa must be positive"),
     (lambda: resonance_t_min(math.nan, 1e8), "total linewidth must be positive"),
+    (lambda: wavelength_to_omega(math.inf), "wavelength must be positive"),
+    (lambda: kappa_from_q(math.inf, 0.83e6), "omega0 must be positive"),
+    (lambda: photon_flux(50e-3, math.inf), "omega0 must be positive"),
+    (lambda: g0_from_material(math.inf, MaterialParams(2.4e-19, 1.996, 1.0e-16)),
+     "omega0 must be positive"),
+    (lambda: escape_efficiency(math.inf, math.inf), "quality factors must be positive"),
+    (lambda: coupling_rates_from_dip(math.inf, 0.1), "kappa must be positive"),
+    (lambda: resonance_t_min(math.inf, 1e8), "total linewidth must be positive"),
 ], ids=["wavelength", "kappa_omega0", "kappa_q", "flux_omega0", "escape_qi", "escape_ql",
-        "g0_omega0", "dip_kappa", "t_min_kappa_e"])
+        "g0_omega0", "dip_kappa", "t_min_kappa_e", "wavelength_inf", "kappa_omega0_inf",
+        "flux_omega0_inf", "g0_omega0_inf", "escape_both_inf", "dip_kappa_inf",
+        "t_min_kappa_e_inf"])
 def test_scalar_helpers_refuse_nan(call, message):
-    # NaN fails every comparison, so a check written as x <= 0 let it through
+    # NaN fails every comparison, so a check written as x <= 0 let it through;
+    # an infinite argument passed it and came back as 0, inf or NaN
     with pytest.raises(DomainError, match=f"^{message}"):
         call()
 

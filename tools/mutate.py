@@ -136,6 +136,16 @@ MUTANTS = {
         "_fixed_point(model, root_kappa_e * math.sqrt(flux), r, rtol)",
         "_fixed_point(model, math.sqrt(flux), r, rtol)",
     ),
+    "config-int-admits-bool": (
+        "src/squeezesim/config.py",
+        "isinstance(value, bool) or not isinstance(value, numbers.Integral)",
+        "not isinstance(value, numbers.Integral)",
+    ),
+    "fold-band-2-40": (
+        "src/squeezesim/steady_state.py",
+        "band = 2.0 ** -52 *",
+        "band = 2.0 ** -40 *",
+    ),
 }
 
 # the row check reads the copy, where the applied row's snippet is gone by design
