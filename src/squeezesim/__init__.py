@@ -36,7 +36,6 @@ _EXPORTS = {
     "SingularSystemError": "spectra",
     "PairMoments": "spectra",
     "pair_moments": "spectra",
-    "PairScattering": "spectra",
     "pair_scattering": "spectra",
     "output_covariance": "spectra",
     "homodyne_variance": "spectra",

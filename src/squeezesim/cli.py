@@ -244,12 +244,16 @@ def cmd_threshold(cfg: RunConfig, args, out: Path) -> int:
     return EXIT_OK
 
 
+# the fit-record fields that stats bins
+_FIT_FIELDS = ("q_intrinsic", "q_loaded", "q_coupling", "eta")
+
+
 def _stats_payload(fits) -> dict:
     from . import traces
 
     stats = traces.q_statistics(fits)
     payload = {"n_fits": stats.n_fits}
-    for name in ("q_intrinsic", "q_loaded", "q_coupling", "eta"):
+    for name in _FIT_FIELDS:
         summary = getattr(stats, name)
         payload[name] = {
             "mode": summary.mode,
@@ -312,6 +316,21 @@ def cmd_fit(opts: dict, args, out: Path) -> int:
     return EXIT_OK
 
 
+def _fit_number(where: str, rec: dict, field: str) -> float:
+    """``rec[field]`` as a float; it must be a finite JSON number, not a bool."""
+    if field not in rec:
+        raise DomainError(f"{where}: missing field {field!r}")
+    value = rec[field]
+    if value is None and field == "q_intrinsic":
+        return math.inf  # fit writes null for the lossless limit
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise DomainError(f"{where}: {field} must be a number, got {json.dumps(value)}")
+
+
 def cmd_stats(opts: dict, args, out: Path) -> int:
     fits = []
     for path in args.fits:
@@ -325,20 +344,8 @@ def cmd_stats(opts: dict, args, out: Path) -> int:
         for i, rec in enumerate(loaded):
             if not isinstance(rec, dict):
                 raise DomainError(f"{path}: fit record {i} is not a JSON object")
-            try:
-                q_intrinsic = rec["q_intrinsic"]
-                fits.append(
-                    SimpleNamespace(
-                        q_intrinsic=math.inf if q_intrinsic is None else float(q_intrinsic),
-                        q_loaded=float(rec["q_loaded"]),
-                        q_coupling=float(rec["q_coupling"]),
-                        eta=float(rec["eta"]),
-                    )
-                )
-            except KeyError as exc:
-                raise DomainError(f"{path}: fit record {i}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"{path}: fit record {i}: {exc}") from None
+            where = f"{path}: fit record {i}"
+            fits.append(SimpleNamespace(**{f: _fit_number(where, rec, f) for f in _FIT_FIELDS}))
     if not fits:
         log.error("no fit records found")
         return EXIT_FAIL

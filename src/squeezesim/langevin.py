@@ -59,6 +59,9 @@ from squeezesim.steady_state import SteadyState
 # per-call cost vanishes, small enough to add nothing to peak memory
 _NOISE_CHUNK_VALUES = 1 << 17
 
+# homodyne angles the cross-check tests by default
+CROSS_CHECK_THETAS = (0.0, 0.25 * math.pi, 0.5 * math.pi)
+
 # longest segment segment_plan asks for; beyond it the step is stretched
 _MAX_SEGMENT_STEPS = 500
 
@@ -247,13 +250,9 @@ class LangevinRun:
     thetas: np.ndarray
     series: np.ndarray
     dt: float
-    n_samples: int
-    n_segments: int
-    eta_total: float
     phi_ref: float
     delta_l: float
     g: complex
-    seed: object
 
 
 def simulate_pair(
@@ -376,13 +375,9 @@ def simulate_pair(
         thetas=thetas,
         series=first,
         dt=dt,
-        n_samples=n,
-        n_segments=n_segments,
-        eta_total=eta_total,
         phi_ref=law.phi_ref,
         delta_l=law.delta_l,
         g=law.g,
-        seed=seed,
     )
 
 
@@ -548,7 +543,7 @@ def exact_bin_deviation_db(
     model: ResonatorModel,
     steady: SteadyState,
     omegas,
-    thetas=(0.0, 0.25 * math.pi, 0.5 * math.pi),
+    thetas=CROSS_CHECK_THETAS,
     *,
     eta_total: float = 1.0,
     l: int = 1,
@@ -604,7 +599,7 @@ def cross_validate(
     model: ResonatorModel,
     steady: SteadyState,
     omegas,
-    thetas=(0.0, 0.25 * math.pi, 0.5 * math.pi),
+    thetas=CROSS_CHECK_THETAS,
     *,
     eta_total: float = 1.0,
     l: int = 1,

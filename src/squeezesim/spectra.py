@@ -164,37 +164,20 @@ def pair_moments(model: ResonatorModel, rho, a0, omega, l: int = 1) -> PairMomen
     )
 
 
-@dataclass(frozen=True)
-class PairScattering(PairMoments):
-    """Moments of one pair at one frequency, with the matrix they come from.
-
-    ``s`` maps the vacuum inputs ``(v_e,l, v_e,-l^dag, v_i,l, v_i,-l^dag)``
-    to the outgoing ``(a_out,l, a_out,-l^dag)``, expressed in a rotated
-    frame (``phi_ref``) chosen so the pair correlation ``m_corr`` is real
-    and positive at line center; the squeezed joint quadrature then sits
-    at homodyne angle pi/2 independent of the pump phase.  ``n_idler`` is
-    read off the rows of ``s``.
-    """
-
-    s: np.ndarray
-
-    @property
-    def n_idler(self) -> float:
-        return float(abs(self.s[1, 0]) ** 2 + abs(self.s[1, 2]) ** 2)
-
-
 def pair_scattering(
     model: ResonatorModel,
     steady: SteadyState,
     omega: float,
     l: int = 1,
-) -> PairScattering:
-    """Scattering matrix and output moments at sideband frequency ``omega``.
+) -> np.ndarray:
+    """2x4 Bogoliubov scattering matrix of pair ``l`` at sideband ``omega`` (rad/s).
 
-    ``omega`` is the analysis (sideband) frequency in rad/s relative to
-    the driven grid; spectra are symmetric under ``omega -> -omega``.
-    Raises SingularSystemError at or above the pair threshold.  The
-    moments come from :func:`pair_moments`.
+    It maps the vacuum inputs ``(v_e,l, v_e,-l^dag, v_i,l, v_i,-l^dag)``
+    to the outgoing ``(a_out,l, a_out,-l^dag)`` in the frame ``phi_ref``
+    of :func:`pair_moments`, where the squeezed joint quadrature sits at
+    homodyne angle pi/2 whatever the pump phase.  Raises DomainError for
+    a non-finite ``omega`` and SingularSystemError at or above the pair
+    threshold.
     """
     point = pair_moments(model, steady.rho, steady.a0, omega, l).require_below_threshold()
     hk = 0.5 * model.kappa
@@ -210,7 +193,7 @@ def pair_scattering(
         ]
     )
     rot = np.array([cmath.exp(-1j * phi_ref), cmath.exp(1j * phi_ref)])
-    return PairScattering(**vars(point), s=rot[:, None] * s_raw)
+    return rot[:, None] * s_raw
 
 
 def bogoliubov_defect(s: np.ndarray) -> float:
@@ -230,9 +213,8 @@ def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
 
     Row order is ``(q_l, p_l, q_{-l}, p_{-l})``.  ``eta_total`` is the
     off-chip detection efficiency, applied as a beamsplitter admixing
-    vacuum: ``V -> eta V + (1 - eta) I``.  ``pair`` is a PairScattering
-    or a PairMoments; array-valued moments give a stack of shape
-    ``(..., 4, 4)``.
+    vacuum: ``V -> eta V + (1 - eta) I``.  Array-valued moments give a
+    stack of shape ``(..., 4, 4)``.
     """
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
@@ -281,23 +263,21 @@ def homodyne_variance(cov: np.ndarray, theta, tooth_phase: float = 0.0):
 class QuadratureExtrema:
     """Extremal homodyne variances and the angles that reach them.
 
-    Angles are reported modulo pi (the variance is pi-periodic);
-    ``theta_max = theta_min + pi/2``.  For vacuum input the angles
-    default to (0, pi/2).
+    ``theta_min`` is reported modulo pi (the variance is pi-periodic);
+    ``var_max`` sits at ``theta_min + pi/2``.  For vacuum input
+    ``theta_min`` defaults to 0.
     """
 
     var_min: float
     var_max: float
     theta_min: float
-    theta_max: float
 
 
 def _extrema(mean, d, off) -> QuadratureExtrema:
     # elementwise over arrays; scalars stay scalars
     amp = np.hypot(d, off)
     theta_min = np.where(amp == 0.0, 0.0, 0.5 * (np.arctan2(off, d) + math.pi) % math.pi)
-    theta_max = (theta_min + 0.5 * math.pi) % math.pi
-    return QuadratureExtrema(mean - amp, mean + amp, theta_min[()], theta_max[()])
+    return QuadratureExtrema(mean - amp, mean + amp, theta_min[()])
 
 
 def optimal_quadratures_from_cov(cov: np.ndarray) -> QuadratureExtrema:
@@ -357,8 +337,6 @@ class SpectrumGrid:
     n_signal: np.ndarray
     n_idler: np.ndarray
     m_corr: np.ndarray
-    l: int
-    eta_total: float
 
 
 def spectrum_grid(
@@ -387,8 +365,6 @@ def spectrum_grid(
         n_signal=pair.n_signal,
         n_idler=pair.n_idler,
         m_corr=pair.m_corr,
-        l=l,
-        eta_total=eta_total,
     )
 
 
@@ -407,9 +383,6 @@ class PowerSweepResult:
     theta_opt: np.ndarray
     margin: np.ndarray
     above_threshold: np.ndarray
-    omega: float
-    l: int
-    eta_total: float
 
 
 def power_sweep(
@@ -439,10 +412,11 @@ def power_sweep(
         theta_opt=ext.theta_min,
         margin=pair.margin,
         above_threshold=pair.margin <= 0.0,
-        omega=omega,
-        l=l,
-        eta_total=eta_total,
     )
+
+
+# largest drive strength x = g0*rho/(kappa/2) the calibration searches
+_X_CAP = 3.0
 
 
 @dataclass(frozen=True)
@@ -465,7 +439,6 @@ def calibrate_g0_to_optimum(
     omega: float = 0.0,
     l: int = 1,
     eta_total: float = 1.0,
-    x_max: float = 3.0,
 ) -> CalibrationResult:
     """Choose g0 so the squeezing optimum lands at the given pump power.
 
@@ -485,11 +458,11 @@ def calibrate_g0_to_optimum(
         9x^4 - 12b*x^3 + 4b*c0*x - (c0^2 + 4w^2) = 0.
 
     ``x_opt`` is the candidate of least ``G`` among the real parts of its
-    roots in ``(0, x_hi)`` and ``x_hi`` (``x_max`` or just below the pair
+    roots in ``(0, x_hi)`` and ``x_hi`` (3, or just below the pair
     threshold) itself.  This returns the ``g0`` that places ``x_opt`` at
     ``pump``; the input model's ``g0`` is ignored.  Raises DomainError
     when the optimum is not interior (e.g. when squeezing keeps improving
-    toward threshold, or lies beyond ``x_max``), and for a non-finite
+    toward threshold, or lies beyond the cap), and for a non-finite
     ``omega``.
 
     Where ``b == 0`` (e.g. ``delta = d2 = 0``) the pair never reaches
@@ -505,12 +478,10 @@ def calibrate_g0_to_optimum(
     """
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a non-zero pump")
-    if not (math.isfinite(x_max) and x_max > 0.0):
-        raise DomainError(f"x_max must be positive and finite, got {x_max}")
     omega = float(_finite_omega(omega))
     hk = 0.5 * model.kappa
     x_th = threshold_gain(model, l) / hk
-    x_hi = min(x_max, x_th * (1.0 - 1e-9))
+    x_hi = min(_X_CAP, x_th * (1.0 - 1e-9))
     b, w = zero_pump_offset(model, l) / hk, omega / hk
     if b == 0.0:
         x_opt = math.sqrt((1.0 + w * w) / 3.0)
@@ -558,8 +529,6 @@ class PhaseScanTrace:
     measured_db: np.ndarray
     shot_db: np.ndarray
     true_db: np.ndarray
-    rbw: float
-    vbw: float
 
 
 def _video_noise(rng: np.random.Generator, n: int, vbw: float, dt: float) -> np.ndarray:
@@ -629,6 +598,4 @@ def phase_scan_trace(
         measured_db=variance_db(np.maximum(meas, floor)),
         shot_db=variance_db(np.maximum(shot, floor)),
         true_db=variance_db(var),
-        rbw=rbw,
-        vbw=vbw,
     )

@@ -9,7 +9,8 @@ import numpy as np
 
 from .config import RunConfig, parse_config_text
 from .langevin import (
-    cross_validate, dump_series, exact_bin_deviation_db, segment_plan, simulate_pair,
+    CROSS_CHECK_THETAS, cross_validate, dump_series, exact_bin_deviation_db, segment_plan,
+    simulate_pair,
 )
 from .spectra import (
     bogoliubov_defect,
@@ -23,9 +24,6 @@ from .spectra import (
 from .steady_state import operating_points, threshold_power
 
 log = logging.getLogger(__name__)
-
-# homodyne angles of the cross-check and of the dumped record
-THETAS = (0.0, 0.25 * math.pi, 0.5 * math.pi)
 
 
 def _physicality_check(cfg: RunConfig) -> dict:
@@ -74,8 +72,8 @@ def _crossval_check(cfg: RunConfig, steady, power_w: float) -> dict:
     kappa = cfg.model.kappa
     omegas = [0.05 * kappa, 0.5 * kappa, 2.0 * kappa]
     cv = cross_validate(
-        cfg.model, steady, omegas, THETAS, eta_total=cfg.eta_total, l=cfg.mode_index,
-        n_segments=cfg.opt("validate.n_segments"),
+        cfg.model, steady, omegas, CROSS_CHECK_THETAS, eta_total=cfg.eta_total,
+        l=cfg.mode_index, n_segments=cfg.opt("validate.n_segments"),
         seed=cfg.seed,
         batch_size=cfg.opt("validate.batch_size"),
         n_sigma=cfg.opt("validate.n_sigma"),
@@ -100,10 +98,11 @@ def _crossval_check(cfg: RunConfig, steady, power_w: float) -> dict:
             for c in cv.checks
         ),
         "max_exact_bin_dev_db": exact_bin_deviation_db(
-            cfg.model, steady, omegas, THETAS, eta_total=cfg.eta_total, l=cfg.mode_index
+            cfg.model, steady, omegas, CROSS_CHECK_THETAS, eta_total=cfg.eta_total,
+            l=cfg.mode_index,
         ),
         "bogoliubov_defect": bogoliubov_defect(
-            pair_scattering(cfg.model, steady, cfg.omega, cfg.mode_index).s
+            pair_scattering(cfg.model, steady, cfg.omega, cfg.mode_index)
         ),
     }
 
@@ -153,8 +152,8 @@ def validation_report(cfg: RunConfig, series_path=None) -> dict:
         if series_path is not None:
             dt, n = segment_plan(cfg.model.kappa, cfg.omega)
             run = simulate_pair(
-                cfg.model, steady, dt=dt, n_samples=n, n_segments=8, thetas=THETAS,
-                eta_total=cfg.eta_total, l=cfg.mode_index, seed=cfg.seed,
+                cfg.model, steady, dt=dt, n_samples=n, n_segments=8, seed=cfg.seed,
+                thetas=CROSS_CHECK_THETAS, eta_total=cfg.eta_total, l=cfg.mode_index,
             )
             dump_series(series_path, run)
             log.info("wrote %s", series_path)

@@ -34,7 +34,7 @@ from squeezesim.spectra import (
     homodyne_variance,
     optimal_quadratures_from_cov,
     output_covariance,
-    pair_scattering,
+    pair_moments,
     power_sweep,
     stability_margin,
     symplectic_eigenvalues,
@@ -223,7 +223,8 @@ def test_criterion_4_randomized_physicality():
         if stability_margin(model, steady) < 0.01 * 0.5 * model.kappa:
             continue
         eta = rng.uniform(0.3, 1.0)
-        pair = pair_scattering(model, steady, rng.uniform(0.0, 3.0 * model.kappa))
+        omega = rng.uniform(0.0, 3.0 * model.kappa)
+        pair = pair_moments(model, steady.rho, steady.a0, omega)
         cov = output_covariance(pair, eta)
         nu = symplectic_eigenvalues(cov)
         ext = optimal_quadratures_from_cov(cov)
@@ -236,7 +237,8 @@ def test_criterion_4_randomized_physicality():
     for _ in range(50):
         model = make_model(rng.uniform(-1.0, 3.0), eta_esc=rng.uniform(0.55, 0.999))
         steady, _ = steady_at_x(model, 0.0)
-        pair = pair_scattering(model, steady, rng.uniform(0.0, 3.0 * model.kappa))
+        omega = rng.uniform(0.0, 3.0 * model.kappa)
+        pair = pair_moments(model, steady.rho, steady.a0, omega)
         cov = output_covariance(pair, rng.uniform(0.3, 1.0))
         dev = np.max(np.abs(homodyne_variance(cov, thetas) - 1.0))
         worst_vacuum = max(worst_vacuum, float(dev))
@@ -267,7 +269,7 @@ def test_criterion_5_pure_state_limit():
     t0 = time.perf_counter()
     x = 0.5
     model, steady = pure_point(x)
-    pair = pair_scattering(model, steady, 0.0)
+    pair = pair_moments(model, steady.rho, steady.a0, 0.0)
     ext = optimal_quadratures_from_cov(output_covariance(pair, 1.0))
     product = ext.var_min * ext.var_max
     # independent route: with kappa_i = 0 and the pair on resonance the

@@ -797,6 +797,33 @@ def test_stats_names_file_and_record_of_a_bad_fit_file(tmp_path, caplog):
     assert errors == ["no fit records found"]
 
 
+def test_stats_refuses_fit_fields_that_are_not_finite_numbers(tmp_path, caplog):
+    # float() read true as 1.0 and the string "1.01e7" as a number, and binned both
+    good = {"q_intrinsic": 1e7, "q_loaded": 8e5, "q_coupling": 9e5, "eta": 0.9}
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps([good, {**good, "q_loaded": True, "q_intrinsic": "1.01e7"}]))
+    assert main(["stats", str(path), "--out", str(tmp_path / "out")]) == EXIT_FAIL
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f'{path}: fit record 1: q_intrinsic must be a number, got "1.01e7"']
+    bad = (True, False, "1.01e7", None, [1.0], {"v": 1.0}, math.nan, math.inf, 10 ** 400)
+    shown = ("true", "false", '"1.01e7"', "null", "[1.0]", '{"v": 1.0}', "NaN", "Infinity",
+             "1" + "0" * 400)
+    for field in good:
+        for value, text in zip(bad, shown):
+            if field == "q_intrinsic" and value is None:
+                continue  # fit's lossless limit
+            path.write_text(json.dumps([good, {**good, field: value}]))
+            caplog.clear()
+            assert main(["stats", str(path), "--out", str(tmp_path / "out")]) == EXIT_FAIL
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert errors == [f"{path}: fit record 1: {field} must be a number, got {text}"]
+    # integers and a null q_intrinsic are numbers
+    path.write_text(json.dumps([good, {**good, "q_intrinsic": None, "q_loaded": 800000}]))
+    assert main(["stats", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    stats = json.loads((tmp_path / "out" / "fit_stats.json").read_text())
+    assert stats["n_fits"] == 2 and stats["q_loaded"]["min"] == 8e5
+
+
 VALIDATE_FAST = (
     "validate.n_segments = 400\nvalidate.n_sigma = 4.5\n"
     "validate.max_db_err = 0.6\nvalidate.n_random = 40\n"
@@ -1049,13 +1076,19 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
-def test_every_mutation_row_applies_exactly_once():
-    # tools/mutate.py finds a stale row only when it is run, which takes
-    # minutes; apply every row here and run no suite
+def load_mutate():
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("mutate", root / "tools" / "mutate.py")
     mutate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutate)
+    return mutate
+
+
+def test_every_mutation_row_applies_exactly_once():
+    # tools/mutate.py finds a stale row only when it is run, which takes
+    # minutes; apply every row here and run no suite
+    root = Path(__file__).resolve().parent.parent
+    mutate = load_mutate()
     stale = []
     for name in mutate.MUTANTS:
         try:
@@ -1064,8 +1097,21 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 21
+    assert len(mutate.MUTANTS) >= 24
     assert stale == []
+
+
+def test_mutation_score_names_the_failing_test_not_a_log_line():
+    output = (
+        "F\n=== FAILURES ===\n------ Captured log call ------\n"
+        "ERROR    squeezesim:cli.py:447 fits.json: fit record 1: bad\n"
+        "=== short test summary info ===\n"
+        "FAILED tests/test_cli.py::test_stats - AssertionError: no\n"
+        "ERROR tests/test_x.py::test_y\n"
+    )
+    mutate = load_mutate()
+    assert mutate.first_failure(output) == "tests/test_cli.py::test_stats"
+    assert mutate.first_failure(output.split("=== short")[0]) is None
 
 
 _FIT_PROBE = """

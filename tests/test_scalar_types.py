@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from squeezesim.params import DomainError, PumpDrive, ResonatorModel
 from squeezesim.spectra import (
     calibrate_g0_to_optimum,
+    pair_moments,
     pair_scattering,
     power_sweep,
     spectrum_grid,
@@ -107,6 +108,7 @@ def outputs(rates, pump_fields, omega, eta, number):
         omegas = 0.5 * model.kappa * np.array([0.0, 0.1, 0.5, 2.0])
         thetas = np.linspace(0.0, math.pi, 7)
         out["spectrum_grid"] = outcome(spectrum_grid, model, steady, omegas, thetas, eta_total=eta)
+        out["pair_moments"] = outcome(pair_moments, model, steady.rho, steady.a0, omega)
         out["pair_scattering"] = outcome(pair_scattering, model, steady, omega)
     out["calibration"] = outcome(calibration, model, pump, omega=omega, eta_total=eta)
     flat = build(ResonatorModel, number, **{**rates, "delta": 0.0, "d2": 0.0})  # b = 0

@@ -146,6 +146,21 @@ MUTANTS = {
         "band = 2.0 ** -52 *",
         "band = 2.0 ** -40 *",
     ),
+    "exceptional-point-abs": (
+        "src/squeezesim/spectra.py",
+        "np.maximum(gain * gain - delta_l * delta_l, 0.0)",
+        "np.abs(gain * gain - delta_l * delta_l)",
+    ),
+    "zero-margin-below-threshold": (
+        "src/squeezesim/spectra.py",
+        "if not margin > 0.0:",
+        "if margin < 0.0:",
+    ),
+    "stats-admits-bool": (
+        "src/squeezesim/cli.py",
+        "type(value) in (int, float)",
+        "isinstance(value, (int, float))",
+    ),
 }
 
 # the row check reads the copy, where the applied row's snippet is gone by design
@@ -172,7 +187,9 @@ def mutated(name: str) -> tuple[str, str]:
 
 def first_failure(output: str) -> str | None:
     """The node id of the first FAILED or ERROR line of pytest's short summary."""
-    for line in output.splitlines():
+    # captured log lines above the summary also start with "ERROR "
+    summary = output.partition(" short test summary info ")[2]
+    for line in summary.splitlines():
         for tag in ("FAILED ", "ERROR "):
             if line.startswith(tag):
                 return line[len(tag):].split(" - ")[0].strip()
