@@ -419,7 +419,6 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
             delta=effective["drive.detuning_rad_s"],
             d2=effective["resonator.d2_rad_s"],
             g0=0.0,
-            fsr=effective["resonator.fsr_hz"],
         )
         chain = _resolve_detection(effective)
 

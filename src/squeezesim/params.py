@@ -162,13 +162,10 @@ class ResonatorModel:
     delta:
         Cold-cavity pump detuning ``omega0 - omega_laser`` (rad/s).
     d2:
-        Second-order dispersion step (rad/s); mode ``l`` sits at
-        ``omega0 + fsr_rad*l + d2*l**2/2`` relative to the pump grid.
+        Second-order dispersion step (rad/s); mode ``l`` sits ``d2*l**2/2``
+        off the equidistant grid spaced by the free spectral range.
     g0:
         Single-photon Kerr shift (rad/s).
-    fsr:
-        Free spectral range in Hz, used only for bookkeeping when mapping
-        mode indices to absolute optical frequencies.
 
     Every field is stored as a Python float, so the scalar routes run in
     float arithmetic whatever numeric type built the model: ints, numpy
@@ -183,11 +180,10 @@ class ResonatorModel:
     delta: float = 0.0
     d2: float = 0.0
     g0: float = 0.0
-    fsr: float = 59.3e9
     kappa: float = field(init=False)
 
     def __post_init__(self):
-        _real_fields(self, ("omega0", "kappa_i", "kappa_e", "delta", "d2", "g0", "fsr"))
+        _real_fields(self, ("omega0", "kappa_i", "kappa_e", "delta", "d2", "g0"))
         if self.omega0 <= 0.0:
             raise DomainError(f"omega0 must be positive, got {self.omega0}")
         if self.kappa_i < 0.0:
@@ -241,7 +237,8 @@ class PumpDrive:
     ``a_in`` is normalized so that ``a_in**2`` is the photon flux in 1/s;
     it is kept real and non-negative, the pump phase being the global
     phase reference.  Fields are stored as Python floats and refused by
-    name, as :class:`ResonatorModel`'s are.
+    name, as :class:`ResonatorModel`'s are.  An ``a_in`` whose square
+    misses ``flux`` by more than ``4 * 2**-52 * flux`` is refused too.
     """
 
     power_on_chip: float
@@ -264,6 +261,12 @@ class PumpDrive:
             raise DomainError("pump power and flux must be non-negative")
         if self.a_in < 0.0:
             raise DomainError("a_in is defined real non-negative")
+        # the solve takes its roots from flux and its field from a_in, so they
+        # must agree; sqrt(flux)**2 misses flux by at most one ulp
+        if not abs(self.a_in * self.a_in - self.flux) <= 4.0 * 2.0 ** -52 * self.flux:
+            raise DomainError(
+                f"a_in must be the square root of flux, got {self.a_in!r} for flux {self.flux!r}"
+            )
 
 
 def detection_chain_total(

@@ -146,7 +146,7 @@ def bistable_flux_window(model: ResonatorModel) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class SteadyState:
     """One self-consistent pump operating point.
 
@@ -162,6 +162,17 @@ class SteadyState:
     branch: str
     all_rho: tuple
     residual: float
+
+    def __init__(self, a0, rho, delta_eff, branch, all_rho, residual):
+        # the generated frozen __init__ calls object.__setattr__ once per
+        # field, which cost a quarter of a solve; a dict write does not
+        fields = self.__dict__
+        fields["a0"] = a0
+        fields["rho"] = rho
+        fields["delta_eff"] = delta_eff
+        fields["branch"] = branch
+        fields["all_rho"] = all_rho
+        fields["residual"] = residual
 
 
 def _photon_numbers(model: ResonatorModel, flux: float) -> list[float]:
@@ -275,14 +286,7 @@ def _steady_state_at(model, pump, rhos: list[float], index, rtol=RESIDUAL_RTOL) 
     """The steady state on ``rhos[index]``; ``rtol`` is checked by the caller."""
     rho = rhos[index]
     a0, delta_eff, residual = _fixed_point(model, math.sqrt(model.kappa_e) * pump.a_in, rho, rtol)
-    return SteadyState(
-        a0=a0,
-        rho=rho,
-        delta_eff=delta_eff,
-        branch=_BRANCHES[len(rhos)][index],
-        all_rho=tuple(rhos),
-        residual=residual,
-    )
+    return SteadyState(a0, rho, delta_eff, _BRANCHES[len(rhos)][index], tuple(rhos), residual)
 
 
 def zero_pump_offset(model: ResonatorModel, l: int = 1) -> float:

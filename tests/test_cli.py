@@ -1097,7 +1097,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 24
+    assert len(mutate.MUTANTS) >= 26
     assert stale == []
 
 

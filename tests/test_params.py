@@ -159,9 +159,8 @@ def test_resonator_rejects_bad_rates():
         ResonatorModel(omega0=-1e15, kappa_i=1e8, kappa_e=1e9)
 
 
-RESONATOR_FIELDS = dict(
-    omega0=1e15, kappa_i=1e8, kappa_e=1e9, delta=2e8, d2=1e5, g0=0.5, fsr=59.3e9
-)
+RESONATOR_FIELDS = dict(omega0=1e15, kappa_i=1e8, kappa_e=1e9, delta=2e8, d2=1e5, g0=0.5)
+PUMP_FIELDS = {"power_on_chip": 1e-3, "flux": 7.9e15, "a_in": math.sqrt(7.9e15)}
 
 
 @pytest.mark.parametrize("field", list(RESONATOR_FIELDS))
@@ -175,18 +174,28 @@ def test_resonator_rejects_non_finite_fields_by_name(field, bad):
 @pytest.mark.parametrize("field", ["power_on_chip", "flux", "a_in"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pump_drive_rejects_non_finite_fields_by_name(field, bad):
-    fields = {"power_on_chip": 1e-3, "flux": 7.9e15, "a_in": 8.9e7, field: bad}
     with pytest.raises(DomainError, match=rf"^{field} must be finite, got {bad}$"):
-        PumpDrive(**fields)
+        PumpDrive(**{**PUMP_FIELDS, field: bad})
+
+
+def test_pump_drive_refuses_an_a_in_that_misses_its_flux():
+    # the solve takes its roots from flux and its field from a_in: at g0 = 0
+    # this drive gave rho = 1.65e7 beside |a0|^2 = 3.3e-9 and residual 0.0
+    with pytest.raises(DomainError, match=r"^a_in must be the square root of flux, got 1\.0 "):
+        PumpDrive(power_on_chip=1e-3, flux=5e15, a_in=1.0)
+    a_in = math.sqrt(PUMP_FIELDS["flux"])
+    for off in (1.0 + 1e-12, 1.0 - 1e-12, 0.0):
+        with pytest.raises(DomainError, match=r"^a_in must be the square root of flux"):
+            PumpDrive(**{**PUMP_FIELDS, "a_in": a_in * off})
+    # every drive built by from_power passes, whatever the flux's last bits
+    for flux in np.exp(np.random.default_rng(5).uniform(-70.0, 70.0, 10_000)).tolist():
+        PumpDrive(power_on_chip=1e-3, flux=flux, a_in=math.sqrt(flux))
 
 
 # valid fields of each parameter class, then valid integral ones
 REAL_FIELDS = {
-    ResonatorModel: (RESONATOR_FIELDS, dict(omega0=10**15, kappa_i=0, kappa_e=10**9, fsr=59 * 10**9)),
-    PumpDrive: (
-        {"power_on_chip": 1e-3, "flux": 7.9e15, "a_in": 8.9e7},
-        {"power_on_chip": 1, "flux": 4, "a_in": 2},
-    ),
+    ResonatorModel: (RESONATOR_FIELDS, dict(omega0=10**15, kappa_i=0, kappa_e=10**9)),
+    PumpDrive: (PUMP_FIELDS, {"power_on_chip": 1, "flux": 4, "a_in": 2}),
     MaterialParams: (
         {"n2": 2.4e-19, "n0": 1.996, "v_eff": 1.0e-16},
         {"n2": 1, "n0": 2, "v_eff": 3},
@@ -217,7 +226,7 @@ NON_REAL = {
 @pytest.mark.parametrize("cls, field", FIELD_CASES)
 @pytest.mark.parametrize("bad", list(NON_REAL.values()), ids=list(NON_REAL))
 def test_non_real_fields_are_refused_by_name(cls, field, bad):
-    # bools were stored, and so was any fsr; the rest raised a TypeError naming no field
+    # bools were stored; the rest raised a TypeError naming no field
     with pytest.raises(DomainError, match=rf"^{field} must be a real number, got "):
         cls(**{**REAL_FIELDS[cls][0], field: bad})
 

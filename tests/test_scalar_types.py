@@ -145,7 +145,6 @@ def test_outputs_do_not_depend_on_the_scalar_type(
         delta=alpha * hk,
         d2=dispersion * hk,
         g0=g0,
-        fsr=59.3e9,
     )
     if integral:
         rates = {name: float(round(v)) for name, v in rates.items()}

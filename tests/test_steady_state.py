@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
+    SteadyState,
     bistable_flux_window,
     cubic_roots_scaled,
     fixed_point_flux,
@@ -221,6 +225,28 @@ def test_single_branch_label():
     st_ = solve_steady_state(model, pump_for_beta(model, 1.625))
     assert st_.branch == "single"
     assert st_.rho == pytest.approx(0.25, rel=1e-9)  # u=0.5, hk=1, g0=2
+
+
+def test_steady_state_is_a_frozen_value():
+    names = ("a0", "rho", "delta_eff", "branch", "all_rho", "residual")
+    values = (0.3 - 0.4j, 0.25, -0.5, "lower", (0.25, 1.0, 2.0), 1e-12)
+    st_ = SteadyState(*values)
+    keyword = SteadyState(**dict(zip(names, values)))
+    assert st_ == keyword and hash(st_) == hash(keyword)
+    assert tuple(f.name for f in dataclasses.fields(SteadyState)) == names
+    assert tuple(getattr(st_, name) for name in names) == values
+    for name in names + ("extra",):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(st_, name, 1.0)
+    assert st_ == keyword
+    moved = dataclasses.replace(st_, rho=1.0)
+    assert moved.rho == 1.0
+    assert tuple(getattr(moved, name) for name in names) == (values[0], 1.0) + values[2:]
+    assert pickle.loads(pickle.dumps(st_)) == st_
+    assert copy.deepcopy(st_) == st_
+    model = make_model(2.0)
+    solved = solve_steady_state(model, pump_for_beta(model, 1.989))
+    assert solved == SteadyState(**{name: getattr(solved, name) for name in names})
 
 
 def test_linear_limit_no_kerr():

@@ -136,6 +136,18 @@ MUTANTS = {
         "_fixed_point(model, root_kappa_e * math.sqrt(flux), r, rtol)",
         "_fixed_point(model, math.sqrt(flux), r, rtol)",
     ),
+    "steady-state-fields-swapped": (
+        "src/squeezesim/steady_state.py",
+        '        fields["rho"] = rho\n'
+        '        fields["delta_eff"] = delta_eff\n',
+        '        fields["rho"] = delta_eff\n'
+        '        fields["delta_eff"] = rho\n',
+    ),
+    "pump-drive-any-a-in": (
+        "src/squeezesim/params.py",
+        "if not abs(self.a_in * self.a_in - self.flux) <= 4.0 * 2.0 ** -52 * self.flux:",
+        "if False:",
+    ),
     "config-int-admits-bool": (
         "src/squeezesim/config.py",
         "isinstance(value, bool) or not isinstance(value, numbers.Integral)",
