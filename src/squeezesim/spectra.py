@@ -71,7 +71,7 @@ def _offset_and_margin(model: ResonatorModel, rho, l: int):
 
 
 def _finite_omega(omega):
-    """``omega`` as a float array (0-d for a scalar); DomainError if not finite."""
+    """``omega`` as a float array (a numpy scalar for a scalar); DomainError if not finite."""
     omega = np.asarray(omega, dtype=float)[()]
     if not np.isfinite(omega).all():
         raise DomainError(f"omega must be finite, got {omega}")
@@ -104,7 +104,7 @@ class PairMoments:
 
     def require_below_threshold(self) -> "PairMoments":
         """Return self; raise SingularSystemError if any point is not below threshold."""
-        margin = np.min(self.margin)
+        margin = np.minimum.reduce(self.margin, axis=None)  # np.min's dispatch costs more
         if not margin > 0.0:
             raise SingularSystemError(
                 f"side-mode pair l={self.l} is not below threshold: slowest "
@@ -133,9 +133,15 @@ def pair_moments(model: ResonatorModel, rho, a0, omega, l: int = 1) -> PairMomen
 
     Raises DomainError for a non-finite ``omega``.
     """
-    omega = _finite_omega(omega)
-    rho = np.asarray(rho, dtype=float)
-    a0 = np.asarray(a0, dtype=complex)
+    return _pair_moments(model, rho, a0, _finite_omega(omega), l)
+
+
+def _pair_moments(model: ResonatorModel, rho, a0, omega, l: int) -> PairMoments:
+    """:func:`pair_moments` at an ``omega`` that :func:`_finite_omega` returned."""
+    # [()] makes a scalar point a numpy scalar, whose arithmetic skips the
+    # array dispatch a 0-d array pays, with the same bits
+    rho = np.asarray(rho, dtype=float)[()]
+    a0 = np.asarray(a0, dtype=complex)[()]
     hk = 0.5 * model.kappa
     delta_l, margin = _offset_and_margin(model, rho, l)
     # real arithmetic rounds as pair_scattering's scalar complex products do
@@ -149,7 +155,7 @@ def pair_moments(model: ResonatorModel, rho, a0, omega, l: int = 1) -> PairMomen
     det_re = hk * hk + a * b - g2
     det_im = hk * a - hk * b
     # 1/|det|^2, NaN where no stationary spectrum exists
-    scale = 1.0 / np.where(margin > 0.0, det_re * det_re + det_im * det_im, math.nan)
+    scale = 1.0 / np.where(margin > 0.0, det_re * det_re + det_im * det_im, math.nan)[()]
     cross = (hk * hk - a * b + g2) - 1j * (hk * (a + b))  # conj(d1)*d2 + |g|^2
     rotated = 1j * model.kappa_e * g * np.exp(-2j * phi_ref)
     return PairMoments(
@@ -208,25 +214,35 @@ def bogoliubov_defect(s: np.ndarray) -> float:
     return float(np.max(np.abs(s @ sigma4 @ s.conj().T - sigma2)))
 
 
+_IDENTITY_4 = np.eye(4)
+
+
 def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
     """4x4 quadrature covariance of the detected pair, vacuum = identity.
 
-    Row order is ``(q_l, p_l, q_{-l}, p_{-l})``.  ``eta_total`` is the
-    off-chip detection efficiency, applied as a beamsplitter admixing
-    vacuum: ``V -> eta V + (1 - eta) I``.  Array-valued moments give a
-    stack of shape ``(..., 4, 4)``.
+    Row order is ``(q_l, p_l, q_{-l}, p_{-l})``.  With ``n = n_signal``
+    (``= n_idler``), ``d = 1 + 2n``, ``r = 2 Re m_corr`` and
+    ``s = 2 Im m_corr``, the on-chip covariance is
+
+        V = [[d, 0, r, s], [0, d, s, -r], [r, s, d, 0], [s, -r, 0, d]]
+
+    (``-r`` computed as ``-2 Re m_corr``).  ``eta_total`` is the off-chip
+    detection efficiency, applied as a beamsplitter admixing vacuum:
+    ``V -> eta V + (1 - eta) I``.  Array-valued moments give a stack of
+    shape ``(..., 4, 4)``.
     """
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
-    ns, ni, m = pair.n_signal, pair.n_idler, np.asarray(pair.m_corr)
-    v = np.zeros(m.shape + (4, 4))
-    v[..., 0, 0] = v[..., 1, 1] = 1.0 + 2.0 * ns
-    v[..., 2, 2] = v[..., 3, 3] = 1.0 + 2.0 * ni
-    v[..., 0, 2] = v[..., 2, 0] = 2.0 * m.real
-    v[..., 0, 3] = v[..., 3, 0] = 2.0 * m.imag
-    v[..., 1, 2] = v[..., 2, 1] = 2.0 * m.imag
-    v[..., 1, 3] = v[..., 3, 1] = -2.0 * m.real
-    return eta_total * v + (1.0 - eta_total) * np.eye(4)
+    m = pair.m_corr
+    d, r, s, minus_r = 1.0 + 2.0 * pair.n_signal, 2.0 * m.real, 2.0 * m.imag, -2.0 * m.real
+    v = np.zeros(np.shape(m) + (4, 4))
+    v[..., 0, 0] = v[..., 1, 1] = v[..., 2, 2] = v[..., 3, 3] = d
+    v[..., 0, 2] = v[..., 2, 0] = r
+    v[..., 0, 3] = v[..., 3, 0] = v[..., 1, 2] = v[..., 2, 1] = s
+    v[..., 1, 3] = v[..., 3, 1] = minus_r
+    v *= eta_total
+    v += (1.0 - eta_total) * _IDENTITY_4
+    return v
 
 
 def homodyne_variance(cov: np.ndarray, theta, tooth_phase: float = 0.0):
@@ -478,7 +494,7 @@ def calibrate_g0_to_optimum(
     """
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a non-zero pump")
-    omega = float(_finite_omega(omega))
+    omega = float(_finite_omega(omega))  # the one check: _pair_moments below repeats none
     hk = 0.5 * model.kappa
     x_th = threshold_gain(model, l) / hk
     x_hi = min(_X_CAP, x_th * (1.0 - 1e-9))
@@ -501,7 +517,7 @@ def calibrate_g0_to_optimum(
     g0 = g0_for_gain(model, pump, gain)
     calibrated = dataclasses.replace(model, g0=g0)
     steady = steady_state_at_gain(calibrated, pump, gain)
-    pair = pair_moments(calibrated, steady.rho, steady.a0, omega, l).require_below_threshold()
+    pair = _pair_moments(calibrated, steady.rho, steady.a0, omega, l).require_below_threshold()
     ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
     return CalibrationResult(
         g0=g0,

@@ -253,22 +253,27 @@ def operating_points(
     """``(rho, a0)`` arrays over the on-chip powers (W) of the 1-D ``powers``.
 
     Each point is :func:`solve_steady_state`'s at ``PumpDrive.from_power``,
-    bit for bit, with no :class:`SteadyState` built; the policy and
-    ``rtol`` are refused before any point is solved.
+    bit for bit, with no :class:`SteadyState` built.  The policy, ``rtol``
+    and every power are refused before any point is solved, a bad power
+    with :func:`photon_flux`'s message for the first one.
     """
     _check_solve_args(rtol, branch_policy)
     powers = np.asarray(powers, dtype=float)
     if powers.ndim != 1:
         raise DomainError(f"powers must be one-dimensional, got shape {powers.shape}")
-    omega0, root_kappa_e = model.omega0, math.sqrt(model.kappa_e)
+    bad = ~(np.isfinite(powers) & (powers >= 0.0))
+    if bad.any():
+        photon_flux(powers[bad.argmax()].item(), model.omega0)  # raises for that power
+    # IEEE division and sqrt round as photon_flux and math.sqrt do per point
+    fluxes = powers / (HBAR * model.omega0)
+    drives = math.sqrt(model.kappa_e) * np.sqrt(fluxes)
     index = _ROOT_INDEX[branch_policy]
-    rho = np.empty(powers.shape)
-    a0 = np.empty(powers.shape, dtype=complex)
-    for i, p in enumerate(powers.tolist()):
-        flux = photon_flux(p, omega0)
-        rho[i] = r = _photon_numbers(model, flux)[index]
-        a0[i] = _fixed_point(model, root_kappa_e * math.sqrt(flux), r, rtol)[0]
-    return rho, a0
+    rho, a0 = [], []
+    for flux, drive in zip(fluxes.tolist(), drives.tolist()):
+        r = _photon_numbers(model, flux)[index]
+        rho.append(r)
+        a0.append(_fixed_point(model, drive, r, rtol)[0])
+    return np.array(rho, dtype=float), np.array(a0, dtype=complex)
 
 
 def steady_state_on_branch(

@@ -440,6 +440,32 @@ def test_spectrum_rerun_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_fsr_hz_is_recorded_only(tmp_path):
+    # the key is echoed into effective_config.cfg and feeds no computation
+    text = REFERENCE_CFG.read_text(encoding="utf-8")
+    assert text.count("resonator.fsr_hz = 59.3e9\n") == 1
+    other = write_cfg(tmp_path, text.replace("resonator.fsr_hz = 59.3e9\n", "resonator.fsr_hz = 1e9\n"))
+    for command in ("threshold", "spectrum"):
+        outs = [tmp_path / command / name for name in ("ref", "other")]
+        for cfg, out in zip((str(REFERENCE_CFG), other), outs):
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "effective_config.cfg" in names and len(names) > 1
+        for name in names:
+            ref, got = ((out / name).read_bytes() for out in outs)
+            if name != "effective_config.cfg":
+                assert got == ref, (command, name)
+                continue
+            changed = [
+                (a, b) for a, b in zip(ref.splitlines(), got.splitlines(), strict=True) if a != b
+            ]
+            assert [(a.split(b" = ")[0], b.split(b" = ")[0]) for a, b in changed] == [
+                (b"resonator.fsr_hz", b"resonator.fsr_hz")
+            ]
+            assert float(changed[0][1].split(b" = ")[1]) == 1e9
+
+
 def test_spectrum_above_threshold_aborts(tmp_path):
     # toy scale: kappa = 1 rad/s, pair offset 2.5 half-linewidths, driven
     # to twice the threshold power on the monostable pump curve
@@ -1097,7 +1123,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 26
+    assert len(mutate.MUTANTS) >= 27
     assert stale == []
 
 

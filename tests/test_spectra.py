@@ -36,6 +36,7 @@ from squeezesim.spectra import (
 from squeezesim.steady_state import (
     SteadyState,
     bistable_flux_window,
+    operating_points,
     solve_steady_state,
     steady_state_roots,
     threshold_gain,
@@ -473,6 +474,53 @@ def test_power_sweep_names_a_bad_power():
             PumpDrive.from_power(bad, model.omega0)
     with pytest.raises(DomainError, match=r"^powers must be one-dimensional"):
         power_sweep(model, [[0.0, 1e-20]])
+
+
+def test_power_sweep_names_the_first_bad_power_before_any_solve():
+    model = make_model(3.0)
+    with mock.patch("squeezesim.steady_state._photon_numbers", side_effect=AssertionError("solved")):
+        for bad in (math.nan, -1.0, math.inf):
+            message = f"^power must be finite and non-negative, got {bad}$"
+            with pytest.raises(DomainError, match=message):
+                power_sweep(model, np.array([0.0, 1e-20, bad, 2e-20]))
+            # a later bad power is not the one named
+            with pytest.raises(DomainError, match=message):
+                power_sweep(model, [1e-20, bad, 3e-20, -2.0, math.nan])
+
+
+def test_operating_points_of_no_power_are_empty():
+    rho, a0 = operating_points(make_model(3.0), [])
+    assert rho.shape == a0.shape == (0,)
+    assert rho.dtype == np.float64 and a0.dtype == np.complex128
+
+
+def test_output_covariance_of_a_scalar_point_is_its_written_out_matrix():
+    # the layout of output_covariance's docstring, built entry by entry:
+    # eta*V + (1 - eta)*I with V from n_signal and m_corr
+    model = make_model(0.7, d2=0.2)
+    for x, omega in ((0.0, 0.0), (0.3, -0.4), (0.55, 1.3)):
+        st, _ = steady_at_x(model, x)
+        pair = pair_moments(model, st.rho, st.a0, omega)
+        n, m = pair.n_signal, pair.m_corr
+        d, r, s, minus_r = 1.0 + 2.0 * n, 2.0 * m.real, 2.0 * m.imag, -2.0 * m.real
+        for eta in (0.0, 0.6021708, 1.0):
+            def on(v):
+                return eta * v + (1.0 - eta) * 1.0
+
+            def off(v):
+                return eta * v + (1.0 - eta) * 0.0
+
+            expected = np.array(
+                [
+                    [on(d), off(0.0), off(r), off(s)],
+                    [off(0.0), on(d), off(s), off(minus_r)],
+                    [off(r), off(s), on(d), off(0.0)],
+                    [off(s), off(minus_r), off(0.0), on(d)],
+                ]
+            )
+            cov = output_covariance(pair, eta)
+            assert cov.shape == (4, 4) and cov.dtype == np.float64
+            assert cov.tobytes() == expected.tobytes()
 
 
 def test_calibration_places_optimum_at_target_power():

@@ -32,9 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = {
     "eta-total-twice": (
         "src/squeezesim/spectra.py",
-        "    return eta_total * v + (1.0 - eta_total) * np.eye(4)\n",
-        "    v = eta_total * v + (1.0 - eta_total) * np.eye(4)\n"
-        "    return eta_total * v + (1.0 - eta_total) * np.eye(4)\n",
+        "    v *= eta_total\n"
+        "    v += (1.0 - eta_total) * _IDENTITY_4\n",
+        "    v *= eta_total\n"
+        "    v += (1.0 - eta_total) * _IDENTITY_4\n"
+        "    v *= eta_total\n"
+        "    v += (1.0 - eta_total) * _IDENTITY_4\n",
     ),
     "cross-phase-factor-1": (
         "src/squeezesim/spectra.py",
@@ -128,13 +131,19 @@ MUTANTS = {
     ),
     "sweep-branch-pick-swapped": (
         "src/squeezesim/steady_state.py",
-        "rho[i] = r = _photon_numbers(model, flux)[index]",
-        "rho[i] = r = _photon_numbers(model, flux)[-1 - index]",
+        "r = _photon_numbers(model, flux)[index]",
+        "r = _photon_numbers(model, flux)[-1 - index]",
     ),
     "sweep-drive-without-sqrt-kappa-e": (
         "src/squeezesim/steady_state.py",
-        "_fixed_point(model, root_kappa_e * math.sqrt(flux), r, rtol)",
-        "_fixed_point(model, math.sqrt(flux), r, rtol)",
+        "drives = math.sqrt(model.kappa_e) * np.sqrt(fluxes)",
+        "drives = np.sqrt(fluxes)",
+    ),
+    "sweep-power-check-dropped": (
+        "src/squeezesim/steady_state.py",
+        "    if bad.any():\n"
+        "        photon_flux(powers[bad.argmax()].item(), model.omega0)  # raises for that power\n",
+        "",
     ),
     "steady-state-fields-swapped": (
         "src/squeezesim/steady_state.py",
