@@ -224,16 +224,16 @@ def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
     (``= n_idler``), ``d = 1 + 2n``, ``r = 2 Re m_corr`` and
     ``s = 2 Im m_corr``, the on-chip covariance is
 
-        V = [[d, 0, r, s], [0, d, s, -r], [r, s, d, 0], [s, -r, 0, d]]
+        V = [[d, 0, r, s], [0, d, s, -r], [r, s, d, 0], [s, -r, 0, d]].
 
-    (``-r`` computed as ``-2 Re m_corr``).  ``eta_total`` is the off-chip
-    detection efficiency, applied as a beamsplitter admixing vacuum:
-    ``V -> eta V + (1 - eta) I``.  Array-valued moments give a stack of
-    shape ``(..., 4, 4)``.
+    ``eta_total`` is the off-chip detection efficiency, applied as a
+    beamsplitter admixing vacuum: ``V -> eta V + (1 - eta) I``.
+    Array-valued moments give a stack of shape ``(..., 4, 4)``.
     """
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
     m = pair.m_corr
+    # -2 Re m rather than -r: negating a NaN would flip its sign bit
     d, r, s, minus_r = 1.0 + 2.0 * pair.n_signal, 2.0 * m.real, 2.0 * m.imag, -2.0 * m.real
     v = np.zeros(np.shape(m) + (4, 4))
     v[..., 0, 0] = v[..., 1, 1] = v[..., 2, 2] = v[..., 3, 3] = d
