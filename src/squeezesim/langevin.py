@@ -192,7 +192,7 @@ class _StepLaw:
 def _step_law(model: ResonatorModel, steady: SteadyState, dt: float, l: int) -> _StepLaw:
     point = pair_moments(model, steady.rho, steady.a0, 0.0, l).require_below_threshold()
     kappa = model.kappa
-    delta_l, g = float(point.delta_l), complex(point.g)
+    delta_l, g = point.delta_l, point.g
     s_dt = dt * kappa
     at, bt = augmented_matrices(
         model.kappa_i / kappa, model.kappa_e / kappa, delta_l / kappa, g / kappa
@@ -203,7 +203,7 @@ def _step_law(model: ResonatorModel, steady: SteadyState, dt: float, l: int) -> 
         s_dt=s_dt,
         delta_l=delta_l,
         g=g,
-        phi_ref=float(point.phi_ref),
+        phi_ref=point.phi_ref,
         a_rr=np.ascontiguousarray(phi[:4, :4]),
         c_rec=proj[4:] @ phi[:, :4],
         cov=proj @ q @ proj.T,

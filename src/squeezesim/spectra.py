@@ -66,19 +66,23 @@ def _offset_and_margin(model: ResonatorModel, rho, l: int):
     """Pair offset ``delta_l`` and stability margin at pump photon number ``rho``."""
     delta_l = zero_pump_offset(model, l) - 2.0 * model.g0 * rho
     gain = model.g0 * rho
-    margin = 0.5 * model.kappa - np.sqrt(np.maximum(gain * gain - delta_l * delta_l, 0.0))
-    return delta_l, margin
+    excess = gain * gain - delta_l * delta_l
+    root = (math.sqrt(max(excess, 0.0)) if type(excess) is float
+            else np.sqrt(np.maximum(excess, 0.0)))
+    return delta_l, 0.5 * model.kappa - root
 
 
 def _finite_omega(omega):
-    """``omega`` as a float array (a numpy scalar for a scalar); DomainError if not finite."""
-    omega = np.asarray(omega, dtype=float)[()]
-    if not np.isfinite(omega).all():
+    """``omega`` as a float, or a float array; DomainError if not finite."""
+    if type(omega) is not float:
+        omega = np.asarray(omega, dtype=float)
+        omega = omega.item() if omega.ndim == 0 else omega
+    if not (math.isfinite(omega) if type(omega) is float else np.isfinite(omega).all()):
         raise DomainError(f"omega must be finite, got {omega}")
     return omega
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairMoments:
     """Operating point and output moments of pair ``l`` at many points.
 
@@ -86,7 +90,8 @@ class PairMoments:
     ``(rho, a0)``; ``n_signal`` (the output photon flux density of each
     mode, hence ``n_idler``) and ``m_corr`` (their anomalous correlation
     in the frame ``phi_ref``) broadcast over ``omega`` too.  Both are NaN
-    where ``margin <= 0``: no stationary spectrum exists there.
+    where ``margin <= 0``: no stationary spectrum exists there.  At one
+    point every field is a Python float or complex.
     """
 
     omega: np.ndarray
@@ -97,6 +102,12 @@ class PairMoments:
     margin: np.ndarray
     n_signal: np.ndarray
     m_corr: np.ndarray
+
+    def __init__(self, omega, l, delta_l, g, phi_ref, margin, n_signal, m_corr):
+        # a dict write, as SteadyState: the generated frozen __init__
+        # calls object.__setattr__ once per field
+        self.__dict__.update(omega=omega, l=l, delta_l=delta_l, g=g, phi_ref=phi_ref,
+                             margin=margin, n_signal=n_signal, m_corr=m_corr)
 
     @property
     def n_idler(self) -> np.ndarray:
@@ -138,26 +149,37 @@ def pair_moments(model: ResonatorModel, rho, a0, omega, l: int = 1) -> PairMomen
 
 def _pair_moments(model: ResonatorModel, rho, a0, omega, l: int) -> PairMoments:
     """:func:`pair_moments` at an ``omega`` that :func:`_finite_omega` returned."""
-    # [()] makes a scalar point a numpy scalar, whose arithmetic skips the
-    # array dispatch a 0-d array pays, with the same bits
+    # [()] spares a scalar the dispatch a 0-d array pays; one point goes on to
+    # Python floats (same bits, cheaper still), and four array-only steps pick a form by type
     rho = np.asarray(rho, dtype=float)[()]
     a0 = np.asarray(a0, dtype=complex)[()]
+    if type(omega) is float and rho.ndim == a0.ndim == 0:
+        rho, a0 = float(rho), complex(a0)
     hk = 0.5 * model.kappa
     delta_l, margin = _offset_and_margin(model, rho, l)
     # real arithmetic rounds as pair_scattering's scalar complex products do
     # (numpy's may fuse), so g and det agree there bit for bit
     gr, gi = model.g0 * a0.real, model.g0 * a0.imag
     g = (gr * a0.real - gi * a0.imag) + 1j * (gr * a0.imag + gi * a0.real)
-    phi_ref = np.where(a0 == 0, 0.0, 0.25 * math.pi + np.angle(a0))[()]
+    if type(a0) is complex:  # numpy's arctan2: math.atan2 differs in the last bit
+        phi_ref = 0.0 if a0 == 0 else 0.25 * math.pi + float(np.arctan2(a0.imag, a0.real))
+    else:
+        phi_ref = np.where(a0 == 0, 0.0, 0.25 * math.pi + np.angle(a0))[()]
     a = delta_l - omega  # d1 = kappa/2 + i*a
     b = delta_l + omega  # d2 = kappa/2 - i*b
     g2 = g.real * g.real + g.imag * g.imag
     det_re = hk * hk + a * b - g2
     det_im = hk * a - hk * b
-    # 1/|det|^2, NaN where no stationary spectrum exists
-    scale = 1.0 / np.where(margin > 0.0, det_re * det_re + det_im * det_im, math.nan)[()]
+    # 1/|det|^2 (inf where it underflows, as numpy divides), NaN where no
+    # stationary spectrum exists
+    abs_det2 = det_re * det_re + det_im * det_im
+    if type(abs_det2) is float:
+        scale = (1.0 / abs_det2 if abs_det2 else math.inf) if margin > 0.0 else math.nan
+    else:
+        scale = 1.0 / np.where(margin > 0.0, abs_det2, math.nan)[()]
     cross = (hk * hk - a * b + g2) - 1j * (hk * (a + b))  # conj(d1)*d2 + |g|^2
-    rotated = 1j * model.kappa_e * g * np.exp(-2j * phi_ref)
+    frame = cmath.exp(-2j * phi_ref) if type(phi_ref) is float else np.exp(-2j * phi_ref)
+    rotated = 1j * model.kappa_e * g * frame
     return PairMoments(
         omega=omega,
         l=l,
@@ -187,7 +209,7 @@ def pair_scattering(
     """
     point = pair_moments(model, steady.rho, steady.a0, omega, l).require_below_threshold()
     hk = 0.5 * model.kappa
-    delta_l, g, phi_ref = float(point.delta_l), complex(point.g), float(point.phi_ref)
+    delta_l, g, phi_ref = point.delta_l, point.g, point.phi_ref
     d1 = hk + 1j * (delta_l - omega)
     d2 = hk - 1j * (delta_l + omega)
     det = d1 * d2 - (g.real * g.real + g.imag * g.imag)
@@ -217,6 +239,13 @@ def bogoliubov_defect(s: np.ndarray) -> float:
 _IDENTITY_4 = np.eye(4)
 
 
+def _detection_efficiency(eta_total) -> float:
+    """``eta_total`` as a float; DomainError outside [0, 1]."""
+    if not 0.0 <= eta_total <= 1.0:
+        raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
+    return float(eta_total)
+
+
 def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
     """4x4 quadrature covariance of the detected pair, vacuum = identity.
 
@@ -230,8 +259,7 @@ def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
     beamsplitter admixing vacuum: ``V -> eta V + (1 - eta) I``.
     Array-valued moments give a stack of shape ``(..., 4, 4)``.
     """
-    if not 0.0 <= eta_total <= 1.0:
-        raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
+    eta_total = _detection_efficiency(eta_total)
     m = pair.m_corr
     # -2 Re m rather than -r: negating a NaN would flip its sign bit
     d, r, s, minus_r = 1.0 + 2.0 * pair.n_signal, 2.0 * m.real, 2.0 * m.imag, -2.0 * m.real
@@ -290,10 +318,24 @@ class QuadratureExtrema:
 
 
 def _extrema(mean, d, off) -> QuadratureExtrema:
-    # elementwise over arrays; scalars stay scalars
+    # elementwise; Python floats stay floats, via numpy's hypot and arctan2 (math's differ)
     amp = np.hypot(d, off)
-    theta_min = np.where(amp == 0.0, 0.0, 0.5 * (np.arctan2(off, d) + math.pi) % math.pi)
-    return QuadratureExtrema(mean - amp, mean + amp, theta_min[()])
+    if type(d) is float:
+        amp = float(amp)
+        theta_min = 0.0 if amp == 0.0 else 0.5 * (float(np.arctan2(off, d)) + math.pi) % math.pi
+    else:
+        theta_min = np.where(amp == 0.0, 0.0, 0.5 * (np.arctan2(off, d) + math.pi) % math.pi)[()]
+    return QuadratureExtrema(mean - amp, mean + amp, theta_min)
+
+
+def _joint_mode(v00, v22, v02, v11, v33, v13, v01, v03, v21, v23) -> QuadratureExtrema:
+    """Extrema from the covariance entries ``v[i, j]`` that the joint mode reads."""
+    # 2x2 covariance of the joint (sum) mode actually probed by the
+    # matched two-tone homodyne, in (q, p) order
+    r_qq = 0.5 * (v00 + v22 + 2.0 * v02)
+    r_pp = 0.5 * (v11 + v33 + 2.0 * v13)
+    r_qp = 0.5 * (v01 + v03 + v21 + v23)
+    return _extrema(0.5 * (r_qq + r_pp), 0.5 * (r_qq - r_pp), r_qp)
 
 
 def optimal_quadratures_from_cov(cov: np.ndarray) -> QuadratureExtrema:
@@ -301,13 +343,21 @@ def optimal_quadratures_from_cov(cov: np.ndarray) -> QuadratureExtrema:
 
     A stack of covariances ``(..., 4, 4)`` gives arrays of extrema.
     """
-    cov = np.asarray(cov, dtype=float)
-    # 2x2 covariance of the joint (sum) mode actually probed by the
-    # matched two-tone homodyne, in (q, p) order
-    r_qq = 0.5 * (cov[..., 0, 0] + cov[..., 2, 2] + 2.0 * cov[..., 0, 2])
-    r_pp = 0.5 * (cov[..., 1, 1] + cov[..., 3, 3] + 2.0 * cov[..., 1, 3])
-    r_qp = 0.5 * (cov[..., 0, 1] + cov[..., 0, 3] + cov[..., 2, 1] + cov[..., 2, 3])
-    return _extrema(0.5 * (r_qq + r_pp), 0.5 * (r_qq - r_pp), r_qp)
+    v = np.asarray(cov, dtype=float)
+    return _joint_mode(v[..., 0, 0], v[..., 2, 2], v[..., 0, 2], v[..., 1, 1], v[..., 3, 3],
+                       v[..., 1, 3], v[..., 0, 1], v[..., 0, 3], v[..., 2, 1], v[..., 2, 3])
+
+
+def _pair_extrema(pair: PairMoments, eta_total: float) -> QuadratureExtrema:
+    """``optimal_quadratures_from_cov(output_covariance(pair, eta_total))`` without the 4x4."""
+    eta = _detection_efficiency(eta_total)
+    m = pair.m_corr
+    # each distinct entry as output_covariance makes it: x*eta + (1 - eta)*I (-0.0 turns +0.0)
+    on, off = (1.0 - eta) * 1.0, (1.0 - eta) * 0.0
+    d = (1.0 + 2.0 * pair.n_signal) * eta + on
+    r, s = 2.0 * m.real * eta + off, 2.0 * m.imag * eta + off
+    minus_r, zero = -2.0 * m.real * eta + off, 0.0 * eta + off
+    return _joint_mode(d, d, r, d, d, minus_r, zero, s, s, zero)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -419,7 +469,7 @@ def power_sweep(
     powers = np.atleast_1d(np.asarray(powers, dtype=float))
     rho, a0 = operating_points(model, powers, branch_policy, rtol)
     pair = pair_moments(model, rho, a0, omega, l)
-    ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
+    ext = _pair_extrema(pair, eta_total)
     return PowerSweepResult(
         powers=powers,
         rho=rho,
@@ -518,15 +568,15 @@ def calibrate_g0_to_optimum(
     calibrated = dataclasses.replace(model, g0=g0)
     steady = steady_state_at_gain(calibrated, pump, gain)
     pair = _pair_moments(calibrated, steady.rho, steady.a0, omega, l).require_below_threshold()
-    ext = optimal_quadratures_from_cov(output_covariance(pair, eta_total))
+    ext = _pair_extrema(pair, eta_total)
     return CalibrationResult(
         g0=g0,
         x_opt=x_opt,
         rho=steady.rho,
         branch=steady.branch,
-        var_min=float(ext.var_min),
-        var_max=float(ext.var_max),
-        theta_opt=float(ext.theta_min),
+        var_min=ext.var_min,
+        var_max=ext.var_max,
+        theta_opt=ext.theta_min,
     )
 
 

@@ -1123,7 +1123,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 27
+    assert len(mutate.MUTANTS) >= 29
     assert stale == []
 
 

@@ -16,8 +16,10 @@ from squeezesim.langevin import simulate_pair
 from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
 from squeezesim.spectra import (
     PhaseScanTrace,
+    QuadratureExtrema,
     SingularSystemError,
     _offset_and_margin,
+    _pair_extrema,
     bogoliubov_defect,
     calibrate_g0_to_optimum,
     homodyne_variance,
@@ -38,6 +40,7 @@ from squeezesim.steady_state import (
     bistable_flux_window,
     operating_points,
     solve_steady_state,
+    steady_state_at_gain,
     steady_state_roots,
     threshold_gain,
     threshold_power,
@@ -521,6 +524,162 @@ def test_output_covariance_of_a_scalar_point_is_its_written_out_matrix():
             cov = output_covariance(pair, eta)
             assert cov.shape == (4, 4) and cov.dtype == np.float64
             assert cov.tobytes() == expected.tobytes()
+
+
+ETAS = (0.0, 0.37, 0.6021708, 1.0)
+
+
+def random_model(rng):
+    """A pair model with kappa/2 in [0.5, 2], any coupling, detuning and dispersion."""
+    hk = rng.uniform(0.5, 2.0)
+    return make_model(rng.uniform(-2.0, 2.0), eta_esc=rng.uniform(0.1, 1.0),
+                      g0=rng.uniform(0.1, 10.0), hk=hk, d2=hk * rng.uniform(-1.0, 1.0))
+
+
+def extrema_bytes(ext):
+    """The bytes of each extremum: NaN positions and the sign of a zero show."""
+    return tuple(np.asarray(getattr(ext, name), dtype=float).tobytes()
+                 for name in ("var_min", "var_max", "theta_min"))
+
+
+def covariance_route(pair, eta):
+    return optimal_quadratures_from_cov(output_covariance(pair, eta))
+
+
+def test_pair_extrema_are_the_covariance_route_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    nan_points = zero_thetas = 0
+    for _ in range(40):
+        model = random_model(rng)
+        hk = 0.5 * model.kappa
+        # drive strengths up to 1.5: some points lie above threshold
+        rho = np.append(hk * rng.uniform(0.0, 1.5, 49) / model.g0, 0.0)
+        a0 = np.append(np.sqrt(rho[:-1]) * np.exp(1j * rng.uniform(-np.pi, np.pi, 49)), 0j)
+        omegas = model.kappa * rng.normal(size=50)
+        points = [(rho, a0, omegas), (rho, a0, float(omegas[0])), (0.0, complex(-0.0, -0.0), 0.0)]
+        points += [(r, a, w) for r, a, w in zip(rho[:5].tolist(), a0[:5].tolist(), omegas.tolist())]
+        for r, a, w in points:
+            pair = pair_moments(model, r, a, w)
+            for eta in ETAS:
+                ext = _pair_extrema(pair, eta)
+                assert extrema_bytes(ext) == extrema_bytes(covariance_route(pair, eta))
+                if np.ndim(w) == 0 and np.ndim(r) == 0:
+                    assert {type(v) for v in (ext.var_min, ext.var_max, ext.theta_min)} == {float}
+                nan_points += np.count_nonzero(np.isnan(ext.var_min))
+                zero_thetas += np.count_nonzero(np.asarray(ext.theta_min) == 0.0)
+    assert nan_points > 0 and zero_thetas > 0
+
+
+def test_power_sweep_is_the_covariance_route_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    flagged = 0
+    for k in range(20):
+        model = random_model(rng)
+        p_th = threshold_power(model)
+        powers = np.sort(rng.uniform(0.0, 1.3, 50)) * (p_th if math.isfinite(p_th) else 1e-18)
+        omega = model.kappa * rng.normal()
+        eta = ETAS[k % len(ETAS)]
+        sweep = power_sweep(model, powers, omega=omega, eta_total=eta)
+        rho, a0 = operating_points(model, powers)
+        expected = covariance_route(pair_moments(model, rho, a0, omega), eta)
+        got = QuadratureExtrema(sweep.var_min, sweep.var_max, sweep.theta_opt)
+        assert extrema_bytes(got) == extrema_bytes(expected)
+        flagged += np.count_nonzero(sweep.above_threshold)
+    assert flagged > 0
+
+
+def test_calibration_extrema_are_the_covariance_route_bit_for_bit():
+    rng = np.random.default_rng(20261021)
+    calibrated = 0
+    for k in range(60):
+        model = random_model(rng)
+        if k % 3 == 0:
+            model = dataclasses.replace(model, delta=0.0, d2=0.0)  # b = 0: the closed form
+        pump = PumpDrive.from_power(rng.uniform(1e-3, 0.1), model.omega0)
+        omega = 0.5 * model.kappa * rng.uniform(-1.0, 1.0)
+        eta = ETAS[k % len(ETAS)]
+        try:
+            cal = calibrate_g0_to_optimum(model, pump, omega=omega, eta_total=eta)
+        except DomainError:
+            continue  # no interior optimum
+        calibrated += 1
+        again = dataclasses.replace(model, g0=cal.g0)
+        steady = steady_state_at_gain(again, pump, cal.x_opt * 0.5 * model.kappa)
+        expected = covariance_route(pair_moments(again, steady.rho, steady.a0, omega), eta)
+        got = QuadratureExtrema(cal.var_min, cal.var_max, cal.theta_opt)
+        assert extrema_bytes(got) == extrema_bytes(expected)
+    assert calibrated >= 30
+
+
+@pytest.mark.parametrize("route", ["calibrate_g0_to_optimum", "power_sweep"])
+def test_routes_without_the_covariance_refuse_its_eta(route):
+    model = make_model(0.0, d2=0.0)
+    pump = PumpDrive.from_power(0.050, model.omega0)
+    pair = pair_moments(model, 0.1, 0.3 + 0.1j, 0.0)
+    call = {
+        "calibrate_g0_to_optimum": lambda eta: calibrate_g0_to_optimum(model, pump, eta_total=eta),
+        "power_sweep": lambda eta: power_sweep(model, [0.0, 1e-20], eta_total=eta),
+    }[route]
+    for bad in (-1e-12, -1.0, 1.0 + 1e-12, 2.0, math.nan):
+        with pytest.raises(DomainError) as refused:
+            output_covariance(pair, bad)
+        with pytest.raises(DomainError) as got:
+            call(bad)
+        assert str(got.value) == str(refused.value) == f"eta_total must lie in [0, 1], got {bad}"
+
+
+@pytest.mark.parametrize("a0", [0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)],
+                         ids=["0", "-0-0j", "+0-0j", "-0+0j"])
+def test_a_zero_pump_field_has_frame_phase_plus_zero_on_both_routes(a0):
+    model = make_model(0.7, d2=0.2)
+    for rho in (0.0, 0.1):  # g0*rho below |delta_l|: the margin is clipped at kappa/2
+        scalar = pair_moments(model, rho, a0, 0.3)
+        array = pair_moments(model, np.array([rho]), np.array([a0], dtype=complex), [0.3])
+        for phi_ref in (scalar.phi_ref, array.phi_ref[0]):
+            assert phi_ref == 0.0 and math.copysign(1.0, phi_ref) == 1.0
+        assert_scalar_point_is_its_array_point(scalar, array)
+
+
+def assert_scalar_point_is_its_array_point(scalar, array):
+    """Equal bits in every field but m_corr, which is equal to 1e-15 relative.
+
+    The array route's complex products may run through numpy's fused loop;
+    the scalar route's do not (see README, per-machine outputs).
+    """
+    for name in ("omega", "delta_l", "g", "phi_ref", "margin", "n_signal"):
+        value = getattr(scalar, name)
+        assert type(value) in (float, complex), name
+        assert np.asarray(value).tobytes() == np.asarray(getattr(array, name)).tobytes(), name
+    m_array = complex(array.m_corr[0])
+    assert abs(scalar.m_corr - m_array) <= 1e-15 * abs(m_array)
+
+
+def test_a_scalar_point_is_its_one_element_array_point():
+    rng = np.random.default_rng(20261022)
+    for _ in range(300):
+        model = random_model(rng)
+        x = rng.uniform(0.0, 1.5)  # above threshold too: NaN moments
+        rho = x * 0.5 * model.kappa / model.g0
+        a0 = math.sqrt(rho) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        omega = model.kappa * rng.normal()
+        scalar = pair_moments(model, rho, a0, omega)
+        array = pair_moments(model, np.array([rho]), np.array([a0]), np.array([omega]))
+        if math.isnan(scalar.n_signal):
+            assert np.isnan(array.m_corr).all() and math.isnan(abs(scalar.m_corr))
+            scalar = dataclasses.replace(scalar, m_corr=0j)
+            array = dataclasses.replace(array, m_corr=np.zeros(1, dtype=complex))
+        assert_scalar_point_is_its_array_point(scalar, array)
+
+
+def test_an_underflowing_determinant_gives_the_array_routes_moments():
+    # |det|^2 underflows to 0 at rates near 1e-170 rad/s: numpy's 1/0 is
+    # inf, and the scalar route must not raise ZeroDivisionError instead
+    model = ResonatorModel(omega0=1.2e15, kappa_i=1e-170, kappa_e=1e-170, delta=1e-170)
+    scalar = pair_moments(model, 0.0, 0j, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        array = pair_moments(model, np.array([0.0]), np.array([0j]), [0.0])
+    for name in ("margin", "n_signal", "m_corr"):
+        assert np.asarray(getattr(scalar, name)).tobytes() == getattr(array, name).tobytes()
 
 
 def test_calibration_places_optimum_at_target_power():

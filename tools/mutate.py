@@ -169,8 +169,18 @@ MUTANTS = {
     ),
     "exceptional-point-abs": (
         "src/squeezesim/spectra.py",
-        "np.maximum(gain * gain - delta_l * delta_l, 0.0)",
-        "np.abs(gain * gain - delta_l * delta_l)",
+        "np.sqrt(np.maximum(excess, 0.0))",
+        "np.sqrt(np.abs(excess))",
+    ),
+    "exceptional-point-abs-scalar": (
+        "src/squeezesim/spectra.py",
+        "math.sqrt(max(excess, 0.0))",
+        "math.sqrt(abs(excess))",
+    ),
+    "joint-mode-qp-unhalved": (
+        "src/squeezesim/spectra.py",
+        "r_qp = 0.5 * (v01 + v03 + v21 + v23)",
+        "r_qp = v01 + v03 + v21 + v23",
     ),
     "zero-margin-below-threshold": (
         "src/squeezesim/spectra.py",
