@@ -30,8 +30,13 @@ _EXPORTS = {
     "ResonatorModel": "params",
     "PumpDrive": "params",
     "DetectionChain": "params",
+    "escape_efficiency": "params",
+    "max_onchip_squeezing_db": "params",
     "SteadyState": "steady_state",
     "solve_steady_state": "steady_state",
+    "steady_state_on_branch": "steady_state",
+    "steady_state_roots": "steady_state",
+    "cubic_roots_scaled": "steady_state",
     "threshold_power": "steady_state",
     "SingularSystemError": "spectra",
     "PairMoments": "spectra",
@@ -45,8 +50,13 @@ _EXPORTS = {
     "symplectic_eigenvalues": "spectra",
     "simulate_pair": "langevin",
     "cross_validate": "langevin",
+    "load_series": "langevin",
     "TransmissionTrace": "traces",
     "load_trace": "traces",
+    "save_trace": "traces",
+    "synthesize_trace": "traces",
+    "fit_resonance": "traces",
+    "resonance_t_min": "traces",
     "analyze_trace": "traces",
     "ConfigError": "config",
     "RunConfig": "config",

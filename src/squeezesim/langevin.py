@@ -697,27 +697,49 @@ def dump_series(path, run: LangevinRun) -> None:
     """
     series = np.asarray(run.series, dtype=float)
     k, n = series.shape
-    header = f"squeezesim-series 1 n_thetas={k} n_samples={n} dt={run.dt!r}\n"
+    header = f"squeezesim-series 1 n_thetas={k} n_samples={n} dt={float(run.dt)!r}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(series.T.astype("<f8").tobytes())
 
 
 def load_series(path) -> tuple[np.ndarray, float]:
-    """Read a dump_series file back as ((n_thetas, n_samples), dt)."""
+    """Read a dump_series file back as ((n_thetas, n_samples), dt).
+
+    DomainError names the header field, or the payload, that does not
+    follow :func:`dump_series`' layout.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        line = fh.readline()
         payload = fh.read()
+    try:
+        header = line.decode("ascii").strip()
+    except UnicodeDecodeError:
+        raise DomainError(f"series header is not ASCII: {line[:80]!r}") from None
     fields = header.split()
     if len(fields) != 5 or fields[0] != "squeezesim-series" or fields[1] != "1":
-        raise DomainError(f"not a squeezesim-series v1 file: {header!r}")
-    meta = dict(f.split("=", 1) for f in fields[2:])
+        raise DomainError(f"not a squeezesim-series v1 file: {header[:80]!r}")
+    meta = {}
+    for field in fields[2:]:
+        key, eq, value = field.partition("=")
+        if not eq or key not in ("n_thetas", "n_samples", "dt") or key in meta:
+            raise DomainError(
+                f"series header field {field!r} is not one of n_thetas=, n_samples=, dt="
+            )
+        meta[key] = value
+    for key in ("n_thetas", "n_samples"):
+        if not meta[key].isdigit():
+            raise DomainError(f"{key} must be a non-negative integer, got {meta[key]!r}")
     k = int(meta["n_thetas"])
     n = int(meta["n_samples"])
-    dt = float(meta["dt"])
-    data = np.frombuffer(payload, dtype="<f8")
-    if data.size != n * k:
+    try:
+        dt = float(meta["dt"])
+    except ValueError:
+        raise DomainError(f"dt must be a number, got {meta['dt']!r}") from None
+    _check_dt(dt)
+    if len(payload) != 8 * n * k:
         raise DomainError(
-            f"payload holds {data.size} values, header promises {n * k}"
+            f"payload holds {len(payload)} bytes, header promises {n * k} float64 values"
         )
+    data = np.frombuffer(payload, dtype="<f8")
     return data.reshape(n, k).T.copy(), dt

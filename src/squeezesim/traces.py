@@ -71,10 +71,18 @@ def dip_transmission(wavelength_nm, center_nm, kappa, depth):
 
 
 def resonance_t_min(kappa_e: float, kappa_i: float) -> float:
-    """On-resonance power transmission of a single coupled resonance."""
+    """On-resonance power transmission of a single coupled resonance.
+
+    As in :class:`~squeezesim.params.ResonatorModel`, ``kappa_e`` must be
+    positive and ``kappa_i`` non-negative.
+    """
     kappa = kappa_e + kappa_i
     if not 0.0 < kappa < math.inf:
         raise DomainError("total linewidth must be positive and finite")
+    if not kappa_e > 0.0:
+        raise DomainError(f"kappa_e must be positive, got {kappa_e}")
+    if not kappa_i >= 0.0:
+        raise DomainError(f"kappa_i must be non-negative, got {kappa_i}")
     return ((kappa_i - kappa_e) / kappa) ** 2
 
 
@@ -728,7 +736,14 @@ def _edge_padded(x, window, peaks=(), widths=()):
 
 
 def _rolling_p95(padded, window, out):
-    """The raw percentile of ``rolling_baseline`` into ``out``; see :func:`_edge_padded`.
+    """Rolling 95th percentile of ``padded`` into ``out``; see :func:`_edge_padded`.
+
+    Output i is the int(window * 95 / 100)-th smallest sample (counting
+    from 0) of ``padded[i:i + window]``, where the trace is edge-padded
+    by window // 2 samples on the left and window - 1 - window // 2 on
+    the right, so an even window reaches one sample further left than
+    right.  This is scipy's ``percentile_filter(percentile=95,
+    mode="nearest")`` sample for sample.
 
     Windows run in chunks of more than ``window`` outputs, whose
     samples fill a power of two of at least 2**14.  Each chunk is a
@@ -785,8 +800,11 @@ def _rolling_p95(padded, window, out):
 
 
 def _baseline(padded, window):
-    """``rolling_baseline`` of the samples that :func:`_edge_padded` padded.
+    """Rolling 95th-percentile background of the samples that :func:`_edge_padded` padded.
 
+    With additive noise the raw percentile (:func:`_rolling_p95`) sits
+    about 1.645 sigma above the true background; that offset is
+    subtracted using a robust noise estimate from first differences.
     The noise estimate sorts the first differences in the output buffer
     before the percentile fills it, so no other n-sized array is made.
     """
@@ -799,37 +817,6 @@ def _baseline(padded, window):
     _rolling_p95(padded, window, out)
     out -= _Z95 * sigma
     return out
-
-
-def rolling_baseline(transmission, window: int):
-    """Rolling 95th-percentile background; window is in samples.
-
-    The percentile is the int(window * 95 / 100)-th smallest sample
-    (counting from 0) of each window, over the trace edge-padded by
-    window // 2 samples on the left and window - 1 - window // 2 on the
-    right, so an even window reaches one sample further left than right.
-    This is scipy's ``percentile_filter(percentile=95, mode="nearest")``
-    sample for sample.  It costs one argsort and about log2(chunk)
-    vectorized passes per chunk of chunk > window outputs, so its cost
-    per sample does not grow with the window beyond that logarithm.
-
-    With additive noise the raw percentile sits about 1.645 sigma above
-    the true background; that offset is subtracted using a robust noise
-    estimate from first differences.
-    """
-    if not float(window).is_integer():
-        raise DomainError(f"window must be a whole number of samples, got {window}")
-    if window < 3:
-        raise DomainError("baseline window must span at least 3 samples")
-    tr = np.asarray(transmission, dtype=float)
-    # the noise estimate needs one first difference
-    if tr.ndim != 1 or tr.size < 2:
-        raise DomainError(
-            f"transmission must be a 1-D array of at least 2 samples, got shape {tr.shape}"
-        )
-    if not np.isfinite(tr).all():
-        raise DomainError("transmission must be finite in every sample")
-    return _baseline(_edge_padded(tr, int(window)), int(window))
 
 
 def _bridge_dips(filled, peaks, widths, reach):
@@ -1021,12 +1008,21 @@ def synthesize_trace(wavelength_nm, dips, *, baseline=None, noise_rms=0.0,
     the result, and noise is additive white Gaussian with a
     deterministic seed.  Returns a bare array so that fixtures violating
     the trace invariants (deep dips plus noise) can still be built.
+    DomainError names a center that is not finite, a kappa that is not
+    positive and finite, a floor outside [0, 1) and a ``noise_rms`` that
+    is negative or not finite.
     """
+    if not 0.0 <= noise_rms < math.inf:
+        raise DomainError(f"noise_rms must be non-negative and finite, got {noise_rms}")
     lam = np.asarray(wavelength_nm, dtype=float)
     tr = np.ones_like(lam)
     for center_nm, kappa, t_floor in dips:
         if not 0.0 <= t_floor < 1.0:
             raise DomainError("dip floor must lie in [0, 1)")
+        if not 0.0 < kappa < math.inf:
+            raise DomainError(f"dip kappa must be positive and finite, got {kappa}")
+        if not math.isfinite(center_nm):
+            raise DomainError(f"dip center_nm must be finite, got {center_nm}")
         tr *= dip_transmission(lam, center_nm, kappa, 1.0 - t_floor)
     if baseline is not None:
         tr = tr * (baseline(lam) if callable(baseline) else np.asarray(baseline, float))

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import squeezesim
 from squeezesim.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 from squeezesim import config as config_module
 from squeezesim.config import (
@@ -1010,6 +1011,16 @@ def test_cli_import_defers_scipy_and_package_exports_resolve():
     assert report == {
         "loaded": [], "oracle_loaded": [], "unresolved": [], "unbound": [], "undir": []
     }
+    # README's Public API list names every export under its module, and nothing else
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed, module = {}, None
+    for line in section.splitlines():
+        if line.startswith("### "):
+            module = re.fullmatch(r"### `squeezesim\.(\w+)`", line).group(1)
+        elif line.startswith("- "):
+            listed[re.match(r"- `(\w+)` — ", line).group(1)] = module
+    assert listed == squeezesim._EXPORTS
 
 
 def test_bench_traced_names_resolve():
@@ -1102,6 +1113,47 @@ def test_no_module_imports_a_private_name_of_another():
     assert private == []
 
 
+def _defined_names(node):
+    """The names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _read_names(node):
+    """The names read anywhere inside ``node``, bare or as an attribute."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def test_every_public_name_is_exported_or_used():
+    # a public name that is neither exported, nor a command handler, nor read
+    # by other package code is undeclared or dead: export it with its README
+    # line, or delete it
+    package = Path(__file__).resolve().parent.parent / "src" / "squeezesim"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reads = [(stmt, _read_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    unreached = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        for name in _defined_names(stmt)
+        if not name.startswith("_")
+        and squeezesim._EXPORTS.get(name) != module
+        and not (module == "cli" and name.startswith("cmd_"))
+        and not any(name in names for other, names in reads if other is not stmt)
+    ]
+    assert unreached == []
+
+
 def load_mutate():
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("mutate", root / "tools" / "mutate.py")
@@ -1123,7 +1175,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 29
+    assert len(mutate.MUTANTS) >= 34
     assert stale == []
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from squeezesim.langevin import (
     discretize,
     drift_matrix,
     exact_bin_deviation_db,
+    dump_series,
     expected_bin_value,
+    load_series,
     segment_plan,
     simulate_pair,
     stationary_covariance,
@@ -513,3 +516,40 @@ def test_cross_validate_grid_mismatch():
         with pytest.raises(DomainError, match="eta_total"):
             cross_validate(model, st, [0.5 * model.kappa], n_segments=4, eta_total=eta)
 
+
+SERIES_HEADER = "squeezesim-series 1 n_thetas=2 n_samples=3 dt=0.5\n"
+
+
+@pytest.mark.parametrize("header, payload_bytes, message", [
+    (SERIES_HEADER.replace("n_thetas=2", "n_thetas2"), 48, "series header field 'n_thetas2'"),
+    (SERIES_HEADER.replace("n_thetas=", "thetas="), 48, "series header field 'thetas=2'"),
+    (SERIES_HEADER.replace("dt=0.5", "n_samples=3"), 48, "series header field 'n_samples=3'"),
+    (SERIES_HEADER.replace("n_thetas=2", "n_thetas=2.5"), 48, "n_thetas must be a non-negative"),
+    (SERIES_HEADER.replace("n_samples=3", "n_samples=-3"), 48, "n_samples must be a non-negative"),
+    (SERIES_HEADER.replace("dt=0.5", "dt=0.5\u00b5"), 48, "series header is not ASCII"),
+    (SERIES_HEADER.replace("dt=0.5", "dt=half"), 48, "dt must be a number"),
+    (SERIES_HEADER.replace("dt=0.5", "dt=-5"), 48, "dt must be positive and finite, got -5.0"),
+    (SERIES_HEADER.replace("dt=0.5", "dt=nan"), 48, "dt must be positive and finite, got nan"),
+    (SERIES_HEADER, 47, "payload holds 47 bytes, header promises 6 float64 values"),
+    (SERIES_HEADER, 56, "payload holds 56 bytes, header promises 6 float64 values"),
+    ("x" * 10 ** 5, 0, "not a squeezesim-series v1 file: 'x{80}'$"),
+], ids=["field_without_equals", "unknown_key", "repeated_key", "fractional_count",
+        "negative_count", "non_ascii", "dt_not_a_number", "negative_dt", "nan_dt",
+        "ragged_payload", "long_payload", "no_header_line"])
+def test_load_series_names_what_breaks_the_layout(tmp_path, header, payload_bytes, message):
+    path = tmp_path / "series.bin"
+    path.write_bytes(header.encode("utf-8") + bytes(payload_bytes))
+    with pytest.raises(DomainError, match=f"^{message}"):
+        load_series(path)
+
+
+@pytest.mark.parametrize("dt", [0.1, np.float64(0.1)])
+def test_load_series_reads_what_dump_series_wrote(tmp_path, dt):
+    # a numpy dt once went into the header as its repr, "np.float64(0.1)"
+    series = np.random.default_rng(3).normal(size=(3, 5))
+    path = tmp_path / "series.bin"
+    dump_series(path, types.SimpleNamespace(series=series, dt=dt))
+    assert path.read_bytes().startswith(b"squeezesim-series 1 n_thetas=3 n_samples=5 dt=0.1\n")
+    back, back_dt = load_series(path)
+    assert back_dt == 0.1
+    assert back.tobytes() == series.tobytes()

@@ -21,7 +21,7 @@ from squeezesim.params import (
     photon_flux,
     wavelength_to_omega,
 )
-from squeezesim.traces import coupling_rates_from_dip, resonance_t_min
+from squeezesim.traces import coupling_rates_from_dip, resonance_t_min, synthesize_trace
 
 # Frozen anchors, computed by hand from the defining formulas:
 #   omega0 = 2 pi c / lambda          at lambda = 1560 nm
@@ -100,6 +100,20 @@ def test_escape_efficiency_rejects_inverted_qs():
         escape_efficiency(0.83e6, 10.1e6)
 
 
+@pytest.mark.parametrize("omega0", [OMEGA0_1560, 1e15])
+def test_escape_efficiency_matches_the_model(omega0):
+    # one quantity, two formulas: 1 - Q_L/Q_i here, kappa_e/kappa on the model,
+    # with kappa_e = kappa - kappa_i from the rounded rates; each rounds a few
+    # times, so on eta in (0, 1) they agree to 4 units of 2**-52
+    worst = 0.0
+    for q_i in np.geomspace(1e4, 1e9, 21):
+        for ratio in np.linspace(0.001, 0.999, 37):
+            q_i, q_l = float(q_i), float(q_i * ratio)
+            model = ResonatorModel.from_quality_factors(omega0, q_i, q_l)
+            worst = max(worst, abs(escape_efficiency(q_i, q_l) - model.eta_escape))
+    assert worst <= 4 * 2.0 ** -52
+
+
 def test_resonator_from_quality_factors():
     omega0 = wavelength_to_omega(1560e-9)
     res = ResonatorModel.from_quality_factors(omega0, q_intrinsic=10.1e6, q_loaded=0.83e6)
@@ -139,13 +153,31 @@ def test_resonator_allows_lossless_limit():
     (lambda: escape_efficiency(math.inf, math.inf), "quality factors must be positive"),
     (lambda: coupling_rates_from_dip(math.inf, 0.1), "kappa must be positive"),
     (lambda: resonance_t_min(math.inf, 1e8), "total linewidth must be positive"),
+    (lambda: resonance_t_min(-1.0, 2.0), "kappa_e must be positive, got -1.0"),
+    (lambda: resonance_t_min(0.0, 2.0), "kappa_e must be positive, got 0.0"),
+    (lambda: resonance_t_min(3.0, -1.0), "kappa_i must be non-negative, got -1.0"),
+    (lambda: synthesize_trace([1560.0], [(1560.0, math.nan, 0.5)]),
+     "dip kappa must be positive and finite, got nan"),
+    (lambda: synthesize_trace([1560.0], [(1560.0, math.inf, 0.5)]),
+     "dip kappa must be positive and finite, got inf"),
+    (lambda: synthesize_trace([1560.0], [(math.inf, 1e9, 0.5)]),
+     "dip center_nm must be finite, got inf"),
+    (lambda: synthesize_trace([1560.0], [(math.nan, 1e9, 0.5)]),
+     "dip center_nm must be finite, got nan"),
+    (lambda: synthesize_trace([1560.0], [], noise_rms=math.nan),
+     "noise_rms must be non-negative and finite, got nan"),
+    (lambda: synthesize_trace([1560.0], [], noise_rms=math.inf),
+     "noise_rms must be non-negative and finite, got inf"),
 ], ids=["wavelength", "kappa_omega0", "kappa_q", "flux_omega0", "escape_qi", "escape_ql",
         "g0_omega0", "dip_kappa", "t_min_kappa_e", "wavelength_inf", "kappa_omega0_inf",
         "flux_omega0_inf", "g0_omega0_inf", "escape_both_inf", "dip_kappa_inf",
-        "t_min_kappa_e_inf"])
+        "t_min_kappa_e_inf", "t_min_negative_kappa_e", "t_min_zero_kappa_e",
+        "t_min_negative_kappa_i", "synth_kappa_nan", "synth_kappa_inf", "synth_center_inf",
+        "synth_center_nan", "synth_noise_nan", "synth_noise_inf"])
 def test_scalar_helpers_refuse_nan(call, message):
     # NaN fails every comparison, so a check written as x <= 0 let it through;
-    # an infinite argument passed it and came back as 0, inf or NaN
+    # an infinite argument passed it and came back as 0, inf or NaN; a
+    # negative rate gave a floor above 1, and a NaN noise level no noise
     with pytest.raises(DomainError, match=f"^{message}"):
         call()
 

@@ -21,7 +21,6 @@ from squeezesim.traces import (
     normalize_trace,
     q_statistics,
     resonance_t_min,
-    rolling_baseline,
     save_trace,
     synthesize_trace,
 )
@@ -75,6 +74,21 @@ def test_coupling_split():
         coupling_rates_from_dip(KAPPA0, 0.5, "ambiguous")
     with pytest.raises(DomainError):
         coupling_rates_from_dip(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("kappa", [1e6, KAPPA0, 3e11])
+def test_floor_model_and_coupling_split_invert_each_other(kappa):
+    # resonance_t_min is the forward floor model, coupling_rates_from_dip its
+    # inverse given the regime; on both sides of critical coupling they return
+    # (kappa_e, kappa_i) to 4 units of 2**-52 of kappa
+    worst = 0.0
+    for fraction in np.linspace(0.0, 1.0, 101)[1:-1]:
+        kappa_e, kappa_i = kappa * fraction, kappa * (1.0 - fraction)
+        regime = "overcoupled" if kappa_e >= kappa_i else "undercoupled"
+        t_floor = resonance_t_min(kappa_e, kappa_i)
+        got = coupling_rates_from_dip(kappa_e + kappa_i, t_floor, regime)
+        worst = max(worst, abs(got[0] - kappa_e), abs(got[1] - kappa_i))
+    assert worst <= 4 * 2.0 ** -52 * kappa
 
 
 def test_fit_single_clean_dip():
@@ -141,20 +155,13 @@ def test_array_input_validation():
         fit_resonance(shuffled, tr)
     with pytest.raises(DomainError):
         fit_resonance(lam, tr[:-1])
-    with pytest.raises(DomainError, match="at least 3 samples"):
-        rolling_baseline(tr, 2)
-    with pytest.raises(DomainError, match="window"):
-        rolling_baseline(tr, 15.7)
-    for bad in (math.nan, math.inf, -math.inf):
-        spoiled = tr.copy()
-        spoiled[7] = bad
-        with pytest.raises(DomainError, match="transmission"):
-            rolling_baseline(spoiled, 15)
-    for short in ([], [0.5]):
-        with pytest.raises(DomainError, match="transmission"):
-            rolling_baseline(np.array(short), 15)
     with pytest.raises(DomainError):
         synthesize_trace(lam, [(LAMBDA0, KAPPA0, 1.0)])
+    for kappa in (0.0, -KAPPA0):
+        with pytest.raises(DomainError, match="dip kappa must be positive"):
+            synthesize_trace(lam, [(LAMBDA0, kappa, T_FLOOR0)])
+    with pytest.raises(DomainError, match="noise_rms must be non-negative"):
+        synthesize_trace(lam, [(LAMBDA0, KAPPA0, T_FLOOR0)], noise_rms=-0.01)
 
 
 def test_trace_type_validation():

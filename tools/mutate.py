@@ -192,6 +192,34 @@ MUTANTS = {
         "type(value) in (int, float)",
         "isinstance(value, (int, float))",
     ),
+    "series-dt-unchecked": (
+        "src/squeezesim/langevin.py",
+        "        raise DomainError(f\"dt must be a number, got {meta['dt']!r}\") from None\n"
+        "    _check_dt(dt)\n",
+        "        raise DomainError(f\"dt must be a number, got {meta['dt']!r}\") from None\n",
+    ),
+    "t-min-admits-zero-kappa-e": (
+        "src/squeezesim/traces.py",
+        "if not kappa_e > 0.0:",
+        "if not kappa_e >= 0.0:",
+    ),
+    "efficiency-excludes-one": (
+        "src/squeezesim/config.py",
+        '_EFFICIENCY = ("in (0, 1]", lambda v: 0 < v <= 1)',
+        '_EFFICIENCY = ("in (0, 1]", lambda v: 0 < v < 1)',
+    ),
+    "segment-step-uncapped": (
+        "src/squeezesim/langevin.py",
+        "dt = min(period, span / _MAX_SEGMENT_STEPS)",
+        "dt = span / _MAX_SEGMENT_STEPS",
+    ),
+    "config-error-exits-fail": (
+        "src/squeezesim/cli.py",
+        '        log.error("config error: %s", exc)\n'
+        "        return EXIT_CONFIG\n",
+        '        log.error("config error: %s", exc)\n'
+        "        return EXIT_FAIL\n",
+    ),
 }
 
 # the row check reads the copy, where the applied row's snippet is gone by design
