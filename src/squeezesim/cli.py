@@ -100,8 +100,6 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
@@ -135,7 +133,7 @@ def cmd_spectrum(cfg: RunConfig, args, out: Path) -> int:
     point = spectrum_grid(
         cfg.model, steady, cfg.omega, (), l=cfg.mode_index, eta_total=cfg.eta_total
     )
-    p_th = threshold_power(cfg.model, cfg.mode_index) if cfg.model.g0 > 0 else math.inf
+    p_th = threshold_power(cfg.model, cfg.mode_index)
     summary = {
         "power_mw": power_w * 1e3,
         "omega_hz": cfg.omega / (2.0 * math.pi),
@@ -248,23 +246,6 @@ def cmd_threshold(cfg: RunConfig, args, out: Path) -> int:
 _FIT_FIELDS = ("q_intrinsic", "q_loaded", "q_coupling", "eta")
 
 
-def _stats_payload(fits) -> dict:
-    from . import traces
-
-    stats = traces.q_statistics(fits)
-    payload = {"n_fits": stats.n_fits}
-    for name in _FIT_FIELDS:
-        summary = getattr(stats, name)
-        payload[name] = {
-            "mode": summary.mode,
-            "min": summary.minimum,
-            "max": summary.maximum,
-            "counts": list(summary.counts),
-            "bin_edges": list(summary.bin_edges),
-        }
-    return payload
-
-
 def cmd_fit(opts: dict, args, out: Path) -> int:
     # imported here, so the other commands do not pay for it, and called
     # through the module, so a wrapper set on one of its functions is seen
@@ -306,7 +287,7 @@ def cmd_fit(opts: dict, args, out: Path) -> int:
     _write(out, "fits.json", _json_text(records))
     stats_report = {"traces": per_trace, "n_traces": len(per_trace)}
     if fits:
-        stats_report.update(_stats_payload(fits))
+        stats_report.update(dataclasses.asdict(traces.q_statistics(fits)))
     else:
         stats_report["n_fits"] = 0
     _write(out, "fit_stats.json", _json_text(stats_report))
@@ -349,7 +330,9 @@ def cmd_stats(opts: dict, args, out: Path) -> int:
     if not fits:
         log.error("no fit records found")
         return EXIT_FAIL
-    _write(out, "fit_stats.json", _json_text(_stats_payload(fits)))
+    from . import traces
+
+    _write(out, "fit_stats.json", _json_text(dataclasses.asdict(traces.q_statistics(fits))))
     return EXIT_OK
 
 

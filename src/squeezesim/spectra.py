@@ -87,9 +87,9 @@ class PairMoments:
     """Operating point and output moments of pair ``l`` at many points.
 
     ``delta_l``, ``g``, ``phi_ref`` and ``margin`` have the shape of
-    ``(rho, a0)``; ``n_signal`` (the output photon flux density of each
-    mode, hence ``n_idler``) and ``m_corr`` (their anomalous correlation
-    in the frame ``phi_ref``) broadcast over ``omega`` too.  Both are NaN
+    ``(rho, a0)``; ``n_signal`` (the output photon flux density of either
+    mode) and ``m_corr`` (their anomalous correlation in the frame
+    ``phi_ref``) broadcast over ``omega`` too.  Both are NaN
     where ``margin <= 0``: no stationary spectrum exists there.  At one
     point every field is a Python float or complex.
     """
@@ -108,10 +108,6 @@ class PairMoments:
         # calls object.__setattr__ once per field
         self.__dict__.update(omega=omega, l=l, delta_l=delta_l, g=g, phi_ref=phi_ref,
                              margin=margin, n_signal=n_signal, m_corr=m_corr)
-
-    @property
-    def n_idler(self) -> np.ndarray:
-        return self.n_signal
 
     def require_below_threshold(self) -> "PairMoments":
         """Return self; raise SingularSystemError if any point is not below threshold."""
@@ -236,21 +232,28 @@ def bogoliubov_defect(s: np.ndarray) -> float:
     return float(np.max(np.abs(s @ sigma4 @ s.conj().T - sigma2)))
 
 
-_IDENTITY_4 = np.eye(4)
+def _detected(pair: PairMoments, eta_total):
+    """The distinct entries ``(d, r, s, -r, 0)`` of the detected 4x4 covariance.
 
-
-def _detection_efficiency(eta_total) -> float:
-    """``eta_total`` as a float; DomainError outside [0, 1]."""
+    Each is ``x*eta + (1 - eta)*{1, 0}`` for its on-chip value ``x``: the
+    vacuum admixed by detection loss.  DomainError for ``eta_total``
+    outside [0, 1].
+    """
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
-    return float(eta_total)
+    eta = float(eta_total)
+    on, off = (1.0 - eta) * 1.0, (1.0 - eta) * 0.0
+    m = pair.m_corr
+    # -2 Re m rather than -r: negating a NaN would flip its sign bit
+    return ((1.0 + 2.0 * pair.n_signal) * eta + on, 2.0 * m.real * eta + off,
+            2.0 * m.imag * eta + off, -2.0 * m.real * eta + off, 0.0 * eta + off)
 
 
 def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
     """4x4 quadrature covariance of the detected pair, vacuum = identity.
 
     Row order is ``(q_l, p_l, q_{-l}, p_{-l})``.  With ``n = n_signal``
-    (``= n_idler``), ``d = 1 + 2n``, ``r = 2 Re m_corr`` and
+    (the flux of either mode), ``d = 1 + 2n``, ``r = 2 Re m_corr`` and
     ``s = 2 Im m_corr``, the on-chip covariance is
 
         V = [[d, 0, r, s], [0, d, s, -r], [r, s, d, 0], [s, -r, 0, d]].
@@ -259,17 +262,12 @@ def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
     beamsplitter admixing vacuum: ``V -> eta V + (1 - eta) I``.
     Array-valued moments give a stack of shape ``(..., 4, 4)``.
     """
-    eta_total = _detection_efficiency(eta_total)
-    m = pair.m_corr
-    # -2 Re m rather than -r: negating a NaN would flip its sign bit
-    d, r, s, minus_r = 1.0 + 2.0 * pair.n_signal, 2.0 * m.real, 2.0 * m.imag, -2.0 * m.real
-    v = np.zeros(np.shape(m) + (4, 4))
+    d, r, s, minus_r, _ = _detected(pair, eta_total)  # np.zeros holds the zeros
+    v = np.zeros(np.shape(pair.m_corr) + (4, 4))
     v[..., 0, 0] = v[..., 1, 1] = v[..., 2, 2] = v[..., 3, 3] = d
     v[..., 0, 2] = v[..., 2, 0] = r
     v[..., 0, 3] = v[..., 3, 0] = v[..., 1, 2] = v[..., 2, 1] = s
     v[..., 1, 3] = v[..., 3, 1] = minus_r
-    v *= eta_total
-    v += (1.0 - eta_total) * _IDENTITY_4
     return v
 
 
@@ -350,13 +348,7 @@ def optimal_quadratures_from_cov(cov: np.ndarray) -> QuadratureExtrema:
 
 def _pair_extrema(pair: PairMoments, eta_total: float) -> QuadratureExtrema:
     """``optimal_quadratures_from_cov(output_covariance(pair, eta_total))`` without the 4x4."""
-    eta = _detection_efficiency(eta_total)
-    m = pair.m_corr
-    # each distinct entry as output_covariance makes it: x*eta + (1 - eta)*I (-0.0 turns +0.0)
-    on, off = (1.0 - eta) * 1.0, (1.0 - eta) * 0.0
-    d = (1.0 + 2.0 * pair.n_signal) * eta + on
-    r, s = 2.0 * m.real * eta + off, 2.0 * m.imag * eta + off
-    minus_r, zero = -2.0 * m.real * eta + off, 0.0 * eta + off
+    d, r, s, minus_r, zero = _detected(pair, eta_total)
     return _joint_mode(d, d, r, d, d, minus_r, zero, s, s, zero)
 
 
@@ -429,7 +421,7 @@ def spectrum_grid(
         var_max=ext.var_max,
         theta_opt=ext.theta_min,
         n_signal=pair.n_signal,
-        n_idler=pair.n_idler,
+        n_idler=pair.n_signal,
         m_corr=pair.m_corr,
     )
 
@@ -621,8 +613,8 @@ def phase_scan_trace(
     periods: int = 2,
     samples_per_period: int = 400,
     scan_time: float = 1.0,
-    rbw: float = 100e3,
-    vbw: float = 100.0,
+    rbw: float = 300e3,
+    vbw: float = 470.0,
     seed=None,
 ) -> PhaseScanTrace:
     """Simulate the noise-power trace of a linear homodyne phase ramp.

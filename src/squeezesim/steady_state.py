@@ -336,8 +336,11 @@ def threshold_power(model: ResonatorModel, l: int = 1) -> float:
     """On-chip pump power (W) that places pair ``l`` at threshold.
 
     Inverts the pump fixed point at the threshold photon number; ``inf``
-    when no power reaches threshold at this detuning.
+    when no power reaches threshold: at this detuning, or with no Kerr
+    shift (``g0 = 0``).
     """
+    if model.g0 == 0.0:
+        return math.inf
     rho_th = threshold_intracavity(model, l)
     if math.isinf(rho_th):
         return math.inf

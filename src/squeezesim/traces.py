@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import C_LIGHT, DomainError
+from .params import C_LIGHT, DomainError, wavelength_to_omega
 
 NM = 1e-9
 REGIMES = ("overcoupled", "undercoupled")
@@ -143,7 +143,7 @@ def _assemble_fit(center_nm, kappa, depth, regime, fit_rms, scale, n_fwhm, stder
         label = REGIME_AMBIGUOUS
     else:
         label = regime
-    omega0 = 2.0 * math.pi * C_LIGHT / (center_nm * NM)
+    omega0 = wavelength_to_omega(center_nm * NM)
     return ResonanceFit(
         center_nm=center_nm,
         fwhm_pm=fwhm_pm(kappa, center_nm),
@@ -573,11 +573,10 @@ def _local_maxima(x, floor):
     outer neighbours are lower; a flat top resolves to its left-rounded
     midpoint.  Only 1-byte masks of the trace are made, and index arrays
     of the high samples that rise from their left neighbour or equal
-    their right one.
+    their right one.  ``x`` has at least three samples (:func:`_find_dips`
+    returns before calling this on fewer).
     """
     n = x.size
-    if n < 3:
-        return np.empty(0, dtype=np.intp)
     rise = x[1:] > x[:-1]
     fall = x[1:] < x[:-1]
     high = x >= floor
@@ -951,8 +950,8 @@ def analyze_trace(trace: TransmissionTrace, *, detrend=True, min_prominence=0.05
 @dataclass(frozen=True)
 class QuantitySummary:
     mode: float
-    minimum: float
-    maximum: float
+    min: float
+    max: float
     counts: tuple
     bin_edges: tuple
 
@@ -979,8 +978,8 @@ def _summarize(values, bins):
         mode = 0.5 * float(edges[k] + edges[k + 1])
     return QuantitySummary(
         mode=mode,
-        minimum=float(np.min(v)),
-        maximum=float(np.max(v)),
+        min=float(np.min(v)),
+        max=float(np.max(v)),
         counts=tuple(int(c) for c in counts),
         bin_edges=tuple(float(e) for e in edges),
     )

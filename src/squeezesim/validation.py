@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 def _physicality_check(cfg: RunConfig) -> dict:
     model = cfg.model
     n_random = cfg.opt("validate.n_random")
-    p_th = threshold_power(model, cfg.mode_index) if model.g0 > 0 else math.inf
+    p_th = threshold_power(model, cfg.mode_index)
     if math.isfinite(p_th):
         p_cap = 0.98 * p_th
     else:

@@ -105,6 +105,10 @@ def test_parse_errors_name_key_and_line():
         parse_config_text("solver.branch_policy = sideways")
     with pytest.raises(ConfigError, match=r"must be finite"):
         parse_config_text("drive.power_mw = inf")
+    with pytest.raises(ConfigError, match=r"^drive.powers_mw \(line 1\): empty element in list$"):
+        parse_config_text("drive.powers_mw = 1.0, , 2.0")
+    with pytest.raises(ConfigError, match=r"^unknown key 'resonator.qq'$"):
+        resolve_config({**parse_config_text(MINIMAL), "resonator.qq": 1.0})
 
 
 def test_one_of_group_errors_cite_field_paths():
@@ -184,6 +188,7 @@ def test_validate_options_name_their_keys():
         ("material.v_eff_m3 = -1e-16", "material.v_eff_m3"),
         ("calibration.power_mw = 0", "calibration.power_mw"),
         ("calibration.threshold_fraction = 1.5", "calibration.threshold_fraction"),
+        ("calibration.threshold_fraction = 1.0", "calibration.threshold_fraction"),
         ("detection.eta_total = 1.5", "detection.eta_total"),
         ("detection.eta_couple = 1.5", "detection.eta_couple"),
         ("detection.eta_prop = 0", "detection.eta_prop"),
@@ -192,6 +197,9 @@ def test_validate_options_name_their_keys():
         ("analysis.rbw_hz = -1", "analysis.rbw_hz"),
         ("analysis.n_omega = 1", "analysis.n_omega"),
         ("drive.powers_mw = 1.0, -1.0", "drive.powers_mw"),
+        ("analysis.omega_min_hz = 1e6", "analysis"),
+        ("analysis.omega_max_hz = 1e9", "analysis"),
+        ("analysis.omega_min_hz = 2e6\nanalysis.omega_max_hz = 1e6", "analysis.omega_min_hz"),
     ],
 )
 def test_out_of_range_option_names_its_key_and_exits_2(tmp_path, text, key):
@@ -318,6 +326,51 @@ def test_an_int_for_a_float_key_resolves_as_the_equal_float():
     assert type(b.seed) is int and type(b.n_theta) is int
 
 
+def test_library_defaults_are_the_config_defaults():
+    # the CLI passes each of these keys' values, so a library call that
+    # leaves them out must run as a config that leaves the keys out
+    from squeezesim import langevin, spectra, steady_state, traces
+
+    fed = {
+        spectra.phase_scan_trace: {
+            "periods": "analysis.periods", "samples_per_period": "analysis.samples_per_period",
+            "scan_time": "analysis.scan_time_s", "rbw": "analysis.rbw_hz",
+            "vbw": "analysis.vbw_hz",
+        },
+        langevin.cross_validate: {
+            "n_segments": "validate.n_segments", "batch_size": "validate.batch_size",
+            "n_sigma": "validate.n_sigma", "max_db_err": "validate.max_db_err",
+            "min_pass_fraction": "validate.min_pass_fraction",
+        },
+        traces.analyze_trace: {
+            "detrend": "fit.detrend", "min_prominence": "fit.min_prominence",
+            "min_spacing_nm": "fit.min_spacing_nm", "regime": "fit.regime",
+            "min_samples_per_fwhm": "fit.min_samples_per_fwhm",
+        },
+    }
+    solver_keys = {"rtol": "solver.residual_rtol", "branch_policy": "solver.branch_policy"}
+    for module in (steady_state, spectra):
+        for _, func in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(func).parameters
+            keys = {
+                name: key for name, key in solver_keys.items()
+                if name in params and params[name].default is not inspect.Parameter.empty
+            }
+            if func.__module__ == module.__name__ and keys:
+                fed[func] = keys
+    assert {f.__name__ for f in fed} >= {
+        "solve_steady_state", "operating_points", "steady_state_on_branch", "power_sweep"
+    }
+    differ = [
+        f"{func.__name__}({name}={inspect.signature(func).parameters[name].default!r}): "
+        f"{key} = {config_module._SCHEMA[key][1]!r}"
+        for func, keys in fed.items()
+        for name, key in keys.items()
+        if inspect.signature(func).parameters[name].default != config_module._SCHEMA[key][1]
+    ]
+    assert differ == []
+
+
 def test_seed_override(tmp_path):
     path = write_cfg(tmp_path, MINIMAL + "seed = 3\n")
     cfg = load_config(path, seed_override=9)
@@ -358,6 +411,13 @@ def test_threshold_fraction_calibration_hits_fraction():
     gain = cfg.model.g0 * steady.rho
     gain_th = threshold_gain(cfg.model, 1)
     assert gain / gain_th == pytest.approx(0.59, rel=1e-9)
+    # with delta = d2 = 0 the pair offset never lets the gain catch up
+    unreachable = MINIMAL.replace(
+        "resonator.g0_rad_s = 0.5",
+        "calibration.power_mw = 50.0\ncalibration.threshold_fraction = 0.59",
+    )
+    with pytest.raises(ConfigError, match="^pair threshold is unreachable at this detuning"):
+        resolve_text(unreachable)
 
 
 def test_optimum_calibration_route_records_result():
@@ -849,12 +909,51 @@ def test_stats_refuses_fit_fields_that_are_not_finite_numbers(tmp_path, caplog):
     assert main(["stats", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
     stats = json.loads((tmp_path / "out" / "fit_stats.json").read_text())
     assert stats["n_fits"] == 2 and stats["q_loaded"]["min"] == 8e5
+    # with every q_intrinsic null there is nothing to bin
+    path.write_text(json.dumps([{**good, "q_intrinsic": None}] * 2))
+    assert main(["stats", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    stats = json.loads((tmp_path / "out" / "fit_stats.json").read_text())
+    assert stats["q_intrinsic"] == {
+        "mode": None, "min": None, "max": None, "counts": [], "bin_edges": []
+    }
+    assert stats["eta"]["min"] == stats["eta"]["max"] == 0.9
 
 
 VALIDATE_FAST = (
     "validate.n_segments = 400\nvalidate.n_sigma = 4.5\n"
     "validate.max_db_err = 0.6\nvalidate.n_random = 40\n"
 )
+
+
+def test_zero_kerr_commands_have_no_threshold(tmp_path, monkeypatch):
+    # g0 = 0: no pump power reaches threshold, so spectrum reports none,
+    # validate draws its random powers below twice the largest stated
+    # power, and threshold has nothing to report
+    from squeezesim import validation
+
+    text = override(
+        "resonator.g0_rad_s = 0.0\ndrive.power_mw = 30.0\ndrive.powers_mw = 10.0, 20.0\n"
+        + VALIDATE_FAST
+    )
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", path, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "spectrum_summary.json").read_text())
+    assert summary["threshold_power_mw"] is None
+    assert summary["squeezing_db"] == 0.0
+
+    drawn, points = [], validation.operating_points
+
+    def operating_points(model, powers, *args):
+        drawn.append(powers)
+        return points(model, powers, *args)
+
+    monkeypatch.setattr(validation, "operating_points", operating_points)
+    assert main(["validate", "--config", path, "--out", str(out)]) == EXIT_OK
+    cap = 2.0 * 30.0e-3
+    expected = np.random.default_rng(0).uniform([0.0, -3.0], [cap, math.log10(3.0)], (40, 2))
+    assert len(drawn) == 1 and np.array_equal(drawn[0], expected[:, 0])
+    assert main(["threshold", "--config", path, "--out", str(out)]) == EXIT_FAIL
 
 
 def test_validate_passes_on_sane_config(tmp_path):
@@ -931,6 +1030,9 @@ def test_validate_dump_series_roundtrip(tmp_path):
 def test_exit_codes(tmp_path):
     # config required for physics commands
     assert main(["spectrum", "--out", str(tmp_path)]) == EXIT_CONFIG
+    # spectrum needs a single operating power
+    no_power = write_cfg(tmp_path, MINIMAL.replace("drive.power_mw = 0.0\n", ""), "no_power.cfg")
+    assert main(["spectrum", "--config", no_power, "--out", str(tmp_path)]) == EXIT_CONFIG
     # unreadable config path
     assert main(
         ["spectrum", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]
@@ -959,6 +1061,8 @@ def test_json_format_switch(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # a fresh interpreter, so logging is configured anew: an unknown level
+    # falls back to warnings, and spectrum's info lines stay off stderr
     out = tmp_path / "out"
     proc = subprocess.run(
         [
@@ -971,10 +1075,12 @@ def test_module_entry_point(tmp_path):
             "--out",
             str(out),
         ],
+        env={**os.environ, "SQUEEZESIM_LOG": "no-such-level"},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
     assert (out / "spectrum_summary.json").exists()
 
 
@@ -1021,6 +1127,10 @@ def test_cli_import_defers_scipy_and_package_exports_resolve():
         elif line.startswith("- "):
             listed[re.match(r"- `(\w+)` — ", line).group(1)] = module
     assert listed == squeezesim._EXPORTS
+    # the same lookups in this interpreter
+    with pytest.raises(AttributeError, match="^module 'squeezesim' has no attribute 'nope'$"):
+        squeezesim.nope
+    assert set(squeezesim.__all__) <= set(dir(squeezesim))
 
 
 def test_bench_traced_names_resolve():
@@ -1175,7 +1285,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 34
+    assert len(mutate.MUTANTS) >= 40
     assert stale == []
 
 

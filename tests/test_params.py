@@ -168,12 +168,23 @@ def test_resonator_allows_lossless_limit():
      "noise_rms must be non-negative and finite, got nan"),
     (lambda: synthesize_trace([1560.0], [], noise_rms=math.inf),
      "noise_rms must be non-negative and finite, got inf"),
+    (lambda: max_onchip_squeezing_db(1.0), r"eta_escape must lie in \[0, 1\), got 1.0"),
+    (lambda: MaterialParams(0.0, 1.996, 1.0e-16), "material parameters must be positive"),
+    (lambda: ResonatorModel(omega0=1e15, kappa_i=1e8, kappa_e=1e9, g0=-0.5),
+     "g0 must be non-negative, got -0.5"),
+    (lambda: ResonatorModel.from_quality_factors(OMEGA0_1560, 0.83e6, 10.1e6),
+     r"loaded Q \(1.01e\+07\) must be below intrinsic Q \(830000\)"),
+    (lambda: PumpDrive(power_on_chip=-1e-3, flux=4.0, a_in=2.0),
+     "pump power and flux must be non-negative"),
+    (lambda: PumpDrive(power_on_chip=1e-3, flux=4.0, a_in=-2.0),
+     "a_in is defined real non-negative"),
 ], ids=["wavelength", "kappa_omega0", "kappa_q", "flux_omega0", "escape_qi", "escape_ql",
         "g0_omega0", "dip_kappa", "t_min_kappa_e", "wavelength_inf", "kappa_omega0_inf",
         "flux_omega0_inf", "g0_omega0_inf", "escape_both_inf", "dip_kappa_inf",
         "t_min_kappa_e_inf", "t_min_negative_kappa_e", "t_min_zero_kappa_e",
         "t_min_negative_kappa_i", "synth_kappa_nan", "synth_kappa_inf", "synth_center_inf",
-        "synth_center_nan", "synth_noise_nan", "synth_noise_inf"])
+        "synth_center_nan", "synth_noise_nan", "synth_noise_inf", "squeezing_bound_eta_one",
+        "material_zero_n2", "negative_g0", "inverted_qs", "negative_power", "negative_a_in"])
 def test_scalar_helpers_refuse_nan(call, message):
     # NaN fails every comparison, so a check written as x <= 0 let it through;
     # an infinite argument passed it and came back as 0, inf or NaN; a

@@ -962,6 +962,8 @@ def test_phase_scan_trace_jitter_scale():
     for rbw in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match=r"^rbw must be finite and positive"):
             phase_scan_trace(model, st, 0.0, rbw=rbw, vbw=0.0)
+    with pytest.raises(DomainError, match=r"^periods must be at least 1$"):
+        phase_scan_trace(model, st, 0.0, periods=0)
 
 
 def test_db_helpers_sign_convention():

@@ -15,8 +15,10 @@ from squeezesim.steady_state import (
     fixed_point_flux,
     fixed_point_photons,
     g0_for_gain,
+    g0_for_threshold_fraction,
     is_bistable,
     solve_steady_state,
+    steady_state_at_gain,
     steady_state_on_branch,
     steady_state_roots,
     threshold_gain,
@@ -367,6 +369,8 @@ def test_threshold_unreachable_below_knee():
 def test_threshold_requires_kerr():
     with pytest.raises(DomainError):
         threshold_intracavity(make_model(2.0, g0=0.0))
+    # without a Kerr shift no pump power reaches threshold
+    assert threshold_power(make_model(2.0, g0=0.0)) == math.inf
 
 
 @settings(max_examples=100)
@@ -421,6 +425,25 @@ def test_g0_for_gain_places_the_gain_at_the_pump(alpha, x):
     tuned = make_model(alpha, g0=g0)
     gains = g0 * steady_state_roots(tuned, pump)
     assert np.min(np.abs(gains - x)) <= 1e-9 * x
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m, p: steady_state_at_gain(m, p, 0.5), RuntimeError,
+     "calibrated operating point is not a pump fixed point"),
+    (lambda m, p: g0_for_threshold_fraction(m, p, 1.0), DomainError,
+     r"threshold fraction must lie in \(0, 1\)"),
+    (lambda m, p: g0_for_threshold_fraction(m, PumpDrive(0.0, 0.0, 0.0), 0.5), DomainError,
+     "calibration needs a positive drive power"),
+    (lambda m, p: g0_for_threshold_fraction(make_model(1.7), p, 0.5), DomainError,
+     "pair threshold is unreachable"),
+], ids=["gain_not_held", "fraction_one", "no_pump", "below_knee"])
+def test_kerr_calibration_refuses_what_it_cannot_place(call, error, message):
+    # beta = 1.625 at alpha = 2 holds the one root u = 0.5 (see the anchors),
+    # a gain g0*rho of 0.5 at kappa/2 = 1; the first call asks this pump for
+    # that gain but under another g0
+    model = make_model(2.0, g0=4.0)
+    with pytest.raises(error, match=f"^{message}"):
+        call(model, pump_for_beta(make_model(2.0), 1.625))
 
 
 @pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, math.inf])

@@ -494,7 +494,7 @@ def test_q_statistics():
     assert stats.q_intrinsic.mode == pytest.approx(9.2e6, rel=0.1)
     assert stats.q_loaded.mode == pytest.approx(0.9e6, rel=0.1)
     assert stats.eta.mode == pytest.approx(0.902, abs=0.02)
-    assert stats.q_loaded.minimum < stats.q_loaded.mode < stats.q_loaded.maximum
+    assert stats.q_loaded.min < stats.q_loaded.mode < stats.q_loaded.max
     with pytest.raises(DomainError):
         q_statistics([])
 
@@ -583,7 +583,8 @@ def test_find_dips_edge_cases_match_find_peaks():
     tie[[10, 14, 30]] = 1.0  # equal heights, two of them within distance
     plateau = np.array([0.0, 0.2, 0.7, 0.7, 0.7, 0.7, 0.1, 0.7, 0.7, 0.0, 0.3, 0.3])
     edges = np.array([0.9, 0.5, 0.1, 0.0, 0.2, 0.6, 0.8])  # rises into both ends
-    for x in (np.zeros(500), np.ones(3), np.array([0.0, 1.0]), tie, plateau, edges):
+    exact = np.array([0.0, 0.05, 0.0, 0.5, 0.0])  # a prominence of exactly 0.05 is kept
+    for x in (np.zeros(500), np.ones(3), np.array([0.0, 1.0]), tie, plateau, edges, exact):
         for distance in (None, 1, 5):
             assert_same_dips(x, 0.05, distance)
 

@@ -32,12 +32,20 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = {
     "eta-total-twice": (
         "src/squeezesim/spectra.py",
-        "    v *= eta_total\n"
-        "    v += (1.0 - eta_total) * _IDENTITY_4\n",
-        "    v *= eta_total\n"
-        "    v += (1.0 - eta_total) * _IDENTITY_4\n"
-        "    v *= eta_total\n"
-        "    v += (1.0 - eta_total) * _IDENTITY_4\n",
+        "    eta = float(eta_total)\n",
+        "    eta = float(eta_total) ** 2\n",
+    ),
+    "detected-vacuum-off-diagonal": (
+        "src/squeezesim/spectra.py",
+        "on, off = (1.0 - eta) * 1.0, (1.0 - eta) * 0.0",
+        "on, off = (1.0 - eta) * 1.0, (1.0 - eta) * 1.0",
+    ),
+    "threshold-power-needs-kerr": (
+        "src/squeezesim/steady_state.py",
+        "    if model.g0 == 0.0:\n"
+        "        return math.inf\n"
+        "    rho_th = threshold_intracavity(model, l)\n",
+        "    rho_th = threshold_intracavity(model, l)\n",
     ),
     "cross-phase-factor-1": (
         "src/squeezesim/spectra.py",
@@ -212,6 +220,26 @@ MUTANTS = {
         "src/squeezesim/langevin.py",
         "dt = min(period, span / _MAX_SEGMENT_STEPS)",
         "dt = span / _MAX_SEGMENT_STEPS",
+    ),
+    "load-fast-reads-any-file": (
+        "src/squeezesim/traces.py",
+        "if not regular or name.endswith(_DECOMPRESSED):",
+        "if name.endswith(_DECOMPRESSED):",
+    ),
+    "p95-rank-rounded-up": (
+        "src/squeezesim/traces.py",
+        "rank = int(float(window) * 95 / 100.0)",
+        "rank = math.ceil(float(window) * 95 / 100.0)",
+    ),
+    "dip-prominence-strict": (
+        "src/squeezesim/traces.py",
+        "keep = prom >= prominence",
+        "keep = prom > prominence",
+    ),
+    "open-fraction-admits-one": (
+        "src/squeezesim/config.py",
+        '_OPEN_FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)',
+        '_OPEN_FRACTION = ("in (0, 1)", lambda v: 0 < v <= 1)',
     ),
     "config-error-exits-fail": (
         "src/squeezesim/cli.py",
