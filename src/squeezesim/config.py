@@ -76,7 +76,6 @@ _SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
     "material.n2_m2_per_w": ("float", _OPTIONAL, _POSITIVE),
     "material.n0": ("float", _OPTIONAL, _POSITIVE),
     "material.v_eff_m3": ("float", _OPTIONAL, _POSITIVE),
-    "material.include_c": ("bool", _OPTIONAL, None),
     "calibration.power_mw": ("float", _OPTIONAL, _POSITIVE),
     "calibration.threshold_fraction": ("float", _OPTIONAL, _OPEN_FRACTION),
     "drive.power_mw": ("float", _OPTIONAL, _NON_NEGATIVE),
@@ -339,8 +338,7 @@ def _resolve_g0(
     material_keys = ("material.n2_m2_per_w", "material.n0", "material.v_eff_m3")
     routes = {
         "resonator.g0_rad_s": "resonator.g0_rad_s" in values,
-        "material.*": any(k in values for k in material_keys)
-        or "material.include_c" in values,
+        "material.*": any(k in values for k in material_keys),
         "calibration.*": any(
             k in values
             for k in ("calibration.power_mw", "calibration.threshold_fraction")
@@ -360,10 +358,7 @@ def _resolve_g0(
         if missing:
             raise ConfigError(f"material: missing {', '.join(missing)}")
         mat = MaterialParams(*(values[key] for key in material_keys))
-        g0 = g0_from_material(
-            model.omega0, mat, include_c=values.get("material.include_c", False)
-        )
-        return dataclasses.replace(model, g0=g0), None
+        return dataclasses.replace(model, g0=g0_from_material(model.omega0, mat)), None
     if "calibration.power_mw" not in values:
         raise ConfigError(
             "calibration.threshold_fraction: needs calibration.power_mw"

@@ -180,8 +180,6 @@ class _StepLaw:
     """
 
     s_dt: float
-    delta_l: float
-    g: complex
     phi_ref: float
     a_rr: np.ndarray
     c_rec: np.ndarray
@@ -201,8 +199,6 @@ def _step_law(model: ResonatorModel, steady: SteadyState, dt: float, l: int) -> 
     proj = _record_projection(math.sqrt(model.kappa_e / kappa), s_dt)
     return _StepLaw(
         s_dt=s_dt,
-        delta_l=delta_l,
-        g=g,
         phi_ref=point.phi_ref,
         a_rr=np.ascontiguousarray(phi[:4, :4]),
         c_rec=proj[4:] @ phi[:, :4],
@@ -250,9 +246,6 @@ class LangevinRun:
     thetas: np.ndarray
     series: np.ndarray
     dt: float
-    phi_ref: float
-    delta_l: float
-    g: complex
 
 
 def simulate_pair(
@@ -281,7 +274,8 @@ def simulate_pair(
     unit efficiency two more normals give the loss vacuum's (q, p), which
     is projected onto each angle like the signal.  Normals are drawn
     step-major in fixed chunks, so the stream depends only on ``seed``
-    and ``batch_size``.
+    and on how ``batch_size`` splits the segments into batches: every
+    ``batch_size >= n_segments`` gives the same bits.
 
     ``dt`` may be at most one cavity period 2*pi/kappa.  The law is exact
     at any step, and so is :func:`expected_bin_value`; the cap is the
@@ -303,6 +297,7 @@ def simulate_pair(
         raise DomainError("batch_size must be at least 1")
     if not 0.0 <= eta_total <= 1.0:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
+    batch_size = min(batch_size, n_segments)
     law = _step_law(model, steady, dt, l)
     s_dt, a_rr = law.s_dt, law.a_rr
     l6 = _factor_psd_matrix(law.cov)
@@ -375,9 +370,6 @@ def simulate_pair(
         thetas=thetas,
         series=first,
         dt=dt,
-        phi_ref=law.phi_ref,
-        delta_l=law.delta_l,
-        g=law.g,
     )
 
 

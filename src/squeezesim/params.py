@@ -124,26 +124,17 @@ class MaterialParams:
             raise DomainError("material parameters must be positive")
 
 
-def g0_from_material(
-    omega0: float,
-    material: MaterialParams,
-    include_c: bool = False,
-) -> float:
+def g0_from_material(omega0: float, material: MaterialParams) -> float:
     """Single-photon Kerr frequency shift (rad/s) from material figures.
 
-    Evaluates ``hbar * omega0**2 * n2 / (n0**2 * v_eff)``; with
-    ``include_c=True`` the result is additionally multiplied by the vacuum
-    speed of light, which restores units of rad/s when n2 is quoted in
-    m^2/W.  Both variants appear in the literature, so the choice is left
-    to the caller; calibration against a measured operating point is the
-    more reliable route either way.
+    Evaluates ``hbar * omega0**2 * c * n2 / (n0**2 * v_eff)``: with n2 in
+    m^2/W, the vacuum speed of light ``c`` makes the result rad/s.
+    Calibration against a measured operating point is the more reliable
+    route.
     """
     if not 0.0 < omega0 < math.inf:
         raise DomainError(f"omega0 must be positive and finite, got {omega0}")
-    g0 = HBAR * omega0 ** 2 * material.n2 / (material.n0 ** 2 * material.v_eff)
-    if include_c:
-        g0 *= C_LIGHT
-    return g0
+    return HBAR * omega0 ** 2 * material.n2 / (material.n0 ** 2 * material.v_eff) * C_LIGHT
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,6 @@ class PairMoments:
     point every field is a Python float or complex.
     """
 
-    omega: np.ndarray
     l: int
     delta_l: np.ndarray
     g: np.ndarray
@@ -103,10 +102,10 @@ class PairMoments:
     n_signal: np.ndarray
     m_corr: np.ndarray
 
-    def __init__(self, omega, l, delta_l, g, phi_ref, margin, n_signal, m_corr):
+    def __init__(self, l, delta_l, g, phi_ref, margin, n_signal, m_corr):
         # a dict write, as SteadyState: the generated frozen __init__
         # calls object.__setattr__ once per field
-        self.__dict__.update(omega=omega, l=l, delta_l=delta_l, g=g, phi_ref=phi_ref,
+        self.__dict__.update(l=l, delta_l=delta_l, g=g, phi_ref=phi_ref,
                              margin=margin, n_signal=n_signal, m_corr=m_corr)
 
     def require_below_threshold(self) -> "PairMoments":
@@ -140,11 +139,7 @@ def pair_moments(model: ResonatorModel, rho, a0, omega, l: int = 1) -> PairMomen
 
     Raises DomainError for a non-finite ``omega``.
     """
-    return _pair_moments(model, rho, a0, _finite_omega(omega), l)
-
-
-def _pair_moments(model: ResonatorModel, rho, a0, omega, l: int) -> PairMoments:
-    """:func:`pair_moments` at an ``omega`` that :func:`_finite_omega` returned."""
+    omega = _finite_omega(omega)
     # [()] spares a scalar the dispatch a 0-d array pays; one point goes on to
     # Python floats (same bits, cheaper still), and four array-only steps pick a form by type
     rho = np.asarray(rho, dtype=float)[()]
@@ -177,7 +172,6 @@ def _pair_moments(model: ResonatorModel, rho, a0, omega, l: int) -> PairMoments:
     frame = cmath.exp(-2j * phi_ref) if type(phi_ref) is float else np.exp(-2j * phi_ref)
     rotated = 1j * model.kappa_e * g * frame
     return PairMoments(
-        omega=omega,
         l=l,
         delta_l=delta_l,
         g=g,
@@ -271,23 +265,18 @@ def output_covariance(pair: PairMoments, eta_total: float = 1.0) -> np.ndarray:
     return v
 
 
-def homodyne_variance(cov: np.ndarray, theta, tooth_phase: float = 0.0):
+def homodyne_variance(cov: np.ndarray, theta):
     """Noise power of the joint quadrature at homodyne angle ``theta``.
 
-    Measures ``(q_l cos ts + p_l sin ts + q_{-l} cos ti + p_{-l} sin ti)``
-    normalized so vacuum gives 1, with ``ts = theta`` and
-    ``ti = theta + tooth_phase``.  ``tooth_phase`` is an extra phase on
-    the idler-side local-oscillator tooth; pair correlations depend only
-    on ``ts + ti``, so a tooth offset rigidly shifts the whole scan by
-    half of it.  0 is the matched two-tone homodyne.
+    Measures ``(q_l + q_{-l}) cos theta + (p_l + p_{-l}) sin theta``, the
+    matched two-tone homodyne, normalized so vacuum gives 1.
 
     A stack of covariances ``(..., 4, 4)`` gives one row of angles per
     matrix, shape ``(...) + theta.shape``.
     """
     th = np.asarray(theta, dtype=float)
-    ts = th
-    ti = th + tooth_phase
-    c = np.stack([np.cos(ts), np.sin(ts), np.cos(ti), np.sin(ti)], axis=-1)
+    cos, sin = np.cos(th), np.sin(th)
+    c = np.stack([cos, sin, cos, sin], axis=-1)
     cov = np.asarray(cov, dtype=float)
     if cov.ndim > 2:
         cov = cov.reshape(cov.shape[:-2] + (1,) * th.ndim + (4, 4))
@@ -536,7 +525,7 @@ def calibrate_g0_to_optimum(
     """
     if pump.flux <= 0.0:
         raise DomainError("calibration needs a non-zero pump")
-    omega = float(_finite_omega(omega))  # the one check: _pair_moments below repeats none
+    omega = float(_finite_omega(omega))
     hk = 0.5 * model.kappa
     x_th = threshold_gain(model, l) / hk
     x_hi = min(_X_CAP, x_th * (1.0 - 1e-9))
@@ -559,7 +548,7 @@ def calibrate_g0_to_optimum(
     g0 = g0_for_gain(model, pump, gain)
     calibrated = dataclasses.replace(model, g0=g0)
     steady = steady_state_at_gain(calibrated, pump, gain)
-    pair = _pair_moments(calibrated, steady.rho, steady.a0, omega, l).require_below_threshold()
+    pair = pair_moments(calibrated, steady.rho, steady.a0, omega, l).require_below_threshold()
     ext = _pair_extrema(pair, eta_total)
     return CalibrationResult(
         g0=g0,

@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 
-from .config import RunConfig, parse_config_text
+from .config import ConfigError, RunConfig, parse_config_text
 from .langevin import (
     CROSS_CHECK_THETAS, cross_validate, dump_series, exact_bin_deviation_db, segment_plan,
     simulate_pair,
 )
+from .params import DomainError
 from .spectra import (
     bogoliubov_defect,
     optimal_quadratures_from_cov,
@@ -115,8 +116,15 @@ def validation_report(cfg: RunConfig, series_path=None) -> dict:
     below-threshold states, and the Langevin oracle against the closed
     forms at the cross-check power (``drive.power_mw``, else the last of
     ``drive.powers_mw``).  With ``series_path``, one segment of the raw
-    homodyne record at that power is dumped there, if it is below threshold.
+    homodyne record at that power is dumped there, if it is below threshold;
+    an ``analysis.omega_hz`` that cannot be planned for it raises
+    ConfigError before anything is simulated.
     """
+    if series_path is not None:
+        try:
+            series_plan = segment_plan(cfg.model.kappa, cfg.omega)
+        except DomainError as exc:
+            raise ConfigError(f"analysis.omega_hz: cannot plan the series dump: {exc}") from exc
     echoed = parse_config_text(cfg.echo_text())
     checks = [{"name": "config_roundtrip", "passed": echoed == dict(cfg.values)}]
 
@@ -150,7 +158,7 @@ def validation_report(cfg: RunConfig, series_path=None) -> dict:
     else:
         checks.append(_crossval_check(cfg, steady, cv_power))
         if series_path is not None:
-            dt, n = segment_plan(cfg.model.kappa, cfg.omega)
+            dt, n = series_plan
             run = simulate_pair(
                 cfg.model, steady, dt=dt, n_samples=n, n_segments=8, seed=cfg.seed,
                 thetas=CROSS_CHECK_THETAS, eta_total=cfg.eta_total, l=cfg.mode_index,

@@ -168,6 +168,7 @@ def test_validate_options_name_their_keys():
     "text, key",
     [
         ("analysis.samples_per_period = 401", "analysis.samples_per_period"),
+        ("analysis.samples_per_period = 2", "analysis.samples_per_period"),
         ("analysis.periods = 0", "analysis.periods"),
         ("analysis.scan_time_s = 0.0", "analysis.scan_time_s"),
         ("analysis.vbw_hz = 400e3", "analysis.vbw_hz"),
@@ -298,16 +299,13 @@ def test_hand_built_config_refuses_a_wrong_type_by_key(kind):
 
 
 @pytest.mark.parametrize("key, bad, base", [
-    ("material.include_c", "false", MINIMAL.replace(
-        "resonator.g0_rad_s = 0.5",
-        "material.n2_m2_per_w = 2.4e-19\nmaterial.n0 = 1.99\nmaterial.v_eff_m3 = 1.0e-16",
-    )),
+    ("fit.detrend", "false", MINIMAL),
     ("analysis.n_theta", 91.7, MINIMAL),
     ("seed", 4.5, MINIMAL),
     ("drive.power_mw", "50", MINIMAL),
-], ids=["include_c", "n_theta", "seed", "power_mw"])
+], ids=["detrend", "n_theta", "seed", "power_mw"])
 def test_hand_built_config_is_not_misread(key, bad, base):
-    # each was read as another value (c times g0, 91, seed 4) or raised a TypeError
+    # each would be read as another value (detrending on, 91, seed 4) or raise a TypeError
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected"):
         resolve_config({**parse_config_text(base), key: bad})
 
@@ -383,15 +381,15 @@ def test_seed_override(tmp_path):
 def test_material_route_matches_direct_formula():
     text = MINIMAL.replace(
         "resonator.g0_rad_s = 0.5",
-        "material.n2_m2_per_w = 2.4e-19\nmaterial.n0 = 1.99\n"
-        "material.v_eff_m3 = 1.0e-16\nmaterial.include_c = true",
+        "material.n2_m2_per_w = 2.4e-19\nmaterial.n0 = 1.99\nmaterial.v_eff_m3 = 1.0e-16",
     )
     cfg = resolve_text(text)
     omega0 = 2 * math.pi * C_LIGHT / 1560e-9
-    expected = g0_from_material(
-        omega0, MaterialParams(n2=2.4e-19, n0=1.99, v_eff=1.0e-16), include_c=True
-    )
+    expected = g0_from_material(omega0, MaterialParams(n2=2.4e-19, n0=1.99, v_eff=1.0e-16))
     assert cfg.model.g0 == pytest.approx(expected, rel=1e-12)
+    # g0 is always in rad/s: no key selects another unit
+    with pytest.raises(ConfigError, match="unknown key 'material.include_c'"):
+        parse_config_text(text + "\nmaterial.include_c = true\n")
 
 
 def test_threshold_fraction_calibration_hits_fraction():
@@ -1027,6 +1025,31 @@ def test_validate_dump_series_roundtrip(tmp_path):
     assert np.isfinite(series).all()
 
 
+@pytest.mark.parametrize("omega_hz", [0.0, -7.0e6])
+def test_validate_dump_series_refuses_an_unplannable_frequency_first(
+    tmp_path, monkeypatch, caplog, omega_hz
+):
+    # the schema takes a signed analysis.omega_hz, which only the series plan refuses
+    from squeezesim import validation
+
+    def cross_validate(*args, **kwargs):
+        raise AssertionError("simulated before the series plan was checked")
+
+    monkeypatch.setattr(validation, "cross_validate", cross_validate)
+    data = Path(__file__).resolve().parent / "data" / "validate_fast.cfg"
+    path = write_cfg(tmp_path, override(f"analysis.omega_hz = {omega_hz!r}", data.read_text()))
+    out = tmp_path / "out"
+    code = main(["validate", "--config", path, "--out", str(out), "--dump-series"])
+    assert code == EXIT_CONFIG
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [
+        f"config error: analysis.omega_hz: cannot plan the series dump: analysis frequency "
+        f"omega must be positive and finite, got {2.0 * math.pi * omega_hz!r}"
+    ]
+    assert not (out / "validate_report.json").exists()
+    assert not (out / "series.bin").exists()
+
+
 def test_exit_codes(tmp_path):
     # config required for physics commands
     assert main(["spectrum", "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -1285,7 +1308,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 40
+    assert len(mutate.MUTANTS) >= 48
     assert stale == []
 
 

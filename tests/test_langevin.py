@@ -1,6 +1,8 @@
 import cmath
 import math
+import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import example, given, settings, strategies as hst
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from squeezesim.config import load_config
 from squeezesim.langevin import (
+    CROSS_CHECK_THETAS,
     _NOISE_CHUNK_VALUES,
     _exact_bin_value,
     _hann_lag_sum,
@@ -226,6 +230,39 @@ def test_simulation_is_bitwise_deterministic():
     assert np.array_equal(r4.psd, r5.psd)
     assert np.array_equal(r4.psd_sigma, r5.psd_sigma)
     assert np.array_equal(r4.series, r5.series)
+
+
+def test_a_batch_wider_than_the_run_changes_no_bit_and_allocates_no_more():
+    # validate --dump-series: 8 segments of validate_fast.cfg's plan at 40 mW
+    cfg = load_config(Path(__file__).resolve().parent / "data" / "validate_fast.cfg")
+    steady = cfg.solve(40e-3)
+    dt, n = segment_plan(cfg.model.kappa, cfg.omega)
+
+    def run(n_segments, eta_total, batch_size):
+        return simulate_pair(
+            cfg.model, steady, dt=dt, n_samples=n, n_segments=n_segments,
+            thetas=CROSS_CHECK_THETAS, eta_total=eta_total, seed=7, batch_size=batch_size,
+        )
+
+    for n_segments in (8, 37):
+        for eta_total in (0.602, 1.0):
+            runs = [run(n_segments, eta_total, batch) for batch in (n_segments, 128, 5000)]
+            for other in runs[1:]:
+                for name in ("psd", "psd_sigma", "series"):
+                    assert getattr(other, name).tobytes() == getattr(runs[0], name).tobytes()
+
+    def peak(batch_size):
+        tracemalloc.start()
+        try:
+            run(8, 0.602, batch_size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    exact = peak(8)
+    # buffers sized for 128 or 4096 segments would peak at about 4x or 40x
+    assert peak(128) <= 1.05 * exact
+    assert peak(4096) <= 1.05 * exact
 
 
 def test_projected_loss_vacuum_correlates_angles():

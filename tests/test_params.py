@@ -340,14 +340,15 @@ def test_g0_material_scaling():
     mat = MaterialParams(n2=2.4e-19, n0=1.996, v_eff=1.0e-16)
     omega0 = wavelength_to_omega(1560e-9)
     base = g0_from_material(omega0, mat)
-    # doubling the mode volume halves the shift; the c variant is a pure rescale
+    # with n2 in m^2/W, hbar*omega0^2*c*n2/(n0^2*V) is in rad/s
+    assert base == pytest.approx(
+        HBAR * omega0 ** 2 * C_LIGHT * 2.4e-19 / (1.996 ** 2 * 1.0e-16), rel=1e-12
+    )
+    # doubling the mode volume halves the shift
     assert g0_from_material(omega0, MaterialParams(2.4e-19, 1.996, 2.0e-16)) == pytest.approx(
         base / 2, rel=1e-12
     )
-    assert g0_from_material(omega0, mat, include_c=True) == pytest.approx(
-        base * C_LIGHT, rel=1e-12
-    )
-    assert base > 0.0
+    assert 1.0 < base < 100.0
 
 
 def test_hbar_and_c_values():

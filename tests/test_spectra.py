@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as hst
 
-from squeezesim.langevin import simulate_pair
+from squeezesim.langevin import _step_law, stationary_covariance
 from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
 from squeezesim.spectra import (
     PhaseScanTrace,
@@ -230,10 +230,10 @@ def test_matches_double_pair_psd_oracle():
             continue
         omega = rng.uniform(-3.0, 3.0) * model.kappa
         theta = rng.uniform(0.0, math.pi)
-        psi = rng.uniform(-math.pi, math.pi)
         eta = rng.uniform(0.0, 1.0)
         pair = pair_moments(model, st.rho, st.a0, omega)
-        var = homodyne_variance(output_covariance(pair, eta), theta, psi)
+        var = homodyne_variance(output_covariance(pair, eta), theta)
+        # the matched two-tone homodyne: both tones at one angle
         expected = reference_variance(
             model.kappa_i,
             model.kappa_e,
@@ -241,7 +241,7 @@ def test_matches_double_pair_psd_oracle():
             model.g0 * st.a0 ** 2,
             omega,
             theta + pair.phi_ref,
-            theta + psi + pair.phi_ref,
+            theta + pair.phi_ref,
             eta,
         )
         assert var == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -280,18 +280,6 @@ def test_homodyne_variance_scalar_and_array():
     # pi-periodic
     assert homodyne_variance(cov, 0.3 + math.pi) == pytest.approx(
         homodyne_variance(cov, 0.3), rel=1e-12
-    )
-
-
-def test_tooth_phase_shifts_scan_by_half():
-    model, st = pure_point(0.4)
-    cov = output_covariance(pair_moments(model, st.rho, st.a0, 0.7), 1.0)
-    psi = 0.62
-    th = np.linspace(0, math.pi, 9)
-    assert np.allclose(
-        homodyne_variance(cov, th, tooth_phase=psi),
-        homodyne_variance(cov, th + 0.5 * psi),
-        rtol=1e-12,
     )
 
 
@@ -646,7 +634,7 @@ def assert_scalar_point_is_its_array_point(scalar, array):
     The array route's complex products may run through numpy's fused loop;
     the scalar route's do not (see README, per-machine outputs).
     """
-    for name in ("omega", "delta_l", "g", "phi_ref", "margin", "n_signal"):
+    for name in ("delta_l", "g", "phi_ref", "margin", "n_signal"):
         value = getattr(scalar, name)
         assert type(value) in (float, complex), name
         assert np.asarray(value).tobytes() == np.asarray(getattr(array, name)).tobytes(), name
@@ -907,11 +895,13 @@ def test_pair_moments_match_scattering_matrix(point):
     assert abs(core.n_signal - n_ref) <= tol
     assert abs(core.n_signal - idler_flux(s)) <= tol
     assert abs(core.m_corr - m_ref) <= tol
-    # the Langevin oracle takes its operating point from the core
-    run = simulate_pair(
-        model, steady, dt=0.05 * 2.0 * math.pi / model.kappa, n_samples=8, n_segments=2
+    # the Langevin oracle's step law takes its operating point from the core
+    kappa = model.kappa
+    law = _step_law(model, steady, 0.05 * 2.0 * math.pi / kappa, 1)
+    assert law.phi_ref == core.phi_ref
+    assert np.array_equal(
+        law.p0, stationary_covariance(1.0, core.delta_l / kappa, core.g / kappa)
     )
-    assert (run.delta_l, run.g, run.phi_ref) == (core.delta_l, core.g, core.phi_ref)
 
 
 def test_phase_scan_trace_structure_and_determinism():

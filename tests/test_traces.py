@@ -230,6 +230,9 @@ def test_load_trace_parse_errors(tmp_path):
         load_trace(write(
             "blank.csv", head + "1550.0,0.9\n\n1550.1,0.9\n1550.2,0.9\n1550.15,0.9\n"
         ))
+    # the offending row right after a blank line: the blank is line 4, the row line 5
+    with pytest.raises(TraceParseError, match="line 5:"):
+        load_trace(write("after_blank.csv", head + "1550.0,0.9\n1550.1,0.9\n\n1550.05,0.9\n"))
 
 
 def test_load_trace_fast_path_matches_row_scanner(tmp_path):

@@ -241,6 +241,46 @@ MUTANTS = {
         '_OPEN_FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)',
         '_OPEN_FRACTION = ("in (0, 1)", lambda v: 0 < v <= 1)',
     ),
+    "homodyne-tones-crossed": (
+        "src/squeezesim/spectra.py",
+        "c = np.stack([cos, sin, cos, sin], axis=-1)",
+        "c = np.stack([cos, sin, sin, cos], axis=-1)",
+    ),
+    "batch-sized-past-the-run": (
+        "src/squeezesim/langevin.py",
+        "    batch_size = min(batch_size, n_segments)\n",
+        "",
+    ),
+    "load-fast-decompresses": (
+        "src/squeezesim/traces.py",
+        "if not regular or name.endswith(_DECOMPRESSED):",
+        "if not regular:",
+    ),
+    "sample-line-stops-at-its-blank": (
+        "src/squeezesim/traces.py",
+        "if blank > line:",
+        "if blank >= line:",
+    ),
+    "dip-distance-one-short": (
+        "src/squeezesim/traces.py",
+        "lo = np.searchsorted(peaks, peaks - distance + 1)",
+        "lo = np.searchsorted(peaks, peaks - distance)",
+    ),
+    "even-at-least-2": (
+        "src/squeezesim/config.py",
+        '_EVEN_AT_LEAST_4 = ("even and at least 4", lambda v: v >= 4 and v % 2 == 0)',
+        '_EVEN_AT_LEAST_4 = ("even and at least 4", lambda v: v >= 2 and v % 2 == 0)',
+    ),
+    "fit-q-loaded-is-coupling-q": (
+        "src/squeezesim/traces.py",
+        "q_loaded=omega0 / kappa,",
+        "q_loaded=omega0 / kappa_e,",
+    ),
+    "config-loaded-q-is-coupling-q": (
+        "src/squeezesim/config.py",
+        "kappa_e = kappa_from_q(omega0, values[key_e]) - kappa_i",
+        "kappa_e = kappa_from_q(omega0, values[key_e])",
+    ),
     "config-error-exits-fail": (
         "src/squeezesim/cli.py",
         '        log.error("config error: %s", exc)\n'
