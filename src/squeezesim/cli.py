@@ -427,6 +427,3 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         return EXIT_FAIL
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -642,7 +642,6 @@ def cross_validate(
             seed=child,
             batch_size=batch_size,
         )
-        omega_k = 2.0 * math.pi * k / (n * dt)
         for i, th in enumerate(run.thetas):
             measured = float(run.psd[i, k])
             sigma = float(run.psd_sigma[i, k])
@@ -653,7 +652,7 @@ def cross_validate(
             delta_db = 10.0 * math.log10(measured / expected)
             checks.append(
                 BinCheck(
-                    omega=omega_k,
+                    omega=float(run.omega[k]),
                     theta=float(th),
                     measured=measured,
                     expected=expected,

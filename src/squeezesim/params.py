@@ -203,20 +203,6 @@ class ResonatorModel:
         return cls(omega0=omega0, kappa_i=kappa_i, kappa_e=kappa - kappa_i, **kwargs)
 
     @property
-    def q_loaded(self) -> float:
-        return self.omega0 / self.kappa
-
-    @property
-    def q_intrinsic(self) -> float:
-        if self.kappa_i == 0.0:
-            return math.inf
-        return self.omega0 / self.kappa_i
-
-    @property
-    def q_coupling(self) -> float:
-        return self.omega0 / self.kappa_e
-
-    @property
     def eta_escape(self) -> float:
         return self.kappa_e / self.kappa
 

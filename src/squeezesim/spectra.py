@@ -43,13 +43,8 @@ class SingularSystemError(RuntimeError):
     """Side-mode pair at or above its oscillation threshold.
 
     The linearized pair dynamics has a non-decaying eigenvalue, so no
-    stationary below-threshold spectrum exists.  ``eigenvalue_real`` is
-    the offending real part in rad/s (>= 0).
+    stationary below-threshold spectrum exists.
     """
-
-    def __init__(self, message: str, eigenvalue_real: float | None = None):
-        super().__init__(message)
-        self.eigenvalue_real = eigenvalue_real
 
 
 def stability_margin(model: ResonatorModel, steady: SteadyState, l: int = 1) -> float:
@@ -114,8 +109,7 @@ class PairMoments:
         if not margin > 0.0:
             raise SingularSystemError(
                 f"side-mode pair l={self.l} is not below threshold: slowest "
-                f"eigenvalue decays at {margin:.6g} rad/s",
-                eigenvalue_real=-float(margin),
+                f"eigenvalue decays at {margin:.6g} rad/s"
             )
         return self
 

@@ -195,7 +195,7 @@ def steady_state_roots(model: ResonatorModel, pump: PumpDrive) -> np.ndarray:
     return np.array(_photon_numbers(model, pump.flux))
 
 
-def _check_solve_args(rtol: float, branch_policy: str = "lowest") -> None:
+def _check_solve_args(rtol: float, branch_policy: str) -> None:
     """DomainError for an unknown branch policy or an ``rtol`` not in (0, inf)."""
     if branch_policy not in BRANCH_POLICIES:
         raise DomainError(
@@ -276,15 +276,12 @@ def operating_points(
     return np.array(rho, dtype=float), np.array(a0, dtype=complex)
 
 
-def steady_state_on_branch(
-    model: ResonatorModel, pump: PumpDrive, index: int, rtol: float = RESIDUAL_RTOL
-) -> SteadyState:
+def steady_state_on_branch(model: ResonatorModel, pump: PumpDrive, index: int) -> SteadyState:
     """Steady state on an explicit root index (0 = lowest)."""
     rhos = _photon_numbers(model, pump.flux)
     if not 0 <= index < len(rhos):
         raise DomainError(f"branch index {index} out of range, {len(rhos)} roots exist")
-    _check_solve_args(rtol)
-    return _steady_state_at(model, pump, rhos, index, rtol)
+    return _steady_state_at(model, pump, rhos, index)
 
 
 def _steady_state_at(model, pump, rhos: list[float], index, rtol=RESIDUAL_RTOL) -> SteadyState:

@@ -949,6 +949,14 @@ def analyze_trace(trace: TransmissionTrace, *, detrend=True, min_prominence=0.05
 
 @dataclass(frozen=True)
 class QuantitySummary:
+    """Histogram of one fitted quantity over its finite values.
+
+    ``mode`` is the centre of the tallest bin.  When several bins share
+    the largest count (as when no bin holds two fits), it is the one
+    whose centre is nearest the median of the values.  When the values
+    span at most ``1e-12 * max(1, max|v|)``, ``mode`` is the first of them.
+    """
+
     mode: float
     min: float
     max: float
@@ -974,7 +982,9 @@ def _summarize(values, bins):
     if np.ptp(v) <= 1e-12 * max(1.0, float(np.max(np.abs(v)))):
         mode = float(v[0])
     else:
-        k = int(np.argmax(counts))
+        tallest = np.flatnonzero(counts == counts.max())
+        centres = 0.5 * (edges[tallest] + edges[tallest + 1])
+        k = int(tallest[np.argmin(np.abs(centres - np.median(v)))])
         mode = 0.5 * float(edges[k] + edges[k + 1])
     return QuantitySummary(
         mode=mode,

@@ -357,7 +357,7 @@ def test_library_defaults_are_the_config_defaults():
             if func.__module__ == module.__name__ and keys:
                 fed[func] = keys
     assert {f.__name__ for f in fed} >= {
-        "solve_steady_state", "operating_points", "steady_state_on_branch", "power_sweep"
+        "solve_steady_state", "operating_points", "power_sweep"
     }
     differ = [
         f"{func.__name__}({name}={inspect.signature(func).parameters[name].default!r}): "
@@ -1287,6 +1287,40 @@ def test_every_public_name_is_exported_or_used():
     assert unreached == []
 
 
+def _units(tree):
+    """A module's statements, each class split into the statements of its body."""
+    for stmt in tree.body:
+        yield from stmt.body if isinstance(stmt, ast.ClassDef) else (stmt,)
+
+
+def test_every_public_class_member_is_read():
+    # a public method or property that no package code, bench file or README
+    # code block reads restates another route or is dead: delete it
+    root = Path(__file__).resolve().parent.parent
+    trees = [ast.parse(path.read_text()) for path in sorted((root / "src" / "squeezesim").glob("*.py"))]
+    members = [
+        (f"{stmt.name}.{member.name}", member)
+        for tree in trees
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        for member in stmt.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+    ]
+    reads = [(unit, _read_names(unit)) for tree in trees for unit in _units(tree)]
+    readme = (root / "README.md").read_text()
+    outside = [ast.parse(block.split("```", 1)[0]) for block in readme.split("```python\n")[1:]]
+    outside += [ast.parse(path.read_text()) for path in sorted((root / "bench").glob("*.py"))]
+    read_outside = set().union(*map(_read_names, outside))
+    assert len(members) >= 12
+    unread = [
+        name for name, member in members
+        if member.name not in read_outside
+        and not any(member.name in names for unit, names in reads if unit is not member)
+    ]
+    assert unread == []
+
+
 def load_mutate():
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("mutate", root / "tools" / "mutate.py")
@@ -1308,8 +1342,42 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 48
+    assert len(mutate.MUTANTS) >= 56
     assert stale == []
+
+
+def test_mutation_trials_clone_one_snapshot_of_the_checkout(tmp_path, monkeypatch, capsys):
+    # a checkout edited while the mutants run must not reach a later trial
+    root = tmp_path / "checkout"
+    (root / "src").mkdir(parents=True)
+    (root / "tests").mkdir()
+    (root / "src" / "m.py").write_text("x = 1\n")
+    (root / "tests" / "test_m.py").write_text("def test_m(): pass\n")
+    mutate = load_mutate()
+    monkeypatch.setattr(mutate, "ROOT", root)
+    monkeypatch.setattr(mutate, "MUTANTS", {
+        "two": ("src/m.py", "x = 1", "x = 2"),
+        "three": ("src/m.py", "x = 1", "x = 3"),
+    })
+    seen = []
+
+    def run_suite(tree, tests):
+        seen.append({str(p.relative_to(tree)): p.read_text()
+                     for p in sorted(tree.rglob("*")) if p.is_file()})
+        (root / "tests" / "test_m.py").write_text("def test_m(): assert False\n")
+        (root / "tests" / f"test_added_{len(seen)}.py").write_text("")
+        (root / "src" / "m.py").write_text(f"x = 1\ny = {len(seen)}\n")
+        return {"killed": len(seen) > 1, "by": None, "seconds": 0.0}
+
+    monkeypatch.setattr(mutate, "run_suite", run_suite)
+    assert mutate.main([]) == 0
+    assert json.loads(capsys.readouterr().out)["killed"] == 2
+    tests = {"tests/test_m.py": "def test_m(): pass\n"}
+    assert seen == [
+        {"src/m.py": "x = 1\n", **tests},
+        {"src/m.py": "x = 2\n", **tests},
+        {"src/m.py": "x = 3\n", **tests},
+    ]
 
 
 def test_mutation_score_names_the_failing_test_not_a_log_line():

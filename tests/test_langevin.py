@@ -527,9 +527,18 @@ def test_cross_validate_passes_and_detects_perturbation():
     assert all(isinstance(c, BinCheck) for c in report.checks)
     assert report.passed, [(c.omega, c.theta, c.z, c.delta_db) for c in report.checks]
     assert report.runtime_s > 0
-    # frequencies snapped onto the exact analysis grid
     for c in report.checks:
         assert c.sigma > 0
+    # each frequency is its plan's snapped bin centre 2 pi k / (n dt),
+    # within half a bin of the one requested
+    per_omega = len(CROSS_CHECK_THETAS)
+    for j, target in enumerate(omegas):
+        dt, n = segment_plan(model.kappa, target)
+        bin_width = 2.0 * math.pi / (n * dt)
+        for c in report.checks[j * per_omega : (j + 1) * per_omega]:
+            k = round(c.omega / bin_width)
+            assert c.omega == pytest.approx(k * bin_width, rel=1e-14)
+            assert abs(c.omega - target) <= 0.5 * bin_width
     # a wrong detection efficiency in the analytic arm must be caught
     bad = cross_validate(
         model, st, omegas, n_segments=800, seed=5,

@@ -120,16 +120,15 @@ def test_resonator_from_quality_factors():
     assert res.kappa == pytest.approx(KAPPA_Q083, rel=1e-6)
     assert res.kappa == pytest.approx(res.kappa_i + res.kappa_e, rel=1e-15)
     assert res.eta_escape == pytest.approx(0.9178217822, rel=1e-9)
-    assert res.q_loaded == pytest.approx(0.83e6, rel=1e-12)
-    assert res.q_intrinsic == pytest.approx(10.1e6, rel=1e-12)
-    # loaded rate is the sum of the loss channels, so 1/Q adds up
-    assert 1 / res.q_loaded == pytest.approx(1 / res.q_intrinsic + 1 / res.q_coupling, rel=1e-12)
+    # each rate is omega0/Q of its channel; the loaded rate is their sum
+    assert res.kappa == pytest.approx(omega0 / 0.83e6, rel=1e-12)
+    assert res.kappa_i == pytest.approx(omega0 / 10.1e6, rel=1e-12)
+    assert res.kappa_e == pytest.approx(omega0 / 0.83e6 - omega0 / 10.1e6, rel=1e-12)
 
 
 def test_resonator_allows_lossless_limit():
     res = ResonatorModel(omega0=1e15, kappa_i=0.0, kappa_e=1e9)
     assert res.eta_escape == 1.0
-    assert res.q_intrinsic == math.inf
     assert escape_efficiency(math.inf, 0.83e6) == 1.0
     assert kappa_from_q(OMEGA0_1560, math.inf) == 0.0
 

@@ -366,9 +366,8 @@ def test_singular_above_threshold():
     )
     # x = 1 at alpha = 2 sits exactly at threshold: margin 0
     assert stability_margin(model, st) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(SingularSystemError) as exc:
+    with pytest.raises(SingularSystemError):
         pair_scattering(model, st, 0.0)
-    assert exc.value.eigenvalue_real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_power_sweep_flags_above_threshold():

@@ -458,8 +458,6 @@ def test_residual_tolerance_must_be_finite_and_positive(rtol):
     with pytest.raises(DomainError, match=message):
         solve_steady_state(model, pump, rtol=rtol)
     with pytest.raises(DomainError, match=message):
-        steady_state_on_branch(model, pump, 0, rtol=rtol)
-    with pytest.raises(DomainError, match=message):
         power_sweep(model, [pump.power_on_chip], rtol=rtol)
 
 

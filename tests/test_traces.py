@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -500,6 +501,33 @@ def test_q_statistics():
     assert stats.q_loaded.min < stats.q_loaded.mode < stats.q_loaded.max
     with pytest.raises(DomainError):
         q_statistics([])
+
+
+def test_q_statistics_mode_among_equal_bins_is_nearest_the_median():
+    # with no repeated value every occupied bin ties; the mode was the
+    # lowest of them, the comb's edge rather than its centre
+    def fits(values):
+        return [SimpleNamespace(q_intrinsic=v, q_loaded=v, q_coupling=v, eta=v) for v in values]
+
+    # bins of width 1 on [1, 9]: the median 3.5 is the centre of [3, 4)
+    spread = q_statistics(fits([1.0, 2.0, 3.5, 4.0, 9.0]), bins=8)
+    for summary in (spread.q_intrinsic, spread.q_loaded, spread.q_coupling, spread.eta):
+        assert summary.counts == (1, 1, 1, 1, 0, 0, 0, 1)
+        assert summary.mode == 3.5
+    # a single tallest bin is the mode however far it is from the median
+    assert q_statistics(fits([1.0, 1.0, 4.5, 5.5, 6.5, 7.5, 9.0]), bins=8).eta.mode == 1.5
+    # of two tallest bins (centres 1.5 and 8.5), the one nearer the median 6.0
+    assert q_statistics(fits([1.0, 1.0, 5.0, 7.0, 9.0, 9.0]), bins=8).eta.mode == 8.5
+
+
+def test_fit_refuses_a_dip_that_is_not_physical():
+    # an inverted dip converges to a negative depth at the window centre,
+    # and a flat window to a centre outside it; neither is a resonance
+    lam = dense_grid(half_widths=8.0)
+    peak = 2.0 - synthesize_trace(lam, [(LAMBDA0, KAPPA0, 0.3)])
+    for tr in (peak, np.ones_like(lam)):
+        with pytest.raises(DomainError, match="did not converge to a physical dip"):
+            fit_resonance(lam, tr)
 
 
 def test_synthesize_deterministic():

@@ -1,12 +1,14 @@
 """Mutation score of the tier-1 suite.
 
-Each mutant is one (file, exact source snippet, replacement) row.  For
-each, the repository is copied to a temporary directory, the snippet is
-replaced there (it must occur exactly once), and the tier-1 command runs
-with ``-x``.  A mutant is killed when the suite fails; the first failing
-test and the seconds it took are recorded.  One pytest process runs at a
-time, and the checkout this reads is never written.  The summary is one
-JSON object on stdout:
+Each mutant is one (file, exact source snippet, replacement) row.  The
+checkout is copied once, before anything runs; for each mutant that copy
+is cloned to a temporary directory, the snippet is replaced there (it
+must occur exactly once), and the tier-1 command runs with ``-x``.  An
+edit to the checkout during a run therefore reaches no mutant.  A mutant
+is killed when the suite fails; the first failing test and the seconds
+it took are recorded.  One pytest process runs at a time, and the
+checkout this reads is never written.  The summary is one JSON object on
+stdout:
 
     python tools/mutate.py                    # every mutant
     python tools/mutate.py --only bool-is-real --tests tests/test_params.py
@@ -281,6 +283,48 @@ MUTANTS = {
         "kappa_e = kappa_from_q(omega0, values[key_e]) - kappa_i",
         "kappa_e = kappa_from_q(omega0, values[key_e])",
     ),
+    "positive-admits-zero": (
+        "src/squeezesim/config.py",
+        '_POSITIVE = ("positive", lambda v: v > 0)',
+        '_POSITIVE = ("positive", lambda v: v >= 0)',
+    ),
+    "non-negative-refuses-zero": (
+        "src/squeezesim/config.py",
+        '_NON_NEGATIVE = ("non-negative", lambda v: v >= 0)',
+        '_NON_NEGATIVE = ("non-negative", lambda v: v > 0)',
+    ),
+    "at-least-refuses-its-bound": (
+        "src/squeezesim/config.py",
+        'return (f"at least {n}", lambda v: v >= n)',
+        'return (f"at least {n}", lambda v: v > n)',
+    ),
+    "bool-cell-as-float": (
+        "src/squeezesim/cli.py",
+        "    if isinstance(value, (bool, np.bool_)):\n"
+        "        return str(int(value))\n"
+        "    return repr(float(value))\n",
+        "    return repr(float(value))\n",
+    ),
+    "json-keeps-non-finite": (
+        "src/squeezesim/cli.py",
+        "return value if math.isfinite(value) else None",
+        "return value",
+    ),
+    "mode-is-first-tallest-bin": (
+        "src/squeezesim/traces.py",
+        "k = int(tallest[np.argmin(np.abs(centres - np.median(v)))])",
+        "k = int(tallest[0])",
+    ),
+    "fit-admits-negative-depth": (
+        "src/squeezesim/traces.py",
+        "or not 0.0 < depth <= 1.2",
+        "or not -1.0 < depth <= 1.2",
+    ),
+    "bin-check-next-bin": (
+        "src/squeezesim/langevin.py",
+        "omega=float(run.omega[k]),",
+        "omega=float(run.omega[k + 1]),",
+    ),
     "config-error-exits-fail": (
         "src/squeezesim/cli.py",
         '        log.error("config error: %s", exc)\n'
@@ -302,10 +346,10 @@ TIMEOUT = 900.0
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
 
 
-def mutated(name: str) -> tuple[str, str]:
-    """(file, its text with mutant ``name`` applied); ValueError unless the snippet occurs once."""
+def mutated(name: str, root: Path = ROOT) -> tuple[str, str]:
+    """(file, its text under ``root`` with mutant ``name`` applied); ValueError unless the snippet occurs once."""
     path, snippet, replacement = MUTANTS[name]
-    text = (ROOT / path).read_text(encoding="utf-8")
+    text = (root / path).read_text(encoding="utf-8")
     count = text.count(snippet)
     if count != 1:
         raise ValueError(f"{name}: {path}: snippet occurs {count} times, expected once")
@@ -338,11 +382,11 @@ def run_suite(tree: Path, tests: list[str]) -> dict:
     return {"killed": True, "by": by, "seconds": seconds}
 
 
-def trial(edit: tuple[str, str] | None, tests: list[str]) -> dict:
-    """Copy the checkout, write ``edit`` (file, text) into the copy, run the suite."""
+def trial(base: Path, edit: tuple[str, str] | None, tests: list[str]) -> dict:
+    """Clone ``base``, write ``edit`` (file, text) into the clone, run the suite."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "repo"
-        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        shutil.copytree(base, tree)
         if edit is not None:
             path, text = edit
             (tree / path).write_text(text, encoding="utf-8")
@@ -356,15 +400,18 @@ def main(argv=None) -> int:
     parser.add_argument("--tests", nargs="+", default=[],
                         help="test paths or node ids instead of the configured testpaths")
     args = parser.parse_args(argv)
-    # every row is applied before any suite runs, so a stale one fails at once
-    edits = {name: mutated(name) for name in args.only or MUTANTS}
-    baseline = trial(None, args.tests)
-    if baseline["killed"]:
-        sys.exit(f"the unmutated suite fails ({baseline['by']}); no mutant can be scored")
-    results = {}
-    for name, edit in edits.items():
-        results[name] = trial(edit, args.tests)
-        print(f"{name}: {results[name]}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="mutate-base-") as tmp:
+        base = Path(tmp) / "repo"
+        shutil.copytree(ROOT, base, ignore=IGNORED)
+        # every row is applied before any suite runs, so a stale one fails at once
+        edits = {name: mutated(name, base) for name in args.only or MUTANTS}
+        baseline = trial(base, None, args.tests)
+        if baseline["killed"]:
+            sys.exit(f"the unmutated suite fails ({baseline['by']}); no mutant can be scored")
+        results = {}
+        for name, edit in edits.items():
+            results[name] = trial(base, edit, args.tests)
+            print(f"{name}: {results[name]}", file=sys.stderr)
     survivors = [name for name, r in results.items() if not r["killed"]]
     print(json.dumps({
         "tests": args.tests or "testpaths",
