@@ -194,11 +194,11 @@ def cmd_phase_scan(cfg: RunConfig, args, out: Path) -> int:
         cfg.omega,
         l=cfg.mode_index,
         eta_total=cfg.eta_total,
-        periods=cfg.opt("analysis.periods"),
-        samples_per_period=cfg.opt("analysis.samples_per_period"),
-        scan_time=cfg.opt("analysis.scan_time_s"),
-        rbw=cfg.opt("analysis.rbw_hz"),
-        vbw=cfg.opt("analysis.vbw_hz"),
+        periods=cfg.values["analysis.periods"],
+        samples_per_period=cfg.values["analysis.samples_per_period"],
+        scan_time=cfg.values["analysis.scan_time_s"],
+        rbw=cfg.values["analysis.rbw_hz"],
+        vbw=cfg.values["analysis.vbw_hz"],
         seed=cfg.seed,
     )
     rows = list(
@@ -391,13 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(loader, path, **kwargs):
-    try:
-        return loader(path, **kwargs)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-
-
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -408,10 +401,10 @@ def main(argv=None) -> int:
         if needs_config:
             if args.config is None:
                 raise ConfigError(f"--config is required for '{args.command}'")
-            cfg = _load_config_file(load_config, args.config, seed_override=args.seed)
-            _write(out, "effective_config.cfg", cfg.echo_text())
+            cfg = load_config(args.config, seed_override=args.seed)
+            _write(out, "effective_config.cfg", format_config(cfg.values))
         else:  # fit and stats: the fit.* keys alone
-            cfg = _load_config_file(load_fit_options, args.config)
+            cfg = load_fit_options(args.config)
             if args.config is not None:
                 _write(out, "effective_config.cfg", format_config(cfg))
         return handler(cfg, args, out)

@@ -6,9 +6,6 @@ decay rates, lumped vs per-stage detection efficiency, explicit vs
 material-derived vs power-calibrated Kerr rate) must be supplied exactly
 once; the resolver rejects ambiguous or incomplete combinations and
 out-of-range values, and reports the offending field paths.
-
-``RunConfig.echo_text()`` serializes the effective configuration, with
-defaults filled in, such that re-parsing it reproduces the same run.
 """
 
 from __future__ import annotations
@@ -61,8 +58,7 @@ def _at_least(n: int):
 # _OPTIONAL keys may be absent and are then omitted from the echo.  The
 # tag is enforced by _typed, on parsed text and hand-built maps alike.  The
 # rule (None for a signed quantity) applies to each element of a list;
-# group membership and rules tying keys together are enforced in
-# resolve_config.
+# which keys may appear together is declared in _GROUPS.
 _SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
     "seed": ("int", 0, _NON_NEGATIVE),
     "resonator.wavelength_nm": ("float", _REQUIRED, _POSITIVE),
@@ -110,6 +106,26 @@ _SCHEMA: dict[str, tuple[str, object, tuple | None]] = {
     "fit.min_prominence": ("float", 0.05, _POSITIVE),
     "fit.min_spacing_nm": ("float", 0.0, _NON_NEGATIVE),
     "fit.min_samples_per_fwhm": ("int", 15, _NON_NEGATIVE),
+}
+
+# group -> its alternatives, each (keys it needs, keys it may add).  A run
+# gives exactly one alternative of each group, with all the keys it needs;
+# any key of an alternative, optional ones included, chooses it.  A group
+# with a keyless alternative may be left out.
+_GROUPS: dict[str, tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]] = {
+    "resonator loss": ((("resonator.q_intrinsic",), ()), (("resonator.kappa_i_rad_s",), ())),
+    "resonator coupling": ((("resonator.q_loaded",), ()), (("resonator.kappa_e_rad_s",), ())),
+    "detection": (
+        (("detection.eta_total",), ()),
+        (("detection.eta_couple", "detection.eta_prop", "detection.visibility",
+          "detection.eta_pd"), ()),
+    ),
+    "kerr rate": (
+        (("resonator.g0_rad_s",), ()),
+        (("material.n2_m2_per_w", "material.n0", "material.v_eff_m3"), ()),
+        (("calibration.power_mw",), ("calibration.threshold_fraction",)),
+    ),
+    "analysis": (((), ()), (("analysis.omega_min_hz", "analysis.omega_max_hz"), ())),
 }
 
 
@@ -213,14 +229,24 @@ def format_config(values: Mapping[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _exactly_one(values: Mapping[str, object], group: str, keys: tuple[str, ...]):
-    present = [k for k in keys if k in values]
-    if len(present) != 1:
-        given = ", ".join(present) if present else "none"
+def _given(values: Mapping[str, object], group: str) -> tuple[str, ...]:
+    """The keys ``values`` gives of the one alternative of ``group`` it chooses."""
+    alternatives = _GROUPS[group]
+    chosen = [alt for alt in alternatives if any(key in values for key in alt[0] + alt[1])]
+    if not chosen:
+        chosen = [alt for alt in alternatives if alt == ((), ())]
+    if len(chosen) != 1:
+        named = [" + ".join(needs) + "".join(f" [+ {key}]" for key in may)
+                 for needs, may in alternatives]
+        given = [key for needs, may in chosen for key in needs + may if key in values]
         raise ConfigError(
-            f"{group}: supply exactly one of {', '.join(keys)} (got {given})"
+            f"{group}: supply exactly one of {', '.join(named)} (got {', '.join(given) or 'none'})"
         )
-    return present[0]
+    needs, may = chosen[0]
+    missing = [key for key in needs if key not in values]
+    if missing:
+        raise ConfigError(f"{group}: missing {', '.join(missing)}")
+    return needs + tuple(key for key in may if key in values)
 
 
 @dataclass(frozen=True)
@@ -251,13 +277,6 @@ class RunConfig:
         """Generation-to-detection efficiency: the chain times the cavity escape."""
         return self.chain.eta_total * self.model.eta_escape
 
-    def opt(self, key: str):
-        """Effective value of a config key, defaults included."""
-        return self.values[key]
-
-    def echo_text(self) -> str:
-        return format_config(self.values)
-
     def require_power(self) -> float:
         if self.power_w is None:
             raise ConfigError(
@@ -279,12 +298,8 @@ class RunConfig:
 
 
 def _resolve_rates(values: Mapping[str, object], omega0: float) -> tuple[float, float]:
-    key_i = _exactly_one(
-        values, "resonator loss", ("resonator.q_intrinsic", "resonator.kappa_i_rad_s")
-    )
-    key_e = _exactly_one(
-        values, "resonator coupling", ("resonator.q_loaded", "resonator.kappa_e_rad_s")
-    )
+    (key_i,) = _given(values, "resonator loss")
+    (key_e,) = _given(values, "resonator coupling")
     if key_i == "resonator.q_intrinsic":
         kappa_i = kappa_from_q(omega0, values[key_i])
     else:
@@ -303,29 +318,8 @@ def _resolve_rates(values: Mapping[str, object], omega0: float) -> tuple[float, 
 
 
 def _resolve_detection(values: Mapping[str, object]) -> DetectionChain:
-    quartet = (
-        "detection.eta_couple",
-        "detection.eta_prop",
-        "detection.visibility",
-        "detection.eta_pd",
-    )
-    has_total = "detection.eta_total" in values
-    given = [k for k in quartet if k in values]
-    if has_total and given:
-        raise ConfigError(
-            "detection: detection.eta_total excludes the per-stage keys "
-            + ", ".join(given)
-        )
-    if has_total:
-        return DetectionChain.from_total(values["detection.eta_total"])
-    if len(given) != len(quartet):
-        missing = [k for k in quartet if k not in values]
-        raise ConfigError(
-            "detection: supply detection.eta_total or all of "
-            + ", ".join(quartet)
-            + (f" (missing {', '.join(missing)})" if given else "")
-        )
-    return DetectionChain(*(values[key] for key in quartet))
+    stages = [values[key] for key in _given(values, "detection")]
+    return DetectionChain.from_total(*stages) if len(stages) == 1 else DetectionChain(*stages)
 
 
 def _resolve_g0(
@@ -335,37 +329,15 @@ def _resolve_g0(
     l: int,
     eta_total: float,
 ) -> tuple[ResonatorModel, CalibrationResult | None]:
-    material_keys = ("material.n2_m2_per_w", "material.n0", "material.v_eff_m3")
-    routes = {
-        "resonator.g0_rad_s": "resonator.g0_rad_s" in values,
-        "material.*": any(k in values for k in material_keys),
-        "calibration.*": any(
-            k in values
-            for k in ("calibration.power_mw", "calibration.threshold_fraction")
-        ),
-    }
-    chosen = [name for name, hit in routes.items() if hit]
-    if len(chosen) != 1:
-        raise ConfigError(
-            "kerr rate: supply exactly one of resonator.g0_rad_s, the material.* "
-            f"block, or the calibration.* block (got {', '.join(chosen) or 'none'})"
-        )
-    route = chosen[0]
-    if route == "resonator.g0_rad_s":
+    keys = _given(values, "kerr rate")
+    if keys[0] == "resonator.g0_rad_s":
         return dataclasses.replace(model, g0=values["resonator.g0_rad_s"]), None
-    if route == "material.*":
-        missing = [k for k in material_keys if k not in values]
-        if missing:
-            raise ConfigError(f"material: missing {', '.join(missing)}")
-        mat = MaterialParams(*(values[key] for key in material_keys))
+    if keys[0] == "material.n2_m2_per_w":
+        mat = MaterialParams(*(values[key] for key in keys))
         return dataclasses.replace(model, g0=g0_from_material(model.omega0, mat)), None
-    if "calibration.power_mw" not in values:
-        raise ConfigError(
-            "calibration.threshold_fraction: needs calibration.power_mw"
-        )
     power_w = values["calibration.power_mw"] * 1e-3
     pump = PumpDrive.from_power(power_w, model.omega0)
-    if "calibration.threshold_fraction" in values:
+    if "calibration.threshold_fraction" in keys:
         fraction = values["calibration.threshold_fraction"]
         g0 = g0_for_threshold_fraction(model, pump, fraction, l)
         return dataclasses.replace(model, g0=g0), None
@@ -398,7 +370,7 @@ _FIT_KEYS = tuple(key for key in _SCHEMA if key.startswith("fit."))
 
 
 def resolve_config(values: Mapping[str, object]) -> RunConfig:
-    """Apply defaults and range rules, enforce the one-of groups, build the run."""
+    """Apply defaults and range rules, check the groups of _GROUPS, build the run."""
     effective = _apply_schema(values, _SCHEMA)
     for key in values:
         if key not in _SCHEMA:  # resolve() may be fed a hand-built dict
@@ -423,13 +395,7 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
             effective, model, omega, mode_index, chain.eta_total
         )
 
-        has_min = "analysis.omega_min_hz" in effective
-        has_max = "analysis.omega_max_hz" in effective
-        if has_min != has_max:
-            raise ConfigError(
-                "analysis: omega_min_hz and omega_max_hz must be given together"
-            )
-        if has_min:
+        if _given(effective, "analysis"):
             lo = effective["analysis.omega_min_hz"]
             hi = effective["analysis.omega_max_hz"]
             if not lo < hi:
@@ -473,8 +439,12 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
 
 
 def _read_config(path) -> dict[str, object]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    return parse_config_text(text)
 
 
 def load_config(path, *, seed_override: int | None = None) -> RunConfig:

@@ -159,12 +159,16 @@ def _check_dt(dt: float) -> None:
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
 
 
+def _check_eta(eta_total: float) -> None:
+    if not 0.0 <= eta_total <= 1.0:
+        raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
+
+
 def _check_bin(theta: float, k: int, dt: float, n: int, eta_total: float) -> None:
     _check_dt(dt)
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
-    if not 0.0 <= eta_total <= 1.0:
-        raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
+    _check_eta(eta_total)
     if not 1 <= k <= n // 2 - 1:
         raise DomainError(f"bin index {k} outside the usable grid")
 
@@ -295,8 +299,7 @@ def simulate_pair(
         raise DomainError("n_segments must be at least 2")
     if batch_size < 1:
         raise DomainError("batch_size must be at least 1")
-    if not 0.0 <= eta_total <= 1.0:
-        raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
+    _check_eta(eta_total)
     batch_size = min(batch_size, n_segments)
     law = _step_law(model, steady, dt, l)
     s_dt, a_rr = law.s_dt, law.a_rr

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config_text
+from .config import ConfigError, RunConfig, format_config, parse_config_text
 from .langevin import (
     CROSS_CHECK_THETAS, cross_validate, dump_series, exact_bin_deviation_db, segment_plan,
     simulate_pair,
@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 
 def _physicality_check(cfg: RunConfig) -> dict:
     model = cfg.model
-    n_random = cfg.opt("validate.n_random")
+    n_random = cfg.values["validate.n_random"]
     p_th = threshold_power(model, cfg.mode_index)
     if math.isfinite(p_th):
         p_cap = 0.98 * p_th
@@ -74,12 +74,12 @@ def _crossval_check(cfg: RunConfig, steady, power_w: float) -> dict:
     omegas = [0.05 * kappa, 0.5 * kappa, 2.0 * kappa]
     cv = cross_validate(
         cfg.model, steady, omegas, CROSS_CHECK_THETAS, eta_total=cfg.eta_total,
-        l=cfg.mode_index, n_segments=cfg.opt("validate.n_segments"),
+        l=cfg.mode_index, n_segments=cfg.values["validate.n_segments"],
         seed=cfg.seed,
-        batch_size=cfg.opt("validate.batch_size"),
-        n_sigma=cfg.opt("validate.n_sigma"),
-        max_db_err=cfg.opt("validate.max_db_err"),
-        min_pass_fraction=cfg.opt("validate.min_pass_fraction"),
+        batch_size=cfg.values["validate.batch_size"],
+        n_sigma=cfg.values["validate.n_sigma"],
+        max_db_err=cfg.values["validate.max_db_err"],
+        min_pass_fraction=cfg.values["validate.min_pass_fraction"],
     )
     return {
         "name": "stochastic_crossval",
@@ -125,7 +125,7 @@ def validation_report(cfg: RunConfig, series_path=None) -> dict:
             series_plan = segment_plan(cfg.model.kappa, cfg.omega)
         except DomainError as exc:
             raise ConfigError(f"analysis.omega_hz: cannot plan the series dump: {exc}") from exc
-    echoed = parse_config_text(cfg.echo_text())
+    echoed = parse_config_text(format_config(cfg.values))
     checks = [{"name": "config_roundtrip", "passed": echoed == dict(cfg.values)}]
 
     powers = list(cfg.powers_w) or ([cfg.power_w] if cfg.power_w is not None else [0.0])

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import itertools
 import json
 import math
 import os
@@ -75,7 +76,7 @@ def test_minimal_config_defaults():
     assert cfg.branch_policy == "lowest"
     assert cfg.seed == 0
     assert cfg.powers_w == ()
-    assert cfg.opt("resonator.fsr_hz") == 59.3e9
+    assert cfg.values["resonator.fsr_hz"] == 59.3e9
     # scalar omega -> single-point grid
     assert cfg.omega_grid == (cfg.omega,)
 
@@ -126,7 +127,7 @@ def test_one_of_group_errors_cite_field_paths():
     with pytest.raises(ConfigError, match="detection.eta_pd"):
         resolve_text(partial)
     mixed = MINIMAL + "detection.eta_pd = 0.88\n"
-    with pytest.raises(ConfigError, match="excludes"):
+    with pytest.raises(ConfigError, match=r"\(got detection\.eta_total, detection\.eta_pd\)$"):
         resolve_text(mixed)
     two_g0 = MINIMAL + "calibration.power_mw = 50.0\n"
     with pytest.raises(ConfigError, match="kerr rate"):
@@ -146,6 +147,72 @@ def test_one_of_group_errors_cite_field_paths():
         resolve_text(partial_mat)
 
 
+# a valid value for every key of config._GROUPS
+GROUP_VALUES = {
+    "resonator.q_intrinsic": 10.1e6,
+    "resonator.kappa_i_rad_s": 1.1955e8,
+    "resonator.q_loaded": 0.83e6,
+    "resonator.kappa_e_rad_s": 1.34e9,
+    "detection.eta_total": 0.602,
+    "detection.eta_couple": 0.75,
+    "detection.eta_prop": 0.95,
+    "detection.visibility": 0.97,
+    "detection.eta_pd": 0.88,
+    "resonator.g0_rad_s": 0.5,
+    "material.n2_m2_per_w": 2.4e-19,
+    "material.n0": 1.99,
+    "material.v_eff_m3": 1.0e-16,
+    "calibration.power_mw": 50.0,
+    "calibration.threshold_fraction": 0.5,
+    "analysis.omega_min_hz": 1e6,
+    "analysis.omega_max_hz": 1e9,
+}
+
+
+def _group_cases(group):
+    """(config, expected error or None) for every subset of ``group``'s keys."""
+    alternatives = config_module._GROUPS[group]
+    keys = [key for needs, may in alternatives for key in needs + may]
+    base = {k: v for k, v in parse_config_text(MINIMAL).items() if k not in keys}
+    # a threshold fraction needs a reachable pair threshold, which the
+    # detuned, dispersive resonator has and MINIMAL's lacks
+    detuned = {"resonator.d2_rad_s": 1.5e9, "drive.detuning_rad_s": 6.0e8}
+    for n in range(len(keys) + 1):
+        for subset in map(set, itertools.combinations(keys, n)):
+            values = {**base, **{key: GROUP_VALUES[key] for key in subset}}
+            if "calibration.threshold_fraction" in subset:
+                values.update(detuned)
+            if any(set(needs) <= subset <= set(needs + may) for needs, may in alternatives):
+                yield values, None
+                continue
+            touched = [(needs, may) for needs, may in alternatives if subset & set(needs + may)]
+            if len(touched) == 1:
+                named = [key for key in touched[0][0] if key not in subset]
+                yield values, (f"{group}: missing ", named)
+            else:
+                yield values, (f"{group}: supply exactly one of ", keys)
+
+
+@pytest.mark.parametrize("group", sorted(config_module._GROUPS))
+def test_each_group_accepts_exactly_one_whole_alternative(tmp_path, group):
+    # exhaustive over the subsets of the group's keys: a whole alternative
+    # resolves; anything else names each missing or conflicting key
+    refused = []
+    for values, expected in _group_cases(group):
+        if expected is None:
+            resolve_config(values)
+            continue
+        start, named = expected
+        with pytest.raises(ConfigError) as info:
+            resolve_config(values)
+        message = str(info.value)
+        assert message.startswith(start), message
+        assert all(key in message for key in named), message
+        refused.append(values)
+    path = write_cfg(tmp_path, format_config(refused[0]))
+    assert main(["threshold", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
 def test_validate_options_name_their_keys():
     for text, key in (
         ("validate.batch_size = 0", "validate.batch_size"),
@@ -159,9 +226,9 @@ def test_validate_options_name_their_keys():
     cfg = resolve_text(
         MINIMAL + "validate.batch_size = 1\nvalidate.n_segments = 2\nvalidate.n_random = 0\n"
     )
-    assert cfg.opt("validate.batch_size") == 1
-    assert cfg.opt("validate.n_segments") == 2
-    assert cfg.opt("validate.n_random") == 0
+    assert cfg.values["validate.batch_size"] == 1
+    assert cfg.values["validate.n_segments"] == 2
+    assert cfg.values["validate.n_random"] == 0
 
 
 @pytest.mark.parametrize(
@@ -218,8 +285,8 @@ def test_option_range_ends_are_accepted():
         + "analysis.vbw_hz = 300e3\nvalidate.min_pass_fraction = 1.0\n"
         + "fit.min_spacing_nm = 0.0\nfit.min_samples_per_fwhm = 0\n"
     )
-    assert cfg.opt("analysis.vbw_hz") == cfg.opt("analysis.rbw_hz")
-    assert cfg.opt("validate.min_pass_fraction") == 1.0
+    assert cfg.values["analysis.vbw_hz"] == cfg.values["analysis.rbw_hz"]
+    assert cfg.values["validate.min_pass_fraction"] == 1.0
     lossless = MINIMAL.replace(
         "resonator.q_intrinsic = 10.1e6", "resonator.kappa_i_rad_s = 0.0"
     )
@@ -260,14 +327,14 @@ def test_rate_combination_and_ordering():
 
 def test_echo_roundtrip_is_identity():
     cfg = resolve_text(MINIMAL + "drive.powers_mw = 0.0, 1.5, 3.0\nseed = 11\n")
-    echo = cfg.echo_text()
+    echo = format_config(cfg.values)
     again = resolve_config(parse_config_text(echo))
     assert dict(again.values) == dict(cfg.values)
-    assert again.echo_text() == echo
+    assert format_config(again.values) == echo
     # empty list round-trips too
     empty = resolve_text(MINIMAL)
-    assert "drive.powers_mw =" in empty.echo_text()
-    assert resolve_config(parse_config_text(empty.echo_text())).powers_w == ()
+    assert "drive.powers_mw =" in format_config(empty.values)
+    assert resolve_config(parse_config_text(format_config(empty.values))).powers_w == ()
 
 
 def _wrong_typed(kind):
@@ -319,7 +386,7 @@ def test_an_int_for_a_float_key_resolves_as_the_equal_float():
     assert {k: (type(v), v) for k, v in b.values.items()} == {
         k: (type(v), v) for k, v in a.values.items()
     }
-    assert b.echo_text() == a.echo_text()
+    assert format_config(b.values) == format_config(a.values)
     assert (b.model, b.chain, b.power_w, b.powers_w) == (a.model, a.chain, a.power_w, a.powers_w)
     assert type(b.seed) is int and type(b.n_theta) is int
 
@@ -373,7 +440,7 @@ def test_seed_override(tmp_path):
     path = write_cfg(tmp_path, MINIMAL + "seed = 3\n")
     cfg = load_config(path, seed_override=9)
     assert cfg.seed == 9
-    assert "seed = 9" in cfg.echo_text()
+    assert "seed = 9" in format_config(cfg.values)
     with pytest.raises(ConfigError, match="seed"):
         load_config(path, seed_override=-1)
 
@@ -1071,6 +1138,19 @@ def test_exit_codes(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["threshold"], ["fit", "trace.csv"]])
+def test_every_loader_refuses_an_unreadable_config_alike(tmp_path, caplog, command):
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"seed = 1 # \xb5m\n")
+    for path in (tmp_path / "nope.cfg", tmp_path, not_utf8):
+        caplog.clear()
+        assert main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == (
+            EXIT_CONFIG
+        )
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith("config error: cannot read config: ")
+
+
 def test_json_format_switch(tmp_path):
     path = write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "out"
@@ -1287,37 +1367,133 @@ def test_every_public_name_is_exported_or_used():
     assert unreached == []
 
 
-def _units(tree):
-    """A module's statements, each class split into the statements of its body."""
-    for stmt in tree.body:
-        yield from stmt.body if isinstance(stmt, ast.ClassDef) else (stmt,)
+class _MemberReads(ast.NodeVisitor):
+    """The (class, member) pairs a tree reads, each read charged to its owner.
+
+    A read's owner is resolved where the AST shows it: ``self`` (or ``cls``)
+    in a method, a parameter annotated with the class, the class itself, or
+    the result of a constructor call.  A read whose owner is not resolved
+    counts only when exactly one package class has a member of that name;
+    one on ``self`` of a class outside the package counts for none.  A
+    member's reads inside its own body do not count.
+    """
+
+    def __init__(self, classes):
+        self.classes = classes  # class name -> (package bases, member names)
+        owners = {}
+        for cls, (_, names) in classes.items():
+            for name in names:
+                owners.setdefault(name, []).append(cls)
+        self.sole = {name: found[0] for name, found in owners.items() if len(found) == 1}
+        self.env = {}  # local name -> class of the object it holds ("" if not ours)
+        self.own = None  # (class, member) whose body is being visited
+        self.reads = set()
+
+    def owner(self, node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            return name if name in self.classes else None
+        if isinstance(node, ast.Name):
+            return self.env.get(node.id, node.id if node.id in self.classes else None)
+        if isinstance(node, ast.Attribute) and node.attr in self.classes:
+            return node.attr  # module.Class
+        return None
+
+    def lineage(self, cls):
+        return [cls] + [a for base in self.classes[cls][0] if base in self.classes
+                        for a in self.lineage(base)]
+
+    def visit_ClassDef(self, node):
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.function(stmt, node.name)
+            else:
+                self.visit(stmt)
+
+    def visit_FunctionDef(self, node):
+        self.function(node, None)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def function(self, node, cls):
+        saved = self.env, self.own
+        self.env = dict(self.env)
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if cls is not None:
+            self.own = (cls, node.name)
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            if args and not static:
+                self.env[args[0].arg] = cls if cls in self.classes else ""
+        for arg in args:
+            ann = arg.annotation
+            name = getattr(ann, "id", None) or getattr(ann, "value", None)
+            if isinstance(name, str) and name in self.classes:
+                self.env[arg.arg] = name
+        self.generic_visit(node)
+        self.env, self.own = saved
+
+    def visit_Assign(self, node):
+        self.generic_visit(node)
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                owner = self.owner(node.value)
+                if owner is None:
+                    self.env.pop(target.id, None)
+                else:
+                    self.env[target.id] = owner
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.ctx, ast.Load):
+            return
+        owner = self.owner(node.value)
+        if owner is None:
+            owners = [self.sole.get(node.attr)]
+        else:
+            owners = self.lineage(owner) if owner else []
+        self.reads.update((cls, node.attr) for cls in owners if cls and (cls, node.attr) != self.own)
+
+
+def _class_members(root):
+    """Every public method and property of a package class, and those no code reads.
+
+    The code is the package, the bench and README's Python blocks.
+    """
+    package = [ast.parse(p.read_text()) for p in sorted((root / "src" / "squeezesim").glob("*.py"))]
+    readme = (root / "README.md").read_text()
+    outside = [ast.parse(block.split("```", 1)[0]) for block in readme.split("```python\n")[1:]]
+    outside += [ast.parse(path.read_text()) for path in sorted((root / "bench").glob("*.py"))]
+    classes, members = {}, []
+    for tree in package:
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            names = {name for node in stmt.body for name in _defined_names(node)}
+            names |= {
+                n.attr for n in ast.walk(stmt)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and getattr(n.value, "id", None) == "self"
+            }
+            classes[stmt.name] = ([getattr(b, "id", None) for b in stmt.bases], names)
+            members += [
+                (stmt.name, node.name) for node in stmt.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+            ]
+    visitor = _MemberReads(classes)
+    for tree in package + outside:
+        visitor.visit(tree)
+    names = [f"{cls}.{name}" for cls, name in members]
+    unread = [f"{cls}.{name}" for cls, name in members if (cls, name) not in visitor.reads]
+    return names, unread
 
 
 def test_every_public_class_member_is_read():
     # a public method or property that no package code, bench file or README
     # code block reads restates another route or is dead: delete it
-    root = Path(__file__).resolve().parent.parent
-    trees = [ast.parse(path.read_text()) for path in sorted((root / "src" / "squeezesim").glob("*.py"))]
-    members = [
-        (f"{stmt.name}.{member.name}", member)
-        for tree in trees
-        for stmt in tree.body
-        if isinstance(stmt, ast.ClassDef)
-        for member in stmt.body
-        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not member.name.startswith("_")
-    ]
-    reads = [(unit, _read_names(unit)) for tree in trees for unit in _units(tree)]
-    readme = (root / "README.md").read_text()
-    outside = [ast.parse(block.split("```", 1)[0]) for block in readme.split("```python\n")[1:]]
-    outside += [ast.parse(path.read_text()) for path in sorted((root / "bench").glob("*.py"))]
-    read_outside = set().union(*map(_read_names, outside))
-    assert len(members) >= 12
-    unread = [
-        name for name, member in members
-        if member.name not in read_outside
-        and not any(member.name in names for unit, names in reads if unit is not member)
-    ]
+    members, unread = _class_members(Path(__file__).resolve().parent.parent)
+    assert {"RunConfig.require_power", "PairMoments.require_below_threshold"} <= set(members)
     assert unread == []
 
 

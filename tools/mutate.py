@@ -283,6 +283,17 @@ MUTANTS = {
         "kappa_e = kappa_from_q(omega0, values[key_e]) - kappa_i",
         "kappa_e = kappa_from_q(omega0, values[key_e])",
     ),
+    "group-accepts-partial-alternative": (
+        "src/squeezesim/config.py",
+        "    if missing:\n"
+        "        raise ConfigError(f\"{group}: missing {', '.join(missing)}\")\n",
+        "",
+    ),
+    "group-accepts-two-alternatives": (
+        "src/squeezesim/config.py",
+        "    if len(chosen) != 1:\n",
+        "    if not chosen:\n",
+    ),
     "positive-admits-zero": (
         "src/squeezesim/config.py",
         '_POSITIVE = ("positive", lambda v: v > 0)',
