@@ -442,16 +442,6 @@ class TransmissionTrace:
 _HEADER = ("wavelength_nm", "transmission")
 
 
-def _sample_line(k: int, blank_lines) -> int:
-    """File line of data sample ``k`` (-1 is the header), skipped blanks counted."""
-    line = k + 2
-    for blank in blank_lines:
-        if blank > line:
-            break
-        line += 1
-    return line
-
-
 def _header_ok(header) -> bool:
     return tuple(h.strip() for h in header) == _HEADER
 
@@ -502,10 +492,10 @@ def _load_trace_fast(path):
 
 
 def _scan_columns(path):
-    """Both trace columns, row by row; errors cite the offending line."""
+    """Both trace columns, row by row; errors cite the first offending line."""
     lam = []
     tr = []
-    blank_lines = []
+    last = 1  # the line of the last data row, or the header's
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         try:
@@ -518,7 +508,6 @@ def _scan_columns(path):
             )
         for i, row in enumerate(rows, start=2):
             if not row:
-                blank_lines.append(i)
                 continue
             if len(row) != 2:
                 raise TraceParseError(f"line {i}: expected 2 fields, got {len(row)}")
@@ -531,16 +520,17 @@ def _scan_columns(path):
                 raise TraceParseError(f"line {i}: wavelength {w!r} is not finite and positive")
             if not 0.0 <= t <= 1.05:
                 raise TraceParseError(f"line {i}: transmission {t!r} outside [0, 1.05]")
+            # every step points the way the first one does; comparing
+            # directions leaves no product of steps to underflow
+            if len(lam) == 1:
+                rising = w > lam[0]
+            if lam and not (w > lam[-1] if rising else w < lam[-1]):
+                raise TraceParseError(f"line {i}: wavelength not strictly monotonic")
             lam.append(w)
             tr.append(t)
+            last = i
     if len(lam) < 2:
-        line = _sample_line(len(lam) - 1, blank_lines)
-        raise TraceParseError(f"line {line}: need at least 2 data rows")
-    d = np.diff(lam)
-    if not (np.all(d > 0.0) or np.all(d < 0.0)):
-        bad = int(np.flatnonzero(d * (1.0 if d[0] > 0.0 else -1.0) <= 0.0)[0])
-        line = _sample_line(bad + 1, blank_lines)
-        raise TraceParseError(f"line {line}: wavelength not strictly monotonic")
+        raise TraceParseError(f"line {last}: need at least 2 data rows")
     return np.array(lam), np.array(tr)
 
 
@@ -636,10 +626,13 @@ def _prominences(x, barriers, peaks):
 
 
 def _half_crossings(x, peaks, height, side):
-    """The first sample at or below ``height`` from each peak toward ``side`` (-1 or 1).
+    """Where ``x`` falls to ``height`` from each peak toward ``side`` (-1 or 1).
 
-    The base lies at or below the half-prominence height, so the search,
-    in windows that double, always ends inside the base.
+    The first sample at or below ``height``, in fractional samples: when
+    it lies below, the edge moves toward the peak by linear interpolation
+    to the sample before it.  The base lies at or below the
+    half-prominence height, so the search, in windows that double,
+    always ends inside the base.
     """
     found_at = np.full(peaks.size, 0 if side < 0 else x.size - 1)
     todo = np.arange(peaks.size)
@@ -651,7 +644,11 @@ def _half_crossings(x, peaks, height, side):
         found_at[todo[found]] = index[found, hit[found].argmax(axis=1)]
         todo = todo[~found]
         near, far = far, 2 * far
-    return found_at
+    edge = found_at.astype(float)
+    below = x[found_at] < height
+    i = found_at[below]
+    edge[below] -= side * (height[below] - x[i]) / (x[i - side] - x[i])
+    return edge
 
 
 def _select_by_distance(peaks, order, distance):
@@ -702,17 +699,7 @@ def _find_dips(x, prominence, distance=None):
     keep = prom >= prominence
     peaks, prom = peaks[keep], prom[keep]
     height = x[peaks] - prom * 0.5
-    i = _half_crossings(x, peaks, height, -1)
-    left = i.astype(float)
-    below = x[i] < height
-    i = i[below]
-    left[below] += (height[below] - x[i]) / (x[i + 1] - x[i])
-    i = _half_crossings(x, peaks, height, 1)
-    right = i.astype(float)
-    below = x[i] < height
-    i = i[below]
-    right[below] -= (height[below] - x[i]) / (x[i - 1] - x[i])
-    widths = right - left
+    widths = _half_crossings(x, peaks, height, 1) - _half_crossings(x, peaks, height, -1)
     keep = widths >= 1.0
     return peaks[keep], widths[keep]
 
@@ -874,8 +861,11 @@ def detect_resonances(trace: TransmissionTrace, min_prominence=0.05,
                       min_spacing_nm=0.0):
     """Candidate dip windows as (lo, hi) index pairs, deterministic.
 
-    A flat trace, or a prominence floor above the deepest dip, yields
-    an empty list.
+    Each window reaches max(10, round(6 w)) samples either side of its
+    dip, w the dip's width at half prominence, and stops at the trace
+    ends and short of the midpoint to each neighbouring dip.  A flat
+    trace, or a prominence floor above the deepest dip, yields an empty
+    list.
     """
     lam = trace.wavelength_nm
     tr = trace.transmission
@@ -884,18 +874,13 @@ def detect_resonances(trace: TransmissionTrace, min_prominence=0.05,
         step = float(np.median(np.diff(lam)))
         distance = max(1, int(round(min_spacing_nm / step)))
     peaks, widths = _find_dips(1.0 - tr, min_prominence, distance)
-    windows = []
-    n = lam.size
-    for j, idx in enumerate(peaks):
-        half = max(10, int(round(6.0 * widths[j])))
-        lo = idx - half
-        hi = idx + half + 1
-        if j > 0:
-            lo = max(lo, (idx + peaks[j - 1]) // 2 + 1)
-        if j + 1 < peaks.size:
-            hi = min(hi, (idx + peaks[j + 1]) // 2)
-        windows.append((max(0, lo), min(n, hi)))
-    return windows
+    half = np.maximum(10, np.round(6.0 * widths).astype(np.intp))
+    lo = np.maximum(0, peaks - half)
+    hi = np.minimum(lam.size, peaks + half + 1)
+    mid = (peaks[:-1] + peaks[1:]) // 2
+    lo[1:] = np.maximum(lo[1:], mid + 1)
+    hi[:-1] = np.minimum(hi[:-1], mid)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

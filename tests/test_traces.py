@@ -295,6 +295,19 @@ def test_load_trace_fast_path_matches_row_scanner(tmp_path):
         load_trace(tmp_path / "inf_wavelength.csv")
 
 
+def test_load_trace_cites_the_first_offending_line_in_file_order(tmp_path):
+    # an order fault on line 4 comes before a transmission of 1.2 on line 6
+    path = tmp_path / "two_faults.csv"
+    path.write_text("wavelength_nm,transmission\n1560.0,0.5\n1560.1,0.5\n1560.05,0.5\n"
+                    "1560.2,0.5\n1560.3,1.2\n")
+    with pytest.raises(TraceParseError, match="line 4: wavelength not strictly monotonic"):
+        load_trace(path)
+    # quoted, so the row scanner reads them: steps whose product underflows
+    tiny = tmp_path / "tiny_steps.csv"
+    tiny.write_text('wavelength_nm,transmission\n"5e-324",0.5\n"1e-323",0.5\n"1.5e-323",0.5\n')
+    assert load_trace(tiny).wavelength_nm.tolist() == [5e-324, 1e-323, 1.5e-323]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_trace_reads_a_fifo_once_as_it_reads_the_file(tmp_path):
     # more than a pipe buffer, so the writer blocks until the reader drains it
@@ -429,6 +442,36 @@ def test_detect_resonances_windows():
     flat = TransmissionTrace(lam, np.ones_like(lam))
     assert detect_resonances(flat, 0.05) == []
     assert detect_resonances(trace, 0.5) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_detect_resonances_window_rule(data):
+    import squeezesim.traces as traces
+
+    n = data.draw(st.integers(3, 3000), label="n")
+    # dips as _find_dips finds them: off both ends, at least 2 samples apart
+    gaps = data.draw(st.lists(st.integers(2, 80), max_size=12), label="gaps")
+    peaks = np.cumsum([1] + gaps)
+    peaks = peaks[peaks <= n - 2]
+    widths = np.array(data.draw(
+        st.lists(st.floats(1.0, 60.0), min_size=peaks.size, max_size=peaks.size), label="widths"
+    ))
+    trace = TransmissionTrace(np.arange(1.0, n + 1.0), np.ones(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traces, "_find_dips", lambda *args: (peaks, widths))
+        windows = detect_resonances(trace, 0.05)
+    assert len(windows) == peaks.size
+    for j, ((lo, hi), p, w) in enumerate(zip(windows, peaks.tolist(), widths.tolist())):
+        reach = max(10, round(6.0 * w))
+        assert lo <= p < hi
+        # the full reach on each side, unless a trace end or the
+        # midpoint to a neighbour cuts it
+        left_cuts = [0] + ([(peaks[j - 1] + p) // 2 + 1] if j > 0 else [])
+        right_cuts = [n] + ([(p + peaks[j + 1]) // 2] if j + 1 < peaks.size else [])
+        assert p - lo == reach or (p - lo < reach and lo in left_cuts)
+        assert hi - 1 - p == reach or (hi - 1 - p < reach and hi in right_cuts)
+    assert all(a_hi <= b_lo for (_, a_hi), (b_lo, _) in zip(windows, windows[1:]))
 
 
 def test_analyze_noisy_trace_with_fringes():

@@ -258,10 +258,15 @@ MUTANTS = {
         "if not regular or name.endswith(_DECOMPRESSED):",
         "if not regular:",
     ),
-    "sample-line-stops-at-its-blank": (
+    "scanner-admits-a-repeated-wavelength": (
         "src/squeezesim/traces.py",
-        "if blank > line:",
-        "if blank >= line:",
+        "if lam and not (w > lam[-1] if rising else w < lam[-1]):",
+        "if lam and not (w >= lam[-1] if rising else w <= lam[-1]):",
+    ),
+    "half-width-edge-moves-outward": (
+        "src/squeezesim/traces.py",
+        "edge[below] -= side * (height[below] - x[i])",
+        "edge[below] += side * (height[below] - x[i])",
     ),
     "dip-distance-one-short": (
         "src/squeezesim/traces.py",
