@@ -29,7 +29,6 @@ _EXPORTS = {
     "MaterialParams": "params",
     "ResonatorModel": "params",
     "PumpDrive": "params",
-    "DetectionChain": "params",
     "escape_efficiency": "params",
     "max_onchip_squeezing_db": "params",
     "SteadyState": "steady_state",

@@ -19,11 +19,11 @@ from typing import Mapping
 import numpy as np
 
 from .params import (
-    DetectionChain,
     DomainError,
     MaterialParams,
     PumpDrive,
     ResonatorModel,
+    detection_chain_total,
     g0_from_material,
     kappa_from_q,
     wavelength_to_omega,
@@ -255,7 +255,7 @@ class RunConfig:
 
     values: Mapping[str, object]
     model: ResonatorModel
-    chain: DetectionChain
+    eta_total: float  # off-chip only; the cavity escape is model.eta_escape
     power_w: float | None
     powers_w: tuple[float, ...]
     omega: float
@@ -268,14 +268,9 @@ class RunConfig:
     calibration: CalibrationResult | None
 
     @property
-    def eta_total(self) -> float:
-        """Off-chip chain efficiency (escape handled by the model)."""
-        return self.chain.eta_total
-
-    @property
     def eta_end_to_end(self) -> float:
-        """Generation-to-detection efficiency: the chain times the cavity escape."""
-        return self.chain.eta_total * self.model.eta_escape
+        """Generation-to-detection efficiency: ``eta_total`` times the cavity escape."""
+        return self.eta_total * self.model.eta_escape
 
     def require_power(self) -> float:
         if self.power_w is None:
@@ -317,9 +312,10 @@ def _resolve_rates(values: Mapping[str, object], omega0: float) -> tuple[float, 
     return kappa_i, kappa_e
 
 
-def _resolve_detection(values: Mapping[str, object]) -> DetectionChain:
+def _resolve_detection(values: Mapping[str, object]) -> float:
+    """The off-chip efficiency: ``detection.eta_total`` as given, or the four stages' product."""
     stages = [values[key] for key in _given(values, "detection")]
-    return DetectionChain.from_total(*stages) if len(stages) == 1 else DetectionChain(*stages)
+    return stages[0] if len(stages) == 1 else detection_chain_total(*stages)
 
 
 def _resolve_g0(
@@ -387,12 +383,12 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
             d2=effective["resonator.d2_rad_s"],
             g0=0.0,
         )
-        chain = _resolve_detection(effective)
+        eta_total = _resolve_detection(effective)
 
         omega = 2.0 * math.pi * effective["analysis.omega_hz"]
         mode_index = effective["solver.mode_index"]
         model, calibration = _resolve_g0(
-            effective, model, omega, mode_index, chain.eta_total
+            effective, model, omega, mode_index, eta_total
         )
 
         if _given(effective, "analysis"):
@@ -424,7 +420,7 @@ def resolve_config(values: Mapping[str, object]) -> RunConfig:
     return RunConfig(
         values=effective,
         model=model,
-        chain=chain,
+        eta_total=eta_total,
         power_w=power_w,
         powers_w=powers_w,
         omega=omega,

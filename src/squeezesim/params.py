@@ -252,48 +252,20 @@ def detection_chain_total(
     visibility: float,
     eta_pd: float,
 ) -> float:
-    """Collection efficiency of the off-chip measurement path.
+    """Collection efficiency of the off-chip measurement path, a Python float.
 
     The homodyne visibility enters squared: an imperfect mode overlap
-    behaves as a beamsplitter on the field amplitude.
+    behaves as a beamsplitter on the field amplitude.  The cavity escape
+    efficiency is not part of it (:attr:`ResonatorModel.eta_escape`).
+    Each stage must be real and lie in (0, 1]; DomainError names the
+    first that is not.
     """
-    for name, val in (
-        ("eta_couple", eta_couple),
-        ("eta_prop", eta_prop),
-        ("visibility", visibility),
-        ("eta_pd", eta_pd),
-    ):
+    stages = []
+    for name, val in zip(("eta_couple", "eta_prop", "visibility", "eta_pd"),
+                         (eta_couple, eta_prop, visibility, eta_pd)):
+        val = _as_float(name, val)
         if not 0.0 < val <= 1.0:
             raise DomainError(f"{name} must lie in (0, 1], got {val}")
+        stages.append(val)
+    eta_couple, eta_prop, visibility, eta_pd = stages
     return eta_couple * eta_prop * visibility ** 2 * eta_pd
-
-
-@dataclass(frozen=True)
-class DetectionChain:
-    """Efficiency budget between chip output and homodyne photocurrent.
-
-    eta_total covers only the off-chip path (fiber coupling, propagation,
-    homodyne visibility squared, photodiode).  The cavity escape
-    efficiency belongs to the intracavity model
-    (:attr:`ResonatorModel.eta_escape`).
-    """
-
-    eta_couple: float = 1.0
-    eta_prop: float = 1.0
-    visibility: float = 1.0
-    eta_pd: float = 1.0
-    eta_total: float = field(init=False)
-
-    def __post_init__(self):
-        _real_fields(self, ("eta_couple", "eta_prop", "visibility", "eta_pd"))
-        total = detection_chain_total(
-            self.eta_couple, self.eta_prop, self.visibility, self.eta_pd
-        )
-        object.__setattr__(self, "eta_total", total)
-
-    @classmethod
-    def from_total(cls, eta_total: float) -> "DetectionChain":
-        """Wrap a lumped off-chip efficiency with no per-stage breakdown."""
-        if not 0.0 < eta_total <= 1.0:
-            raise DomainError(f"eta_total must lie in (0, 1], got {eta_total}")
-        return cls(eta_couple=eta_total, eta_prop=1.0, visibility=1.0, eta_pd=1.0)

@@ -322,10 +322,11 @@ def threshold_gain(model: ResonatorModel, l: int = 1) -> float:
 def threshold_intracavity(model: ResonatorModel, l: int = 1) -> float:
     """Pump photon number where side-mode pair ``l`` starts oscillating.
 
-    The threshold gain over g0; ``inf`` when it is unreachable.
+    The threshold gain over g0; ``inf`` when it is unreachable, and at
+    ``g0 = 0``, the limit of the gain over g0.
     """
-    if model.g0 <= 0.0:
-        raise DomainError("threshold is undefined for g0 = 0")
+    if model.g0 == 0.0:
+        return math.inf
     return threshold_gain(model, l) / model.g0
 
 
@@ -336,8 +337,6 @@ def threshold_power(model: ResonatorModel, l: int = 1) -> float:
     when no power reaches threshold: at this detuning, or with no Kerr
     shift (``g0 = 0``).
     """
-    if model.g0 == 0.0:
-        return math.inf
     rho_th = threshold_intracavity(model, l)
     if math.isinf(rho_th):
         return math.inf

@@ -58,16 +58,10 @@ class TraceParseError(DomainError):
     """A trace file violated the CSV schema; message cites the line."""
 
 
-def detuning_rad_s(wavelength_nm, center_nm):
-    """First-order detuning from line center, -2 pi c dlam / lam0^2."""
-    lam = np.asarray(wavelength_nm, dtype=float)
-    lc_m = center_nm * NM
-    return -2.0 * math.pi * C_LIGHT * (lam - center_nm) * NM / lc_m ** 2
-
-
 def dip_transmission(wavelength_nm, center_nm, kappa, depth):
-    delta = detuning_rad_s(wavelength_nm, center_nm)
-    return 1.0 - depth / (1.0 + (2.0 * delta / kappa) ** 2)
+    """One Lorentzian dip of unit baseline: the fit's model in nanometres."""
+    lam_m = np.asarray(wavelength_nm, dtype=float) * NM
+    return _dip_model_m(lam_m, center_nm * NM, kappa, depth, 1.0)
 
 
 def resonance_t_min(kappa_e: float, kappa_i: float) -> float:

@@ -1,7 +1,6 @@
 """Config parsing and command-line behavior, including byte determinism."""
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -28,7 +27,9 @@ from squeezesim.config import (
     resolve_config,
 )
 from squeezesim.langevin import load_series
-from squeezesim.params import C_LIGHT, HBAR, MaterialParams, PumpDrive, g0_from_material
+from squeezesim.params import (
+    C_LIGHT, HBAR, MaterialParams, PumpDrive, detection_chain_total, g0_from_material,
+)
 from squeezesim.steady_state import (
     bistable_flux_window,
     steady_state_roots,
@@ -83,10 +84,20 @@ def test_minimal_config_defaults():
 
 def test_eta_end_to_end_is_chain_times_escape():
     cfg = resolve_text(MINIMAL)
-    # the escape efficiency lives on the model alone
-    assert "eta_escape" not in {f.name for f in dataclasses.fields(cfg.chain)}
+    # the escape efficiency lives on the model alone: eta_total is the off-chip
+    # part, the lumped key as given or the per-stage product, bit for bit
     assert cfg.eta_end_to_end == cfg.eta_total * cfg.model.eta_escape
     assert cfg.eta_end_to_end == pytest.approx(0.602 * 0.9178217821782178, rel=1e-12)
+    for lumped in (0.602, 0.6021708, 1.0, 5e-324):
+        given = resolve_text(MINIMAL.replace("0.602", repr(lumped))).eta_total
+        assert type(given) is float and given.hex() == lumped.hex()
+    stages = (0.75, 0.95, 0.98, 0.88)
+    per_stage = MINIMAL.replace(
+        "detection.eta_total = 0.602",
+        "".join(f"detection.{key} = {value!r}\n" for key, value in
+                zip(("eta_couple", "eta_prop", "visibility", "eta_pd"), stages)),
+    )
+    assert resolve_text(per_stage).eta_total.hex() == detection_chain_total(*stages).hex()
 
 
 def test_parse_errors_name_key_and_line():
@@ -387,8 +398,15 @@ def test_an_int_for_a_float_key_resolves_as_the_equal_float():
         k: (type(v), v) for k, v in a.values.items()
     }
     assert format_config(b.values) == format_config(a.values)
-    assert (b.model, b.chain, b.power_w, b.powers_w) == (a.model, a.chain, a.power_w, a.powers_w)
+    assert (b.model, b.eta_total, b.power_w, b.powers_w) == (
+        a.model, a.eta_total, a.power_w, a.powers_w
+    )
     assert type(b.seed) is int and type(b.n_theta) is int
+    stages = ("eta_couple", "eta_prop", "visibility", "eta_pd")
+    per_stage = {**ints, **{f"detection.{key}": 1 for key in stages}}
+    del per_stage["detection.eta_total"]
+    eta_total = resolve_config(per_stage).eta_total
+    assert eta_total == 1.0 and type(eta_total) is float
 
 
 def test_library_defaults_are_the_config_defaults():
@@ -1018,7 +1036,34 @@ def test_zero_kerr_commands_have_no_threshold(tmp_path, monkeypatch):
     cap = 2.0 * 30.0e-3
     expected = np.random.default_rng(0).uniform([0.0, -3.0], [cap, math.log10(3.0)], (40, 2))
     assert len(drawn) == 1 and np.array_equal(drawn[0], expected[:, 0])
-    assert main(["threshold", "--config", path, "--out", str(out)]) == EXIT_FAIL
+    assert main(["threshold", "--config", path, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "threshold.json").read_text())
+    assert report["threshold_power_mw"] is None
+    assert report["threshold_intracavity_photons"] is None
+
+
+def test_threshold_writes_null_wherever_no_power_reaches_it(tmp_path):
+    # the reference config without its calibration: at g0 = 0 threshold
+    # exited 1, while an unreachable threshold at g0 > 0 wrote null
+    base = {
+        key: value for key, value in parse_config_text(REFERENCE_CFG.read_text()).items()
+        if not key.startswith("calibration.")
+    }
+    cases = {
+        "no_kerr": {"resonator.g0_rad_s": 0.0},
+        "unreachable": {
+            "resonator.g0_rad_s": 0.5, "resonator.d2_rad_s": 0.0, "drive.detuning_rad_s": 0.0,
+        },
+    }
+    for name, keys in cases.items():
+        path = write_cfg(tmp_path, format_config({**base, **keys}), name=f"{name}.cfg")
+        out = tmp_path / name
+        assert main(["threshold", "--config", path, "--out", str(out)]) == EXIT_OK, name
+        report = json.loads((out / "threshold.json").read_text())
+        assert report["threshold_power_mw"] is None, name
+        assert report["threshold_intracavity_photons"] is None, name
+        assert report["bistable"] is False, name
+        assert report["at_power"]["power_mw"] == 50.0, name
 
 
 def test_validate_passes_on_sane_config(tmp_path):

@@ -9,7 +9,6 @@ from squeezesim.params import (
     HBAR,
     C_LIGHT,
     DomainError,
-    DetectionChain,
     MaterialParams,
     PumpDrive,
     ResonatorModel,
@@ -234,7 +233,10 @@ def test_pump_drive_refuses_an_a_in_that_misses_its_flux():
         PumpDrive(power_on_chip=1e-3, flux=flux, a_in=math.sqrt(flux))
 
 
-# valid fields of each parameter class, then valid integral ones
+# valid fields of each parameter class, then valid integral ones; the
+# four detection stages, which detection_chain_total checks as the
+# classes check their fields, keep the ids they had as the fields of the
+# former DetectionChain class
 REAL_FIELDS = {
     ResonatorModel: (RESONATOR_FIELDS, dict(omega0=10**15, kappa_i=0, kappa_e=10**9)),
     PumpDrive: (PUMP_FIELDS, {"power_on_chip": 1, "flux": 4, "a_in": 2}),
@@ -242,13 +244,19 @@ REAL_FIELDS = {
         {"n2": 2.4e-19, "n0": 1.996, "v_eff": 1.0e-16},
         {"n2": 1, "n0": 2, "v_eff": 3},
     ),
-    DetectionChain: (
+    detection_chain_total: (
         {"eta_couple": 0.75, "eta_prop": 0.95, "visibility": 0.98, "eta_pd": 0.88},
         {"eta_couple": 1, "eta_prop": 1, "visibility": 1, "eta_pd": 1},
     ),
 }
+
+
+def row_id(cls):
+    return "DetectionChain" if cls is detection_chain_total else cls.__name__
+
+
 FIELD_CASES = [
-    pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+    pytest.param(cls, name, id=f"{row_id(cls)}.{name}")
     for cls, (fields, _) in REAL_FIELDS.items()
     for name in fields
 ]
@@ -292,7 +300,7 @@ def test_from_power_takes_any_real_number():
         assert all(type(getattr(built, f.name)) is float for f in dataclasses.fields(built))
 
 
-@pytest.mark.parametrize("cls", list(REAL_FIELDS), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", list(REAL_FIELDS), ids=row_id)
 @pytest.mark.parametrize(
     "number, integral",
     [(np.float64, False), (np.array, False), (int, True), (np.int64, True)],
@@ -301,8 +309,12 @@ def test_from_power_takes_any_real_number():
 def test_real_fields_are_stored_as_python_floats(cls, number, integral):
     fields = REAL_FIELDS[cls][integral]
     built = cls(**{name: number(value) for name, value in fields.items()})
-    for f in dataclasses.fields(built):
-        assert type(getattr(built, f.name)) is float, f.name
+    if dataclasses.is_dataclass(built):
+        stored = {f.name: getattr(built, f.name) for f in dataclasses.fields(built)}
+    else:  # detection_chain_total returns its one float
+        stored = {"result": built}
+    for name, value in stored.items():
+        assert type(value) is float, name
     assert built == cls(**{name: float(value) for name, value in fields.items()})
 
 
@@ -325,14 +337,14 @@ def test_pump_drive_from_power():
 
 
 def test_detection_chain_total_and_from_total():
-    chain = DetectionChain(eta_couple=0.75, eta_prop=0.95, visibility=0.98, eta_pd=0.88)
-    assert chain.eta_total == pytest.approx(0.6021708, abs=1e-7)
-    lumped = DetectionChain.from_total(0.61)
-    assert lumped.eta_total == pytest.approx(0.61, rel=1e-15)
-    with pytest.raises(DomainError):
-        DetectionChain.from_total(0.0)
-    with pytest.raises(DomainError):
-        DetectionChain(eta_couple=1.2)
+    # the per-stage product; a lumped total enters the config as given
+    assert detection_chain_total(1, 1, 1, 1) == 1.0
+    assert detection_chain_total(0.61, 1.0, 1.0, 1.0) == 0.61
+    stages = {"eta_couple": 0.75, "eta_prop": 0.95, "visibility": 0.98, "eta_pd": 0.88}
+    for name in stages:
+        for bad in (0.0, 1.2, -0.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match=rf"^{name} must lie in \(0, 1\], got "):
+                detection_chain_total(**{**stages, name: bad})
 
 
 def test_g0_material_scaling():

@@ -42,12 +42,17 @@ MUTANTS = {
         "on, off = (1.0 - eta) * 1.0, (1.0 - eta) * 0.0",
         "on, off = (1.0 - eta) * 1.0, (1.0 - eta) * 1.0",
     ),
-    "threshold-power-needs-kerr": (
+    "threshold-intracavity-divides-by-zero-kerr": (
         "src/squeezesim/steady_state.py",
         "    if model.g0 == 0.0:\n"
         "        return math.inf\n"
-        "    rho_th = threshold_intracavity(model, l)\n",
-        "    rho_th = threshold_intracavity(model, l)\n",
+        "    return threshold_gain(model, l) / model.g0\n",
+        "    return threshold_gain(model, l) / model.g0\n",
+    ),
+    "visibility-enters-once": (
+        "src/squeezesim/params.py",
+        "eta_couple * eta_prop * visibility ** 2 * eta_pd",
+        "eta_couple * eta_prop * visibility * eta_pd",
     ),
     "cross-phase-factor-1": (
         "src/squeezesim/spectra.py",
