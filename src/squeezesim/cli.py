@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -89,10 +90,28 @@ def _json_text(obj) -> str:
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``out_dir/name`` in place, then cut the file there.
+
+    The file is opened without truncation, so a rerun writes over blocks
+    the file already has: truncating on open makes the file system free
+    them, which can cost tens of milliseconds per file where it discards
+    freed blocks.  After this returns or raises, no byte of the previous
+    content remains past the bytes just written.  A shorter rewrite still
+    frees its tail blocks, the slow path as before.  Symlinks, directories
+    and unwritable files behave as with ``open(path, "w")``, raising the
+    same ``OSError`` where it would.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh.write(text)
+            fh.flush()
+        finally:
+            # cut at what reached the file; a FIFO or device has no tail
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     log.info("wrote %s", path)
     return path
 

@@ -1,9 +1,11 @@
 """Config parsing and command-line behavior, including byte determinism."""
 
 import ast
+import errno
 import importlib
 import importlib.util
 import inspect
+import io
 import itertools
 import json
 import math
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import squeezesim
+from squeezesim import cli
 from squeezesim.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 from squeezesim import config as config_module
 from squeezesim.config import (
@@ -37,6 +40,7 @@ from squeezesim.steady_state import (
     threshold_power,
 )
 from squeezesim.traces import TransmissionTrace, save_trace, synthesize_trace
+from test_reference_outputs import write_fit_trace
 
 REFERENCE_CFG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
 
@@ -1232,6 +1236,102 @@ def test_module_entry_point(tmp_path):
     assert (out / "spectrum_summary.json").exists()
 
 
+REWRITE_CFG = (
+    MINIMAL.replace("drive.power_mw = 0.0", "drive.power_mw = 30.0")
+    .replace("resonator.g0_rad_s = 0.5", "calibration.power_mw = 50.0")
+    + "drive.detuning_rad_s = 4.0e8\ndrive.powers_mw = 0.0, 10.0, 20.0\n"
+)
+
+
+def run_each_command(cfg_path, trace_path, root):
+    """Every file the four config commands and ``fit`` write, one directory each."""
+    for command in ("threshold", "spectrum", "sweep", "phase-scan"):
+        argv = [command, "--config", cfg_path, "--out", str(root / command)]
+        assert main(argv) == EXIT_OK, command
+    assert main(["fit", trace_path, "--out", str(root / "fit")]) == EXIT_OK
+    return {
+        str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()
+    }
+
+
+def test_a_rerun_into_the_same_out_rewrites_every_file_exactly(tmp_path):
+    write_fit_trace(tmp_path)
+    trace = str(tmp_path / "trace.csv")
+    cfg = write_cfg(tmp_path, REWRITE_CFG)
+    fresh = run_each_command(cfg, trace, tmp_path / "fresh")
+    assert len(fresh) == 11
+    # longer junk at every output name: each rewrite must cut the old tail
+    again = tmp_path / "again"
+    for name, data in fresh.items():
+        (again / name).parent.mkdir(parents=True, exist_ok=True)
+        (again / name).write_bytes(b"#" * (len(data) + 4096))
+    assert run_each_command(cfg, trace, again) == fresh
+
+    # README's workflow: stats into fit's own --out rewrites a shorter fit_stats.json
+    fit_dir = again / "fit"
+    assert main(["stats", str(fit_dir / "fits.json"), "--out", str(fit_dir)]) == EXIT_OK
+    assert main(["stats", str(fit_dir / "fits.json"), "--out", str(tmp_path / "stats")]) == (
+        EXIT_OK
+    )
+    shrunk = (fit_dir / "fit_stats.json").read_bytes()
+    assert len(shrunk) < len(fresh["fit/fit_stats.json"])
+    assert shrunk == (tmp_path / "stats" / "fit_stats.json").read_bytes()
+
+
+class HalfWrite(io.TextIOWrapper):
+    """A text stream whose write stops halfway on a full disk."""
+
+    def write(self, text):
+        super().write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_rewrite_leaves_no_old_byte_past_what_it_wrote(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, REWRITE_CFG)
+    out = tmp_path / "out"
+    assert main(["threshold", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    written = (out / "effective_config.cfg").read_bytes()
+    (out / "effective_config.cfg").write_bytes(b"#" * (len(written) + 4096))
+
+    def half_open(file, mode, **kwargs):
+        return HalfWrite(open(file, mode + "b"), **kwargs)
+
+    monkeypatch.setattr(cli, "open", half_open, raising=False)
+    assert main(["threshold", "--config", cfg, "--out", str(out)]) == EXIT_FAIL
+    left = (out / "effective_config.cfg").read_bytes()
+    assert left == written[: len(written) // 2]
+
+
+def test_outputs_reach_symlinks_and_directories_as_open_does(tmp_path):
+    # twin trees whose output names are symlinks or a directory: one is
+    # written by the builtin open(path, "w"), the other by the command line
+    def write_open(root, name, text):
+        with open(root / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+    seen = {}
+    for how, write in (("open", write_open), ("cli", cli._write)):
+        root = tmp_path / how
+        root.mkdir()
+        (root / "target.txt").write_text("#" * 4096)
+        os.symlink(root / "target.txt", root / "to_file")
+        os.symlink(root / "missing.txt", root / "dangling")
+        os.symlink(os.devnull, root / "to_devnull")
+        (root / "directory").mkdir()
+        outcomes = {}
+        for name in ("to_file", "dangling", "to_devnull", "directory"):
+            try:
+                write(root, name, "x = 1\n")
+                outcomes[name] = "written"
+            except OSError as exc:
+                outcomes[name] = type(exc).__name__
+        files = {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+        seen[how] = outcomes, files
+    assert seen["cli"][0]["directory"] == "IsADirectoryError"
+    assert seen["cli"][1]["target.txt"] == b"x = 1\n"
+    assert seen["cli"] == seen["open"]
+
+
 _IMPORT_PROBE = """
 import json, sys
 import squeezesim.cli
@@ -1563,7 +1663,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 56
+    assert len(mutate.MUTANTS) >= 57
     assert stale == []
 
 

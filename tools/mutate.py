@@ -353,6 +353,12 @@ MUTANTS = {
         '        log.error("config error: %s", exc)\n'
         "        return EXIT_FAIL\n",
     ),
+    "cli-write-keeps-stale-tail": (
+        "src/squeezesim/cli.py",
+        "            if stat.S_ISREG(os.fstat(fd).st_mode):\n"
+        "                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))\n",
+        "            pass\n",
+    ),
 }
 
 # the row check reads the copy, where the applied row's snippet is gone by design

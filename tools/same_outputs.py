@@ -13,13 +13,17 @@ Both trees then run the same commands on the same inputs, each tree's
   writes and on the benchmark's comb, ``bench/inputs.comb_trace(911)``;
 - ``stats`` on both ``fits.json`` files.
 
+Each tree then runs every command a second time into the same output
+directories, the path a rerun into one ``--out`` takes, and the files of
+both runs are compared: ``first/NAME`` and ``second/NAME``.
+
 Inputs are written once, from the checkout, and every path a command is
 given is relative and the same in both trees, so an output that records
-its source still compares.  One JSON line on stdout names every output
-file that differs or exists in one tree only, and every command that
-failed; the exit status is 1 if there is any.  Nothing is written into
-the checkout.  It runs some ten commands in fresh interpreters, so it is
-not part of tier-1.
+its source still compares.  One JSON line on stdout counts the files of
+both runs and names every output file that differs or exists in one tree
+only, and every command that failed; the exit status is 1 if there is
+any.  Nothing is written into the checkout.  It runs some thirty commands
+in fresh interpreters, so it is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -96,15 +100,18 @@ def main(argv=None) -> int:
         extract(args.ref, tmp / "ref")
         write_inputs(tmp / "inputs")
         runs = {name: tmp / "runs" / name for name in ("ref", "checkout")}
+        kept = {name: tmp / "kept" / name for name in runs}
         failed = []
         for name, tree in (("ref", tmp / "ref"), ("checkout", ROOT)):
             runs[name].mkdir(parents=True)
-            failed += [f"{name}: {out}" for out in run_commands(tree, runs[name])]
-        names = files(runs["ref"]) | files(runs["checkout"])
+            for which in ("first", "second"):
+                failed += [f"{name} {which}: {out}" for out in run_commands(tree, runs[name])]
+                shutil.copytree(runs[name], kept[name] / which)
+        names = files(kept["ref"]) | files(kept["checkout"])
         differ = sorted(
             name for name in names
-            if not all((run / name).is_file() for run in runs.values())
-            or not filecmp.cmp(runs["ref"] / name, runs["checkout"] / name, shallow=False)
+            if not all((run / name).is_file() for run in kept.values())
+            or not filecmp.cmp(kept["ref"] / name, kept["checkout"] / name, shallow=False)
         )
     print(json.dumps({"ref": args.ref, "files": len(names), "differ": differ, "failed": failed}))
     return 1 if differ or failed else 0
