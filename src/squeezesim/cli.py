@@ -99,19 +99,24 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     content remains past the bytes just written.  A shorter rewrite still
     frees its tail blocks, the slow path as before.  Symlinks, directories
     and unwritable files behave as with ``open(path, "w")``, raising the
-    same ``OSError`` where it would.
+    same ``OSError`` where it would.  A failure after the open, such as a
+    full disk, raises an ``OSError`` whose message names the write and
+    the path: ``cannot write out/threshold.json: [Errno 28] ...``.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-        try:
-            fh.write(text)
-            fh.flush()
-        finally:
-            # cut at what reached the file; a FIFO or device has no tail
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            try:
+                fh.write(text)
+                fh.flush()
+            finally:
+                # cut at what reached the file; a FIFO or device has no tail
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
     log.info("wrote %s", path)
     return path
 
@@ -431,8 +436,9 @@ def main(argv=None) -> int:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
     except OSError as exc:
-        # a missing, unreadable or non-regular file: the message names it
-        log.error("cannot open file: %s", exc)
+        # the OS names the file it could not open (missing, unreadable or
+        # not a regular file); _write's message names its own step and file
+        log.error("cannot open file: %s" if exc.filename is not None else "%s", exc)
         return EXIT_FAIL
     except (DomainError, RuntimeError) as exc:
         # TraceParseError is a DomainError; SingularSystemError a RuntimeError

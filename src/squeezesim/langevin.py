@@ -45,6 +45,7 @@ and batch size.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -164,10 +165,11 @@ def _check_eta(eta_total: float) -> None:
         raise DomainError(f"eta_total must lie in [0, 1], got {eta_total}")
 
 
-def _check_bin(theta: float, k: int, dt: float, n: int, eta_total: float) -> None:
+def _check_bin(thetas, k: int, dt: float, n: int, eta_total: float) -> None:
     _check_dt(dt)
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta!r}")
+    for theta in thetas:
+        if not math.isfinite(theta):
+            raise DomainError(f"theta must be finite, got {float(theta)!r}")
     _check_eta(eta_total)
     if not 1 <= k <= n // 2 - 1:
         raise DomainError(f"bin index {k} outside the usable grid")
@@ -222,19 +224,42 @@ def _hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
 
 
-def _hann_periodograms(segments: np.ndarray, dt: float) -> np.ndarray:
-    """Two-sided density periodograms of equal-length segments (..., n)."""
+def _hann_periodograms(segments: np.ndarray, dt: float, bins, spec: np.ndarray) -> np.ndarray:
+    """Two-sided density periodograms of equal-length segments (..., n) at ``bins``.
+
+    The window is multiplied into ``segments`` in place and the transform
+    written into ``spec`` (..., n // 2 + 1); only the bins that ``bins``
+    indexes on its last axis are squared and scaled.
+    """
     n = segments.shape[-1]
     w = _hann_window(n)
-    spec = np.fft.rfft(segments * w, axis=-1)
-    return (spec.real ** 2 + spec.imag ** 2) * (dt / (n * np.mean(w * w)))
+    segments *= w
+    np.fft.rfft(segments, axis=-1, out=spec)
+    picked = spec[..., bins]
+    return (picked.real ** 2 + picked.imag ** 2) * (dt / (n * np.mean(w * w)))
+
+
+def _bin_selection(bins, nf: int) -> np.ndarray:
+    """Indices of the requested bins on a grid of ``nf``; every bin for None."""
+    if bins is None:
+        return np.arange(nf)
+    if np.ndim(bins) != 1 or not all(
+        isinstance(b, numbers.Integral) and not isinstance(b, bool) and 0 <= b < nf
+        for b in bins
+    ):
+        raise DomainError(
+            f"bins must be a sequence of integer bin indices in [0, {nf - 1}], got {bins!r}"
+        )
+    return np.array(bins, dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class LangevinRun:
     """Result of one stochastic run at fixed operating point.
 
-    ``psd`` is (n_theta, n_freq), normalized so shot noise is 1;
+    ``psd`` is (n_theta, n_bins), normalized so shot noise is 1, with one
+    column per bin that :func:`simulate_pair` was asked for (every bin of
+    the rfft grid by default) and ``omega`` (n_bins,) their frequencies;
     ``psd_sigma`` is its per-bin standard error from segment scatter.
     ``series`` keeps the first simulated segment (n_theta, n_samples) of
     the detected homodyne record for inspection and dumps.  Its rows are
@@ -264,6 +289,7 @@ def simulate_pair(
     l: int = 1,
     seed=None,
     batch_size: int = 128,
+    bins=None,
 ) -> LangevinRun:
     """Simulate homodyne records of one pair and estimate their spectra.
 
@@ -280,6 +306,14 @@ def simulate_pair(
     step-major in fixed chunks, so the stream depends only on ``seed``
     and on how ``batch_size`` splits the segments into batches: every
     ``batch_size >= n_segments`` gives the same bits.
+
+    ``bins`` selects the periodogram bins to estimate, as integer indices
+    into the rfft grid of ``n_samples // 2 + 1`` bins; ``None`` keeps them
+    all, and ``()`` none, for a run that only wants ``series``.  Every
+    record is still transformed in full, so a selected bin has the same
+    bits as in a run that keeps every bin, and the random stream does not
+    depend on ``bins``.  The result's ``psd``, ``psd_sigma`` and ``omega``
+    hold the selected bins' columns, in the order given.
 
     ``dt`` may be at most one cavity period 2*pi/kappa.  The law is exact
     at any step, and so is :func:`expected_bin_value`; the cap is the
@@ -300,9 +334,12 @@ def simulate_pair(
     if batch_size < 1:
         raise DomainError("batch_size must be at least 1")
     _check_eta(eta_total)
+    nf = n_samples // 2 + 1
+    sel = _bin_selection(bins, nf)
+    omega = (2.0 * math.pi * np.fft.rfftfreq(n_samples, d=dt))[sel]
     batch_size = min(batch_size, n_segments)
     law = _step_law(model, steady, dt, l)
-    s_dt, a_rr = law.s_dt, law.a_rr
+    s_dt, propagate = law.s_dt, law.a_rr.dot
     l6 = _factor_psd_matrix(law.cov)
     l0 = _factor_psd_matrix(law.p0)
     sqrt_eta = math.sqrt(eta_total)
@@ -321,7 +358,7 @@ def simulate_pair(
     to_angles = np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
     rng = np.random.default_rng(seed)
-    nth, n, nf = thetas.size, n_samples, n_samples // 2 + 1
+    nth, n = thetas.size, n_samples
     chunk = max(1, min(n, _NOISE_CHUNK_VALUES // (n_draw * batch_size)))
     noise_buf = np.empty(chunk * n_draw * batch_size)
     mixed_buf = np.empty(chunk * 6 * batch_size)
@@ -329,8 +366,9 @@ def simulate_pair(
     record_buf = np.empty(chunk * 2 * batch_size)
     angle_buf = np.empty(chunk * nth * batch_size)
     xs_buf = np.empty(nth * batch_size * n)
-    acc = np.zeros((nth, nf))
-    acc2 = np.zeros((nth, nf))
+    spec_buf = np.empty(nth * batch_size * nf, dtype=complex)
+    acc = np.zeros((nth, omega.size))
+    acc2 = np.zeros((nth, omega.size))
     first = None
     done = 0
     while done < n_segments:
@@ -341,6 +379,7 @@ def simulate_pair(
         record = _flat_view(record_buf, chunk, 2, b)
         at_angles = _flat_view(angle_buf, chunk, nth, b)
         xs = _flat_view(xs_buf, nth, b, n)
+        spec = _flat_view(spec_buf, nth, b, nf)
         # per-step views made once per batch: the step loop only does math
         state_rows = list(states)
         increments = list(mixed[:, :4])
@@ -350,24 +389,26 @@ def simulate_pair(
             rng.standard_normal(out=noise[:k])
             np.matmul(mix, noise[:k], out=mixed[:k])
             for r, r_next, w in zip(state_rows, state_rows[1 : k + 1], increments):
-                np.dot(a_rr, r, out=r_next)
+                propagate(r, out=r_next)
                 r_next += w
             np.matmul(c_r, states[:k], out=record[:k])
             record[:k] += mixed[:k, 4:]
             np.matmul(to_angles, record[:k], out=at_angles[:k])
             xs[:, :, m0 : m0 + k] = at_angles[:k].transpose(1, 2, 0)
             states[0] = states[k]
-        pseg = _hann_periodograms(xs, s_dt) / 0.5
-        acc += pseg.sum(axis=1)
-        acc2 += np.square(pseg).sum(axis=1)
         if first is None:
             first = xs[:, 0, :].copy()
+        pseg = _hann_periodograms(xs, s_dt, sel, spec) / 0.5
+        # running sums in segment order: a reduction whose inner loop ran
+        # over segments would sum pairwise and round differently
+        acc += np.add.accumulate(pseg, axis=1)[:, -1]
+        acc2 += np.add.accumulate(np.square(pseg), axis=1)[:, -1]
         done += b
     mean = acc / n_segments
     var = (acc2 - n_segments * mean ** 2) / (n_segments - 1)
     sigma = np.sqrt(np.maximum(var, 0.0) / n_segments)
     return LangevinRun(
-        omega=2.0 * math.pi * np.fft.rfftfreq(n, d=dt),
+        omega=omega,
         psd=mean,
         psd_sigma=sigma,
         thetas=thetas,
@@ -376,16 +417,12 @@ def simulate_pair(
     )
 
 
-def _hann_lag_sum(
-    r0: float, a: np.ndarray, c: np.ndarray, y: np.ndarray, k: int, n: int
-) -> float:
-    """Expected Hann periodogram bin ``k`` of a length-``n`` sampled record.
+def _hann_lags(a: np.ndarray, c: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag rows c.a^(tau-1) and Hann lag weights of bin ``k`` for :func:`_hann_lag_sum`.
 
-    The record's autocovariance, normalized so white shot noise is 1 at
-    lag 0, is ``r0`` at lag 0 and ``c.a^(tau-1).y`` at lag tau >= 1.  The
-    bin is sum_tau r(tau) (w*w)(tau) cos(2 pi k tau / n), scaled like the
-    periodogram.  The rows c.a^j come by doubling: O(log n) matrix
-    products instead of a loop over lags.
+    Both depend only on the record's dynamics and the plan, so one pair
+    serves every vector ``y`` of the same record.  The rows come by
+    doubling: O(log n) matrix products instead of a loop over lags.
     """
     rows = c[None, :]
     while rows.shape[0] < n - 1:
@@ -393,21 +430,39 @@ def _hann_lag_sum(
         a = a @ a
     ww = np.fft.irfft(np.abs(np.fft.rfft(_hann_window(n), 2 * n)) ** 2, 2 * n)[:n]
     lag_weight = ww[1:] / ww[0] * np.cos(2.0 * math.pi * k * np.arange(1, n) / n)
-    return float(r0 + 2.0 * np.dot(rows[: n - 1] @ y, lag_weight))
+    return rows[: n - 1], lag_weight
+
+
+def _hann_lag_sum(r0: float, lags: tuple[np.ndarray, np.ndarray], y: np.ndarray) -> float:
+    """Expected Hann periodogram bin ``k`` of a length-``n`` sampled record.
+
+    The record's autocovariance, normalized so white shot noise is 1 at
+    lag 0, is ``r0`` at lag 0 and ``c.a^(tau-1).y`` at lag tau >= 1, with
+    ``lags = _hann_lags(a, c, k, n)``.  The bin is sum_tau r(tau)
+    (w*w)(tau) cos(2 pi k tau / n), scaled like the periodogram.
+    """
+    rows, lag_weight = lags
+    return float(r0 + 2.0 * np.dot(rows @ y, lag_weight))
 
 
 def expected_bin_value(
     model: ResonatorModel,
     steady: SteadyState,
-    theta: float,
+    theta,
     k: int,
     dt: float,
     n_samples: int,
     *,
     eta_total: float = 1.0,
     l: int = 1,
-) -> float:
+) -> float | np.ndarray:
     """Expected Hann periodogram bin from the analytic spectrum, exactly.
+
+    ``theta`` is one homodyne angle, which gives a float, or a sequence of
+    them, which gives an array of one bin per angle.  Everything but the
+    angle's own excess spectrum (the pair moments, the block exponential
+    and the Hann lag rows) is built once per call, and each angle's value
+    has the same bits as a call with that angle alone.
 
     The above-shot excess of the homodyne spectrum from
     :func:`~squeezesim.spectra.pair_moments` is a two-pole rational
@@ -433,24 +488,31 @@ def expected_bin_value(
     is a Jordan block, the matrix exponential needs no special case.
     Nothing here uses the simulation's step law.
     """
-    _check_bin(theta, k, dt, n_samples, eta_total)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    _check_bin(thetas, k, dt, n_samples, eta_total)
     pair = pair_moments(model, steady.rho, steady.a0, [0.0, 0.5 * model.kappa], l)
-    excess = homodyne_variance(output_covariance(pair.require_below_threshold()), theta) - 1.0
+    cov = output_covariance(pair.require_below_threshold())
     # scaled units (kappa = 1) keep the block exponential well conditioned
     c = 0.25 + (float(pair.delta_l) ** 2 - abs(complex(pair.g)) ** 2) / model.kappa ** 2
-    p0 = excess[0] * c * c
-    p1 = 4.0 * (excess[1] * ((c - 0.25) ** 2 + 0.25) - p0)
-    # E(0) and E'(0+) of the excess autocovariance
-    v = np.array([0.5 * (p0 / c + p1), -0.5 * p1])
     s_dt = dt * model.kappa
     blocks = np.zeros((6, 6))
     blocks[:2, :2] = [[0.0, 1.0], [-c, -1.0]]
     blocks[:2, 2:4] = blocks[2:4, 4:] = np.eye(2)
     e = expm(blocks * s_dt)
     phi, psi, psi2 = e[:2, :2], e[:2, 2:4], e[:2, 4:]
+    psi_sq = psi @ psi
     scale = eta_total / s_dt
-    r0 = 1.0 + 2.0 * scale * (psi2 @ v)[0]
-    return _hann_lag_sum(r0, phi, np.array([scale, 0.0]), psi @ psi @ v, k, n_samples)
+    lags = _hann_lags(phi, np.array([scale, 0.0]), k, n_samples)
+    values = []
+    for th in thetas:
+        excess = homodyne_variance(cov, float(th)) - 1.0
+        p0 = excess[0] * c * c
+        p1 = 4.0 * (excess[1] * ((c - 0.25) ** 2 + 0.25) - p0)
+        # E(0) and E'(0+) of the excess autocovariance
+        v = np.array([0.5 * (p0 / c + p1), -0.5 * p1])
+        r0 = 1.0 + 2.0 * scale * (psi2 @ v)[0]
+        values.append(_hann_lag_sum(r0, lags, psi_sq @ v))
+    return values[0] if np.ndim(theta) == 0 else np.array(values)
 
 
 def _exact_bin_value(
@@ -475,7 +537,7 @@ def _exact_bin_value(
     relation (Gardiner and Collett, PRA 31, 3761 (1985)) evaluated on the
     sampled record; it draws no random numbers.
     """
-    _check_bin(theta, k, dt, n, eta_total)
+    _check_bin((theta,), k, dt, n, eta_total)
     law = _step_law(model, steady, dt, l)
     angle = theta + law.phi_ref
     t = np.array([math.cos(angle), math.sin(angle)])
@@ -485,7 +547,7 @@ def _exact_bin_value(
     # adds 1 - eta there only
     scale = eta_total * 2.0 * law.s_dt
     r0 = scale * (c @ law.p0 @ c + t @ law.cov[4:, 4:] @ t) + 1.0 - eta_total
-    return _hann_lag_sum(r0, law.a_rr, scale * c, y, k, n)
+    return _hann_lag_sum(r0, _hann_lags(law.a_rr, scale * c, k, n), y)
 
 
 def segment_plan(kappa: float, omega: float) -> tuple[float, int]:
@@ -644,18 +706,20 @@ def cross_validate(
             l=l,
             seed=child,
             batch_size=batch_size,
+            bins=(k,),
+        )
+        expected_bins = expected_bin_value(
+            model, steady, run.thetas, k, dt, n, eta_total=exp_eta, l=l
         )
         for i, th in enumerate(run.thetas):
-            measured = float(run.psd[i, k])
-            sigma = float(run.psd_sigma[i, k])
-            expected = expected_bin_value(
-                model, steady, float(th), k, dt, n, eta_total=exp_eta, l=l
-            )
+            measured = float(run.psd[i, 0])
+            sigma = float(run.psd_sigma[i, 0])
+            expected = float(expected_bins[i])
             z = (measured - expected) / sigma
             delta_db = 10.0 * math.log10(measured / expected)
             checks.append(
                 BinCheck(
-                    omega=float(run.omega[k]),
+                    omega=float(run.omega[0]),
                     theta=float(th),
                     measured=measured,
                     expected=expected,

@@ -161,7 +161,7 @@ def validation_report(cfg: RunConfig, series_path=None) -> dict:
             dt, n = series_plan
             run = simulate_pair(
                 cfg.model, steady, dt=dt, n_samples=n, n_segments=8, seed=cfg.seed,
-                thetas=CROSS_CHECK_THETAS, eta_total=cfg.eta_total, l=cfg.mode_index,
+                thetas=CROSS_CHECK_THETAS, eta_total=cfg.eta_total, l=cfg.mode_index, bins=(),
             )
             dump_series(series_path, run)
             log.info("wrote %s", series_path)

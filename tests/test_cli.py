@@ -1286,7 +1286,7 @@ class HalfWrite(io.TextIOWrapper):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def test_a_failed_rewrite_leaves_no_old_byte_past_what_it_wrote(tmp_path, monkeypatch):
+def test_a_failed_rewrite_leaves_no_old_byte_past_what_it_wrote(tmp_path, monkeypatch, caplog):
     cfg = write_cfg(tmp_path, REWRITE_CFG)
     out = tmp_path / "out"
     assert main(["threshold", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -1297,9 +1297,16 @@ def test_a_failed_rewrite_leaves_no_old_byte_past_what_it_wrote(tmp_path, monkey
         return HalfWrite(open(file, mode + "b"), **kwargs)
 
     monkeypatch.setattr(cli, "open", half_open, raising=False)
+    caplog.clear()
     assert main(["threshold", "--config", cfg, "--out", str(out)]) == EXIT_FAIL
     left = (out / "effective_config.cfg").read_bytes()
     assert left == written[: len(written) // 2]
+    # the log names the step that failed and the file, not an open
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [
+        f"cannot write {out / 'effective_config.cfg'}: [Errno {errno.ENOSPC}] "
+        f"{os.strerror(errno.ENOSPC)}"
+    ]
 
 
 def test_outputs_reach_symlinks_and_directories_as_open_does(tmp_path):
@@ -1663,7 +1670,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 57
+    assert len(mutate.MUTANTS) >= 63
     assert stale == []
 
 

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings, strategies as hst
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from squeezesim import langevin
 from squeezesim.config import load_config
 from squeezesim.langevin import (
     CROSS_CHECK_THETAS,
     _NOISE_CHUNK_VALUES,
     _exact_bin_value,
     _hann_lag_sum,
+    _hann_lags,
     _hann_periodograms,
     BinCheck,
     CrossValidation,
@@ -121,7 +123,11 @@ def test_hann_periodograms_white_noise_density():
     rng = np.random.default_rng(5)
     dt = 0.1
     x = rng.standard_normal((500, 256)) / math.sqrt(dt)
-    p = _hann_periodograms(x, dt)
+    spec = np.empty((500, 129), dtype=complex)
+    p = _hann_periodograms(x.copy(), dt, np.arange(129), spec)
+    # a selection squares and scales those columns of the same transform
+    picked = _hann_periodograms(x.copy(), dt, np.array([3, 0, 128, 3]), spec)
+    assert picked.tobytes() == p[:, [3, 0, 128, 3]].tobytes()
     psd, sigma = p.mean(axis=0), p.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
     # the bins lie on the grid simulate_pair reports as its omega
     omega = 2.0 * math.pi * np.fft.rfftfreq(x.shape[1], d=dt)
@@ -263,6 +269,59 @@ def test_a_batch_wider_than_the_run_changes_no_bit_and_allocates_no_more():
     # buffers sized for 128 or 4096 segments would peak at about 4x or 40x
     assert peak(128) <= 1.05 * exact
     assert peak(4096) <= 1.05 * exact
+
+
+def test_selected_bins_are_the_full_runs_columns_bit_for_bit():
+    # 40 and 33 segments in batches of 16 end on batches of 8 and of 1
+    model, st = pure_point(0.5)
+    dt = 0.05 * 2 * math.pi / model.kappa
+    for eta_total in (0.8, 1.0):
+        for n_segments in (32, 40, 33):
+            kwargs = dict(
+                dt=dt, n_samples=64, n_segments=n_segments, thetas=CROSS_CHECK_THETAS,
+                eta_total=eta_total, seed=9, batch_size=16,
+            )
+            full = simulate_pair(model, st, **kwargs)
+            assert full.psd.shape == (3, 33) and full.omega.shape == (33,)
+            for bins in ((4,), (0, 32), (7, 3, 7), np.array([5, 1]), ()):
+                run = simulate_pair(model, st, **kwargs, bins=bins)
+                cols = list(bins)
+                assert run.psd.shape == run.psd_sigma.shape == (3, len(cols))
+                for name in ("psd", "psd_sigma"):
+                    assert getattr(run, name).tobytes() == getattr(full, name)[:, cols].tobytes()
+                assert run.omega.tobytes() == full.omega[cols].tobytes()
+                assert run.series.tobytes() == full.series.tobytes()
+
+
+def test_segment_sums_add_in_segment_order(monkeypatch):
+    # the first segment's bin is 2**54 and every later one 2 after the
+    # /0.5: a running sum in segment order rounds each 2 away (ties to
+    # even), while a pairwise sum collects the 2s first and keeps them
+    real = langevin._hann_periodograms
+
+    def periodograms(segments, dt, bins, spec):
+        p = real(segments, dt, bins, spec)
+        p[...] = 1.0
+        p[:, 0] = 2.0 ** 53
+        return p
+
+    monkeypatch.setattr(langevin, "_hann_periodograms", periodograms)
+    model, st = pure_point(0.5)
+    for bins in (None, (4,), (4, 9)):
+        run = simulate_pair(
+            model, st, dt=0.05 * 2 * math.pi / model.kappa, n_samples=64, n_segments=16,
+            thetas=CROSS_CHECK_THETAS, seed=9, batch_size=16, bins=bins,
+        )
+        assert np.all(run.psd == 2.0 ** 50) and np.all(run.psd_sigma == 2.0 ** 50), bins
+
+
+def test_simulate_pair_refuses_bins_off_the_grid():
+    model, st = pure_point(0.4)
+    dt = 0.05 * 2 * math.pi / model.kappa
+    # 64 samples: bins 0 to 32
+    for bad in ((33,), (4, -1), (2.0,), (True,), ("3",), (np.float64(3.0),), 4, [[1, 2]]):
+        with pytest.raises(DomainError, match="^bins must be"):
+            simulate_pair(model, st, dt=dt, n_samples=64, n_segments=4, bins=bad)
 
 
 def test_projected_loss_vacuum_correlates_angles():
@@ -494,8 +553,31 @@ def test_hann_lag_sum_matches_a_plain_lag_loop():
         for tau in range(1, n):
             terms.append(2 * (c @ v) * ww[tau] / ww[0] * math.cos(2 * math.pi * k * tau / n))
             v = a @ v
-        got = _hann_lag_sum(1.3, a, c, y, k, n)
+        got = _hann_lag_sum(1.3, _hann_lags(a, c, k, n), y)
         assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms), (n, got)
+
+
+def test_expected_bin_value_over_angles_is_the_scalar_calls_bit_for_bit():
+    model = make_model(2.0)
+    thetas = (0.0, 0.25 * math.pi, 0.5 * math.pi, 1.3, -2.0)
+    for fraction in (0.0, 0.5, 0.9):
+        steady, _ = steady_at_x(model, fraction)
+        for omega in (0.02 * model.kappa, 0.5 * model.kappa, 3.0 * model.kappa):
+            dt, n = segment_plan(model.kappa, omega)
+            k = round(omega * n * dt / (2 * math.pi))
+            for eta in (0.602, 1.0):
+                args = (model, steady)
+                one = [expected_bin_value(*args, th, k, dt, n, eta_total=eta) for th in thetas]
+                assert all(type(v) is float for v in one)
+                for angles in (thetas, np.array(thetas)):
+                    many = expected_bin_value(*args, angles, k, dt, n, eta_total=eta)
+                    assert isinstance(many, np.ndarray) and many.shape == (len(thetas),)
+                    assert many.tobytes() == np.array(one).tobytes()
+    steady, _ = steady_at_x(model, 0.5)
+    assert expected_bin_value(model, steady, [0.3], k, dt, n).shape == (1,)
+    assert type(expected_bin_value(model, steady, np.float64(0.3), k, dt, n)) is float
+    with pytest.raises(DomainError, match="theta must be finite, got nan"):
+        expected_bin_value(model, steady, (0.3, math.nan), k, dt, n)
 
 
 def test_bin_values_name_bad_inputs():

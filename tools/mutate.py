@@ -111,8 +111,8 @@ MUTANTS = {
     ),
     "hann-lag-sum-one-sided": (
         "src/squeezesim/langevin.py",
-        "return float(r0 + 2.0 * np.dot(rows[: n - 1] @ y, lag_weight))",
-        "return float(r0 + np.dot(rows[: n - 1] @ y, lag_weight))",
+        "return float(r0 + 2.0 * np.dot(rows @ y, lag_weight))",
+        "return float(r0 + np.dot(rows @ y, lag_weight))",
     ),
     "dip-prominence-halved": (
         "src/squeezesim/traces.py",
@@ -343,8 +343,18 @@ MUTANTS = {
     ),
     "bin-check-next-bin": (
         "src/squeezesim/langevin.py",
-        "omega=float(run.omega[k]),",
-        "omega=float(run.omega[k + 1]),",
+        "omega=float(run.omega[0]),",
+        "omega=float(run.omega[0]) + 2.0 * math.pi / (n * dt),",
+    ),
+    "cross-check-reads-next-bin": (
+        "src/squeezesim/langevin.py",
+        "bins=(k,),",
+        "bins=(k + 1,),",
+    ),
+    "segment-sums-pairwise": (
+        "src/squeezesim/langevin.py",
+        "acc += np.add.accumulate(pseg, axis=1)[:, -1]",
+        "acc += pseg.sum(axis=1)",
     ),
     "config-error-exits-fail": (
         "src/squeezesim/cli.py",
@@ -355,9 +365,9 @@ MUTANTS = {
     ),
     "cli-write-keeps-stale-tail": (
         "src/squeezesim/cli.py",
-        "            if stat.S_ISREG(os.fstat(fd).st_mode):\n"
-        "                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))\n",
-        "            pass\n",
+        "                if stat.S_ISREG(os.fstat(fd).st_mode):\n"
+        "                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))\n",
+        "                pass\n",
     ),
 }
 

@@ -11,7 +11,14 @@ Both trees then run the same commands on the same inputs, each tree's
 - ``validate --dump-series`` on ``tests/data/validate_fast.cfg``;
 - ``fit`` on the trace that ``tests/test_reference_outputs.write_fit_trace``
   writes and on the benchmark's comb, ``bench/inputs.comb_trace(911)``;
-- ``stats`` on both ``fits.json`` files.
+- ``stats`` on both ``fits.json`` files;
+- criterion 3's stochastic cross-check as the benchmark's ``oracle``
+  workload plans it (``bench/workloads.Oracle``: pumps x = 0, 0.5 and
+  0.9, five frequencies from 0.01 to 3 kappa, three angles, 400
+  segments) at seeds 1, 2 and 3, with every field of every ``BinCheck``
+  written by ``repr`` to ``oracle/bin_checks.txt``.  ``validate_report.json``
+  keeps only maxima over its bins, so a bin whose bits move without
+  moving a maximum shows only here.
 
 Each tree then runs every command a second time into the same output
 directories, the path a rerun into one ``--out`` takes, and the files of
@@ -22,8 +29,8 @@ given is relative and the same in both trees, so an output that records
 its source still compares.  One JSON line on stdout counts the files of
 both runs and names every output file that differs or exists in one tree
 only, and every command that failed; the exit status is 1 if there is
-any.  Nothing is written into the checkout.  It runs some thirty commands
-in fresh interpreters, so it is not part of tier-1.
+any.  Nothing is written into the checkout.  It runs 36 commands in
+fresh interpreters, so it is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -54,6 +61,20 @@ COMMANDS = [
     ("stats", ["stats", "fit/fits.json", "fit-comb/fits.json"]),
 ]
 
+# run as ``python -c BIN_CHECKS TREE FILE``: the oracle plan's bins at seeds 1-3
+BIN_CHECKS = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(ROOT / "bench")!r})
+import workloads
+tree, out = Path(sys.argv[1]), Path(sys.argv[2])
+out.parent.mkdir(exist_ok=True)
+out.write_text("".join(
+    repr(check) + "\\n" for seed in (1, 2, 3)
+    for cv in workloads.Oracle(tree, seed).plan(workloads.Tally()) for check in cv.checks
+))
+"""
+
 
 def write_inputs(directory: Path) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
@@ -77,10 +98,12 @@ def extract(ref: str, directory: Path) -> None:
 def run_commands(tree: Path, run: Path) -> list[str]:
     """Run every command with ``tree``'s sources; the names of those that failed."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmds = [(out, ["-m", "squeezesim", *argv, "--out", out]) for out, argv in COMMANDS]
+    cmds.append(("oracle", ["-c", BIN_CHECKS, str(tree), "oracle/bin_checks.txt"]))
     failed = []
-    for out, argv in COMMANDS:
-        cmd = [sys.executable, "-m", "squeezesim", *argv, "--out", out]
-        if subprocess.run(cmd, cwd=run, env=env, stdout=subprocess.DEVNULL).returncode:
+    for out, args in cmds:
+        done = subprocess.run([sys.executable, *args], cwd=run, env=env, stdout=subprocess.DEVNULL)
+        if done.returncode:
             failed.append(out)
     return failed
 
