@@ -105,7 +105,9 @@ class PairMoments:
 
     def require_below_threshold(self) -> "PairMoments":
         """Return self; raise SingularSystemError if any point is not below threshold."""
-        margin = np.minimum.reduce(self.margin, axis=None)  # np.min's dispatch costs more
+        margin = self.margin
+        if type(margin) is not float:  # a float skips the 0-d array the reduction builds
+            margin = np.minimum.reduce(margin, axis=None)  # np.min's dispatch costs more
         if not margin > 0.0:
             raise SingularSystemError(
                 f"side-mode pair l={self.l} is not below threshold: slowest "
@@ -284,7 +286,7 @@ def homodyne_variance(cov: np.ndarray, theta):
     return quad
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadratureExtrema:
     """Extremal homodyne variances and the angles that reach them.
 
@@ -296,6 +298,14 @@ class QuadratureExtrema:
     var_min: float
     var_max: float
     theta_min: float
+
+    def __init__(self, var_min, var_max, theta_min):
+        # a dict write, as SteadyState: the generated frozen __init__
+        # calls object.__setattr__ once per field
+        fields = self.__dict__
+        fields["var_min"] = var_min
+        fields["var_max"] = var_max
+        fields["theta_min"] = theta_min
 
 
 def _extrema(mean, d, off) -> QuadratureExtrema:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -183,7 +184,7 @@ def _photon_numbers(model: ResonatorModel, flux: float) -> list[float]:
     hk = 0.5 * model.kappa
     us = _roots_scaled(model.delta / hk, g0 * model.kappa_e * flux / hk ** 3)
     # a loop, not a comprehension: on Python 3.11 that is a call of its
-    # own, and every solve and sweep point passes here
+    # own, and every scalar solve passes here
     rhos = []
     for u in us:
         rhos.append(u * hk / g0)
@@ -253,9 +254,17 @@ def operating_points(
     """``(rho, a0)`` arrays over the on-chip powers (W) of the 1-D ``powers``.
 
     Each point is :func:`solve_steady_state`'s at ``PumpDrive.from_power``,
-    bit for bit, with no :class:`SteadyState` built.  The policy, ``rtol``
-    and every power are refused before any point is solved, a bad power
-    with :func:`photon_flux`'s message for the first one.
+    bit for bit, but all points are solved in one array pass:
+    :func:`_picked_roots` gives each power the root ``branch_policy``
+    picks and :func:`_fixed_points` its field and residual check.  No
+    :class:`SteadyState` is built.  The policy, ``rtol`` and every power
+    are refused before any point is solved, a bad power with
+    :func:`photon_flux`'s message for the first one.  Where a residual
+    exceeds its tolerance, or the pass overflows, divides by zero or
+    meets a NaN, the points are solved again one by one by the scalar
+    core, which raises its own error at the first point that has one
+    (a non-finite ``alpha`` or ``beta``, a residual over its tolerance)
+    and otherwise returns what the scalar solve does.
     """
     _check_solve_args(rtol, branch_policy)
     powers = np.asarray(powers, dtype=float)
@@ -268,12 +277,146 @@ def operating_points(
     fluxes = powers / (HBAR * model.omega0)
     drives = math.sqrt(model.kappa_e) * np.sqrt(fluxes)
     index = _ROOT_INDEX[branch_policy]
+    g0 = model.g0
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if g0 == 0.0:
+                rho = fixed_point_photons(model, fluxes, model.delta)
+            else:
+                hk = 0.5 * model.kappa
+                beta = g0 * model.kappa_e * fluxes / hk ** 3
+                rho = _picked_roots(model.delta / hk, beta, index) * hk / g0
+            a0, over = _fixed_points(model, drives, rho, rtol)
+        if not over.any():
+            return rho, a0
+    except ArithmeticError:  # numpy's FloatingPointError, or Python's own
+        pass
+    # a failed residual or a float exception: the scalar core, point by point,
+    # raises its own error at the first failing point, or returns its own bits
     rho, a0 = [], []
     for flux, drive in zip(fluxes.tolist(), drives.tolist()):
         r = _photon_numbers(model, flux)[index]
         rho.append(r)
         a0.append(_fixed_point(model, drive, r, rtol)[0])
     return np.array(rho, dtype=float), np.array(a0, dtype=complex)
+
+
+def _polish_array(u: np.ndarray, alpha: float, beta: np.ndarray) -> np.ndarray:
+    """:func:`_polish` of each ``u`` at its ``beta``, bit for bit.
+
+    A masked Newton loop: a point leaves it where :func:`_polish` returns,
+    on a flat ``f'`` or a step of 0.0, and after three steps at most.
+    """
+    u = u.copy()
+    live = np.arange(u.size)
+    for _ in range(3):
+        v, b = u[live], beta[live]
+        fp = v * (3.0 * v - 4.0 * alpha) + 1.0 + alpha * alpha
+        steep = ~(np.abs(fp) < 1e-9 * (1.0 + v * v + alpha * alpha))
+        v, b, fp, live = v[steep], b[steep], fp[steep], live[steep]
+        step = (v * (v * (v - 2.0 * alpha) + 1.0 + alpha * alpha) - b) / fp
+        moved = step != 0.0
+        live = live[moved]
+        u[live] = v[moved] - step[moved]
+    return u
+
+
+def _per_float(f, x: np.ndarray, *args) -> np.ndarray:
+    """``f(v, *args)`` for each element ``v`` of ``x``, in Python floats.
+
+    ``math`` and float pow call libm, as the scalar solve does; numpy's
+    SIMD loops for ``arccos``, ``cos`` and ``power`` do not round as it does.
+    """
+    return np.fromiter(map(f, x.tolist(), *map(repeat, args)), float, x.size)
+
+
+def _picked_roots(alpha: float, beta: np.ndarray, index: int) -> np.ndarray:
+    """``_roots_scaled(alpha, b)[index]`` for each finite ``b >= 0`` of ``beta``, bit for bit.
+
+    :func:`_roots_scaled`'s three regimes become masks, and every
+    candidate root is polished in one :func:`_polish_array` call.
+    Arithmetic runs in numpy, which rounds as Python floats do, in the
+    scalar code's order, and ``acos``, ``cos`` and the cube root through
+    :func:`_per_float`.  ``max(u, 0.0)`` keeps ``u`` on a tie, as Python's
+    ``max`` does.  A point's pick is its first candidate, in the scalar
+    code's order, that is lowest (``index`` 0) or highest (``index`` -1).
+    """
+    shift, p = 2.0 * alpha / 3.0, 1.0 - alpha * alpha / 3.0
+    q_alpha = 2.0 * alpha * (alpha * alpha + 9.0) / 27.0
+    q = q_alpha - beta
+    r = 0.25 * q * q + p * p * p / 27.0
+    bands = 2.0 ** -52 * (np.abs(q) * (abs(q_alpha) + beta) + p * p * (1.0 + alpha * alpha))
+    is_three = r < -bands
+    is_fold = ~is_three & (r <= bands)
+    one, three, fold = (np.flatnonzero(m) for m in (~(is_three | is_fold), is_three, is_fold))
+    a = -np.copysign(_per_float(pow, 0.5 * np.abs(q[one]) + np.sqrt(r[one]), 1.0 / 3.0), q[one])
+    c = np.copysign(_per_float(pow, 0.5 * np.abs(q[fold]), 1.0 / 3.0), -q[fold])
+    # each regime's candidates, in the scalar code's order
+    groups = [(one, [a - p / (3.0 * a)]), (fold, [2.0 * c, -c])]
+    if three.size:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        x = 3.0 * q[three] / (p * m)
+        x = np.where(x > -1.0, np.where(x < 1.0, x, 1.0), -1.0)  # max(-1.0, min(1.0, x))
+        phi = _per_float(math.acos, x)
+        groups.append((three, [
+            m * _per_float(math.cos, phi / 3.0),
+            m * _per_float(math.cos, (phi - _TWO_PI) / 3.0),
+            m * _per_float(math.cos, (phi - _FOUR_PI) / 3.0),
+        ]))
+    owners = np.concatenate([owner for owner, ts in groups for _ in ts])
+    roots = _polish_array(np.concatenate([t for _, ts in groups for t in ts]) + shift,
+                          alpha, beta[owners])
+    roots = np.where(0.0 > roots, 0.0, roots)  # max(root, 0.0)
+    better = np.less if index == 0 else np.greater
+    picked = np.empty(beta.shape)
+    start = 0
+    for owner, ts in groups:
+        best = None
+        for _ in ts:
+            root = roots[start:start + owner.size]
+            start += owner.size
+            best = root if best is None else np.where(better(root, best), root, best)
+        picked[owner] = best
+    return np.where(beta == 0.0, 0.0, picked)
+
+
+def _fixed_points(model: ResonatorModel, drives: np.ndarray, rho: np.ndarray, rtol: float):
+    """``(a0, over)``: :func:`_fixed_point`'s field at each point, bit for bit, and
+    where its residual exceeds the tolerance.
+
+    The complex operations run in real arithmetic, as CPython's unfused
+    ones do (numpy's complex array loops fuse): ``a0`` is Smith's
+    division of ``_Py_c_quot``, which divides by the larger of ``kappa/2``
+    and ``|delta_eff|``.  The magnitudes are ``np.hypot``, whose loop
+    calls libm's ``hypot`` as complex ``abs`` does, and ``abs(a0) ** 2``
+    squares in float pow.
+    """
+    hk = 0.5 * model.kappa
+    delta, g0 = model.delta, model.g0
+    delta_eff = delta - g0 * rho
+    # hk + 1j*delta_eff, with 1j*delta_eff the product (0, 1)*(delta_eff, 0)
+    den_re, den_im = hk + (0.0 * delta_eff - 0.0), 0.0 + (0.0 + delta_eff)
+    by_re = np.abs(den_re) >= np.abs(den_im)
+    by_im = ~by_re & (np.abs(den_im) >= np.abs(den_re))  # neither: a NaN, so a0 is NaN
+    re, im = np.full(rho.shape, np.nan), np.full(rho.shape, np.nan)
+    br, bi, ar = den_re[by_re], den_im[by_re], drives[by_re]
+    ratio = bi / br
+    denom = br + bi * ratio
+    re[by_re], im[by_re] = (ar + 0.0 * ratio) / denom, (0.0 - ar * ratio) / denom
+    br, bi, ar = den_re[by_im], den_im[by_im], drives[by_im]
+    ratio = br / bi
+    denom = br * ratio + bi
+    re[by_im], im[by_im] = (ar * ratio + 0.0) / denom, (0.0 * ratio - ar) / denom
+    # -(hk + 1j*delta)*a0 + 1j*g0*abs(a0)**2*a0 + drive, product by product
+    norm = _per_float(pow, np.hypot(re, im), 2)
+    kerr, pull = 1j * g0, -(hk + 1j * delta)
+    k_re, k_im = kerr.real * norm - kerr.imag * 0.0, kerr.real * 0.0 + kerr.imag * norm
+    sum_re = (pull.real * re - pull.imag * im) + (k_re * re - k_im * im) + drives
+    sum_im = (pull.real * im + pull.imag * re) + (k_re * im + k_im * re) + 0.0
+    tol = rtol * np.where(drives > 1.0, drives, 1.0)  # rtol * max(1.0, drive)
+    a0 = np.empty(rho.shape, dtype=complex)
+    a0.real, a0.imag = re, im
+    return a0, np.hypot(sum_re, sum_im) > tol
 
 
 def steady_state_on_branch(model: ResonatorModel, pump: PumpDrive, index: int) -> SteadyState:

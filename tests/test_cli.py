@@ -1670,7 +1670,7 @@ def test_every_mutation_row_applies_exactly_once():
             stale.append(str(exc))
             continue
         assert text != (root / path).read_text(encoding="utf-8"), name
-    assert len(mutate.MUTANTS) >= 63
+    assert len(mutate.MUTANTS) >= 66
     assert stale == []
 
 

@@ -445,7 +445,7 @@ def test_power_sweep_matches_per_point_solves_bit_for_bit(policy):
 
 def test_power_sweep_refuses_policy_and_rtol_before_any_solve():
     model = make_model(3.0)
-    with mock.patch("squeezesim.steady_state._photon_numbers", side_effect=AssertionError("solved")):
+    with mock.patch("squeezesim.steady_state._picked_roots", side_effect=AssertionError("solved")):
         for powers in ([1e-20], []):
             with pytest.raises(DomainError, match=r"^unknown branch policy 'upper'"):
                 power_sweep(model, powers, branch_policy="upper")
@@ -468,7 +468,7 @@ def test_power_sweep_names_a_bad_power():
 
 def test_power_sweep_names_the_first_bad_power_before_any_solve():
     model = make_model(3.0)
-    with mock.patch("squeezesim.steady_state._photon_numbers", side_effect=AssertionError("solved")):
+    with mock.patch("squeezesim.steady_state._picked_roots", side_effect=AssertionError("solved")):
         for bad in (math.nan, -1.0, math.inf):
             message = f"^power must be finite and non-negative, got {bad}$"
             with pytest.raises(DomainError, match=message):

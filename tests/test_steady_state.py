@@ -9,7 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from squeezesim.params import HBAR, DomainError, PumpDrive, ResonatorModel
 from squeezesim.steady_state import (
+    _ROOT_INDEX,
     SteadyState,
+    _fixed_point,
+    _fixed_points,
+    _photon_numbers,
+    _picked_roots,
+    _roots_scaled,
     bistable_flux_window,
     cubic_roots_scaled,
     fixed_point_flux,
@@ -17,6 +23,7 @@ from squeezesim.steady_state import (
     g0_for_gain,
     g0_for_threshold_fraction,
     is_bistable,
+    operating_points,
     solve_steady_state,
     steady_state_at_gain,
     steady_state_on_branch,
@@ -610,3 +617,140 @@ def test_float_route_is_bit_identical_to_the_ndarray_route(case, g0, numpy_scala
     for index in range(len(rhos)):
         expected = bits(reference_steady_state(model, pump, index))
         assert bits(outcome(steady_state_on_branch, model, pump, index)) == expected
+
+
+# ---- the array route of operating_points against the scalar solve
+
+REFUSALS = (DomainError, RuntimeError, ArithmeticError)
+
+
+def solved_points(model, powers, policy, rtol):
+    """operating_points' outcome through one solve_steady_state per power.
+
+    ``(rho bytes, a0 bytes)``, or ``(type, message)`` of the first point's
+    error in power order.
+    """
+    rho, a0 = [], []
+    for p in powers:
+        try:
+            s = solve_steady_state(model, PumpDrive.from_power(p, model.omega0), policy, rtol)
+        except REFUSALS as exc:
+            return type(exc), str(exc)
+        rho.append(s.rho)
+        a0.append(s.a0)
+    return np.array(rho, dtype=float).tobytes(), np.array(a0, dtype=complex).tobytes()
+
+
+def array_points(model, powers, policy, rtol):
+    try:
+        rho, a0 = operating_points(model, powers, policy, rtol)
+    except REFUSALS as exc:
+        return type(exc), str(exc)
+    return rho.tobytes(), a0.tobytes()
+
+
+def check_array_stages(model, powers, policy, rtol):
+    """_picked_roots and _fixed_points against the scalar core, point by point.
+
+    The roots, a0 and the residual decisions must agree bit for bit; the
+    return value counts the points whose residual check fails.
+    """
+    fluxes = [PumpDrive.from_power(p, model.omega0).flux for p in powers]
+    index = _ROOT_INDEX[policy]
+    rhos = [_photon_numbers(model, f)[index] for f in fluxes]
+    if model.g0:
+        hk = 0.5 * model.kappa
+        alpha = model.delta / hk
+        betas = [model.g0 * model.kappa_e * f / hk ** 3 for f in fluxes]
+        picked = _picked_roots(alpha, np.array(betas), index)
+        scalar = [_roots_scaled(alpha, b)[index] for b in betas]
+        assert picked.tobytes() == np.array(scalar).tobytes()
+    drives = [math.sqrt(model.kappa_e) * math.sqrt(f) for f in fluxes]
+    a0, over = _fixed_points(model, np.array(drives), np.array(rhos), rtol)
+    expected = []
+    for drive, rho in zip(drives, rhos):
+        try:
+            _fixed_point(model, drive, rho, rtol)
+            expected.append(False)
+        except RuntimeError:
+            expected.append(True)
+    fields = [_fixed_point(model, d, r, math.inf)[0] for d, r in zip(drives, rhos)]
+    assert a0.tobytes() == np.array(fields, dtype=complex).tobytes()
+    assert over.tolist() == expected
+    return sum(expected)
+
+
+def sweep_model(rng, k):
+    """Random pump model: any detuning across the knee, κ_i = 0 or g0 = 0 in some.
+
+    Some are detuned 1e7 to 1e10 half-widths to the red, where the closed
+    form finds negative roots and clamps them to 0.
+    """
+    hk = rng.uniform(0.5, 2.0)
+    eta = 1.0 if k % 5 == 0 else rng.uniform(0.1, 1.0)
+    alpha = KNEE if k % 9 == 0 else rng.uniform(-2.0, 6.0)
+    if k % 11 == 0:
+        alpha = -(10.0 ** rng.uniform(7.0, 10.0))
+    g0 = 0.0 if k % 7 == 0 else 10.0 ** rng.uniform(-2.0, 1.0)
+    return ResonatorModel(omega0=1.2074690e15, kappa_i=(1.0 - eta) * 2.0 * hk,
+                          kappa_e=eta * 2.0 * hk, delta=alpha * hk, g0=g0)
+
+
+def test_operating_points_are_the_scalar_solves_bit_for_bit():
+    rng = np.random.default_rng(20261022)
+    three_roots = refused = 0
+    for k in range(90):
+        model = sweep_model(rng, k)
+        to_power = HBAR * model.omega0
+        hk = 0.5 * model.kappa
+        unit = hk ** 3 / (model.g0 * model.kappa_e) if model.g0 else 1.0  # flux at beta = 1
+        fluxes = [0.0, *(unit * 10.0 ** rng.uniform(-20.0, 1.5, 30))]
+        if is_bistable(model):
+            lo, hi = bistable_flux_window(model)
+            # both folds, inside the window and above it
+            fluxes += [lo, hi, *rng.uniform(lo, hi, 10), *(hi * rng.uniform(1.0, 2.0, 5))]
+        powers = (np.array(fluxes) * to_power).tolist()
+        rng.shuffle(powers)
+        three_roots += sum(
+            len(steady_state_roots(model, PumpDrive.from_power(p, model.omega0))) == 3
+            for p in powers
+        )
+        for policy in ("lowest", "highest", "adiabatic_upsweep"):
+            # at the smaller rtol some points miss their residual tolerance
+            for rtol in (1e-10, 10.0 ** rng.uniform(-17.0, -15.0)):
+                assert array_points(model, powers, policy, rtol) == solved_points(
+                    model, powers, policy, rtol)
+                refused += check_array_stages(model, powers, policy, rtol)
+    assert three_roots >= 100 and refused >= 100
+
+
+def test_operating_points_raise_the_first_refused_point_in_power_order():
+    model = make_model(2.0)
+    driven = pump_for_beta(model, 1.0).power_on_chip
+    overflowing = 1e289  # a finite flux whose beta overflows to inf
+    residual = r"^steady-state residual .* exceeds tolerance"
+    beta = r"^beta must be finite, got inf$"
+    # at rtol 1e-30 every driven point misses its residual tolerance
+    for powers, error, message in (
+        ([0.0, driven, overflowing], RuntimeError, residual),
+        ([0.0, overflowing, driven], DomainError, beta),
+        ([overflowing, 0.0, driven], DomainError, beta),
+    ):
+        for policy in ("lowest", "highest"):
+            with pytest.raises(error, match=message):
+                operating_points(model, powers, policy, 1e-30)
+            assert array_points(model, powers, policy, 1e-30) == solved_points(
+                model, powers, policy, 1e-30)
+    # a non-finite alpha is refused only where a point is solved
+    unbounded = ResonatorModel(omega0=1.2074690e15, kappa_i=0.0, kappa_e=1e-10, delta=1e300, g0=1.0)
+    rho, a0 = operating_points(unbounded, [])
+    assert rho.size == a0.size == 0
+    with pytest.raises(DomainError, match=r"^alpha must be finite, got inf$"):
+        operating_points(unbounded, [0.0, 1e-3])
+    # (kappa/2)^2 underflows to 0: the scalar solve divides by zero
+    unresolved = ResonatorModel(omega0=1.2074690e15, kappa_i=0.0, kappa_e=1e-200, delta=0.0)
+    with pytest.raises(ZeroDivisionError):
+        operating_points(unresolved, [1e-3])
+    for m in (unbounded, unresolved):
+        assert array_points(m, [0.0, 1e-3], "lowest", 1e-10) == solved_points(
+            m, [0.0, 1e-3], "lowest", 1e-10)

@@ -146,8 +146,23 @@ MUTANTS = {
     ),
     "sweep-branch-pick-swapped": (
         "src/squeezesim/steady_state.py",
-        "r = _photon_numbers(model, flux)[index]",
-        "r = _photon_numbers(model, flux)[-1 - index]",
+        "better = np.less if index == 0 else np.greater",
+        "better = np.greater if index == 0 else np.less",
+    ),
+    "sweep-residual-tolerance-1e6": (
+        "src/squeezesim/steady_state.py",
+        "tol = rtol * np.where(drives > 1.0, drives, 1.0)",
+        "tol = rtol * np.where(drives > 1e6, drives, 1e6)",
+    ),
+    "sweep-smith-division-branch-flipped": (
+        "src/squeezesim/steady_state.py",
+        "by_re = np.abs(den_re) >= np.abs(den_im)",
+        "by_re = np.abs(den_re) < np.abs(den_im)",
+    ),
+    "sweep-root-clamp-dropped": (
+        "src/squeezesim/steady_state.py",
+        "    roots = np.where(0.0 > roots, 0.0, roots)  # max(root, 0.0)\n",
+        "",
     ),
     "sweep-drive-without-sqrt-kappa-e": (
         "src/squeezesim/steady_state.py",
